@@ -108,8 +108,14 @@ def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfi
 
 
 def build_topology_spec(tree: dict) -> TopologySpec:
+    """The spec of a generated graph; tournaments build one graph per run from it."""
     topo = _section(tree, "topology")
-    known = {"kind", "n", "radius", "cols", "gateways", "seed", "file"}
+    if "file" in topo:
+        raise ConfigError(
+            "topology.file: tournaments generate each run's graph from topology.kind "
+            "and cannot use a graph file; set topology.kind instead"
+        )
+    known = {"kind", "n", "radius", "cols", "gateways", "seed"}
     for key in topo:
         if key not in known:
             raise ConfigError(f"topology.{key}: unknown field")
@@ -129,8 +135,18 @@ def build_topology_spec(tree: dict) -> TopologySpec:
 def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
     topo = _section(tree, "topology")
     if "file" in topo:
-        with open(topo["file"], "r", encoding="utf-8") as fh:
-            return TopologyGraph.from_edge_list(fh.read())
+        path = topo["file"]
+        if not isinstance(path, str):
+            raise ConfigError(f"topology.file: expected a path, got {path!r}")
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"topology.file: cannot read {path}: {exc}") from None
+        try:
+            return TopologyGraph.from_edge_list(text)
+        except TopologyError as exc:
+            raise ConfigError(f"topology.file {path}: {exc}") from None
     try:
         return build_topology_spec(tree).build(run_seed)
     except TopologyError as exc:

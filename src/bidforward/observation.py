@@ -2,8 +2,10 @@
 
 Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and
-custody/drop counters. Pack members can merge their retained observations
-so every member ends up with the union, deduplicated by event identity.
+custody/drop counters. Pack members merge their observations so every member
+ends up with the union, deduplicated by event identity. A merge exchanges
+only the events some member applied for the first time since the previous
+merge, so a run's merge work is linear in its events.
 """
 
 from __future__ import annotations
@@ -78,8 +80,10 @@ class NodeProfile:
 class ObserverStore:
     """Event-sourced profile store owned by a single node.
 
-    ``retain_events`` keeps the raw events so pack members can merge; the
-    applied-id set makes ingestion idempotent either way.
+    The applied-id set makes ingestion idempotent. A store with
+    ``retain_events`` (a pack member) also keeps every applied event in
+    ``events``, for ``rebuild()``, and the events it applied for the first
+    time since the last ``merge_pack`` in its outbox ``unshared``.
     """
 
     def __init__(self, owner: NodeId, retain_events: bool = False):
@@ -88,6 +92,7 @@ class ObserverStore:
         self.profiles: dict[NodeId, NodeProfile] = {}
         self.applied: set[tuple[int, int]] = set()
         self.events: dict[tuple[int, int], GameEvent] = {}
+        self.unshared: list[GameEvent] = []
         self.packet_paths: dict[int, list[NodeId]] = {}
 
     def profile(self, subject: NodeId) -> NodeProfile:
@@ -111,6 +116,7 @@ class ObserverStore:
         self.applied.add(event.event_id)
         if self.retain_events:
             self.events[event.event_id] = event
+            self.unshared.append(event)
         kind = event.kind
         if kind is EventKind.PAYMENT:
             self.profile(event.node).estimated_profit += event.amount
@@ -146,14 +152,20 @@ class ObserverStore:
         self.profile(holder).fairness_deviation += increment
 
     def rebuild(self) -> None:
-        """Recompute all aggregates from retained events."""
-        retained = self.events
+        """Recompute all aggregates from retained events, in ``event_id`` order.
+
+        The full-recompute reference that incremental merging is tested
+        against; the outbox is left as it was.
+        """
+        retained, outbox = self.events, self.unshared
         self.profiles = {}
         self.applied = set()
         self.events = {}
+        self.unshared = []
         self.packet_paths = {}
         for event_id in sorted(retained):
             self.apply(retained[event_id])
+        self.unshared = outbox
 
 
 def ingest(
@@ -187,19 +199,25 @@ def fairness_update(
 def merge_pack(stores: list[ObserverStore]) -> None:
     """Give every pack member the union of the pack's observations.
 
+    Each member applies, in ``event_id`` order, the union of the members'
+    outboxes, and then every outbox is emptied. When every merge runs over
+    the same members, they all hold the same applied set afterwards, as if
+    each had rebuilt from the union. A merge costs (new events × members).
     Events observed by several members count once; merging is idempotent
     and order-independent.
     """
-    if len(stores) < 2:
-        return
     union: dict[tuple[int, int], GameEvent] = {}
     for store in stores:
         if not store.retain_events:
             raise ValueError(f"store of node {store.owner} does not retain events")
-        union.update(store.events)
+        for event in store.unshared:
+            union[event.event_id] = event
+    fresh = [union[event_id] for event_id in sorted(union)]
     for store in stores:
-        store.events = dict(union)
-        store.rebuild()
+        for event in fresh:
+            store.apply(event)
+    for store in stores:
+        store.unshared.clear()
 
 
 def profiles_csv(stores: list[ObserverStore], round_no: int) -> list[str]:

@@ -86,17 +86,23 @@ class TopologyGraph:
         n = None
         edges = []
         gateways: list[int] = []
-        for raw in text.splitlines():
+        for lineno, raw in enumerate(text.splitlines(), 1):
             line = raw.strip()
             if not line:
                 continue
-            if line.startswith("n "):
-                n = int(line.split()[1])
-            elif line.startswith("gateways"):
-                gateways = [int(tok) for tok in line.split()[1:]]
-            else:
-                u, v = line.split()
-                edges.append((int(u), int(v)))
+            try:
+                if line.startswith("n "):
+                    n = int(line.split()[1])
+                elif line.startswith("gateways"):
+                    gateways = [int(tok) for tok in line.split()[1:]]
+                else:
+                    u, v = line.split()
+                    edges.append((int(u), int(v)))
+            except ValueError:
+                raise TopologyError(
+                    f"line {lineno}: expected 'n <count>', 'gateways <id> ...' "
+                    f"or '<u> <v>', got {line!r}"
+                ) from None
         if n is None:
             raise TopologyError("edge list missing 'n <count>' line")
         return cls(n, edges, gateways)

@@ -109,6 +109,21 @@ class TestTopoCommand:
         conf2 = write_config(tmp_path, tree, "from_file.yaml")
         assert main(["run", "--config", conf2, "--out", str(tmp_path / "o")]) == 0
 
+    def test_missing_graph_file_is_a_config_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.txt")
+        conf = write_config(tmp_path, dict(DEMO, topology={"file": missing}))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "topology.file" in err and missing in err
+
+    def test_malformed_graph_file_names_file_and_line(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("n 4\n0 1\n0 x\ngateways 0\n")
+        conf = write_config(tmp_path, dict(DEMO, topology={"file": str(graph_path)}))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert str(graph_path) in err and "line 3" in err and "'0 x'" in err
+
 
 class TestTournamentCommand:
     def tournament_tree(self, sweep=None):
@@ -165,6 +180,16 @@ class TestTournamentCommand:
         assert main(["tournament", "--config", conf, "--out", out]) == 1
         assert os.path.exists(os.path.join(out, "ranktable_fine_0.csv"))
         assert not os.path.exists(os.path.join(out, "ranktable_fine_200.csv"))
+
+    def test_graph_file_rejected(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("n 4\n0 1\n1 2\n2 3\ngateways 0\n")
+        tree = dict(self.tournament_tree(), topology={"file": str(graph_path)})
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        err = capsys.readouterr().err
+        assert "topology.file" in err and "topology.kind" in err
+        assert not os.path.exists(tmp_path / "t")
 
     def test_missing_tournament_section(self, tmp_path, capsys):
         conf = write_config(tmp_path, DEMO)

@@ -22,6 +22,7 @@ from bidforward.model import (
     PathLedger,
     parse_extra,
 )
+from bidforward.observation import ObserverStore
 from bidforward.strategies import Strategy, build_strategy
 from bidforward.topology import generate
 
@@ -306,6 +307,81 @@ class TestConservation:
         result = run_simulation(GameConfig(packets_total=10, master_seed=1), g, fair_assignment(8))
         ids = [(e.round, e.seq) for e in result.events]
         assert ids == sorted(ids) and len(set(ids)) == len(ids)
+
+
+class TestLongPackRuns:
+    """Hundreds of packets with two packs, invariants checked after every round."""
+
+    @pytest.mark.parametrize("churn_rate", [0.0, 0.02])
+    @pytest.mark.parametrize("observation", ["global", "khop:1", "khop:2"])
+    def test_invariants_hold_every_round(self, observation, churn_rate):
+        rng = random.Random(f"{observation}/{churn_rate}")
+        n = 14
+        g = generate("geometric", n, radius=0.45, seed=rng.randrange(100))
+        others = ["fair", "always_one", "sniper", "random"]
+        assignment = {0: build_strategy("fair")}
+        for node in range(1, n):
+            if node <= 4:
+                assignment[node] = build_strategy(
+                    "wolfpack", {"pack": "a", "sabotage_enabled": True}
+                )
+            elif node <= 7:
+                assignment[node] = build_strategy("wolfpack", {"pack": "b"})
+            else:
+                assignment[node] = build_strategy(rng.choice(others))
+        config = GameConfig(
+            packets_total=200, injection_rate=2, ttl=6, observation=observation,
+            churn_rate=churn_rate, master_seed=rng.randrange(1000),
+        )
+        sim = Simulation(config, g, assignment)
+        packs = [[1, 2, 3, 4], [5, 6, 7]]
+        seen = 0
+        while sim.step_round():
+            assert sum(sim.balances.values()) + sim.backbone_balance == 0
+            promises: dict[int, list[int]] = {}
+            for e in sim.events[seen:]:
+                if e.kind is EventKind.BID_WON:
+                    promises.setdefault(e.packet_id, []).append(e.amount)
+            seen = len(sim.events)
+            for chain in promises.values():
+                assert len(chain) <= config.ttl
+                assert all(a >= b for a, b in zip(chain, chain[1:]))
+            for pack in packs:
+                first = sim.contexts[pack[0]].observer
+                for node in pack[1:]:
+                    store = sim.contexts[node].observer
+                    assert store.applied == first.applied
+                    assert store.profiles == first.profiles
+        assert sim.round == 100
+
+
+class TestMergeWork:
+    def test_pack_merges_apply_each_event_a_bounded_number_of_times(self, monkeypatch):
+        calls = 0
+        real_apply = ObserverStore.apply
+
+        def counting_apply(store, event):
+            nonlocal calls
+            calls += 1
+            return real_apply(store, event)
+
+        monkeypatch.setattr(ObserverStore, "apply", counting_apply)
+        g = generate("geometric", 20, radius=0.35, seed=11)
+        assignment = {
+            n: build_strategy("wolfpack", {"pack": "a", "sabotage_enabled": True})
+            if 1 <= n <= 10 else build_strategy("fair")
+            for n in range(20)
+        }
+        config = GameConfig(
+            packets_total=200, injection_rate=1, observation="global", master_seed=1401
+        )
+        sim = Simulation(config, g, assignment)
+        result = sim.run()
+        subscribers = sum(ctx.observer is not None for ctx in sim.contexts.values())
+        # Each subscriber applies each event once as it is heard and at most
+        # once more in the merge that shares it.
+        assert subscribers == 10
+        assert calls <= 2 * subscribers * len(result.events)
 
 
 class TestScopedObservation:

@@ -1,8 +1,11 @@
+import copy
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bidforward.model import AuctionRequest, EventKind, GameEvent
+from bidforward.model import BACKBONE, AuctionRequest, EventKind, GameEvent, format_extra
 from bidforward.observation import (
     ObservationScope,
     ObserverStore,
@@ -188,6 +191,87 @@ class TestMergePack:
         b = ObserverStore(owner=2, retain_events=False)
         with pytest.raises(ValueError):
             merge_pack([a, b])
+
+
+LOCATIONS = st.sampled_from([BACKBONE, *range(6)])
+
+
+@st.composite
+def dealt_event(draw):
+    """Event fields without an id, plus the store indexes it is dealt to."""
+    kind = draw(st.sampled_from(list(EventKind)))
+    extra = ""
+    if kind is EventKind.AUCTION_ANNOUNCED:
+        extra = format_extra(
+            dest=draw(st.integers(0, 5)),
+            dist=draw(st.none() | st.integers(0, 6)),
+            prev=draw(st.integers(0, 200)),
+        )
+    elif kind is EventKind.DELIVERED:
+        extra = format_extra(dest=draw(st.integers(0, 5)))
+    elif kind is EventKind.DROPPED:
+        extra = format_extra(reason=draw(st.sampled_from(["ttl", "no-winner", "deliberate"])))
+    fields = (
+        kind, draw(st.integers(0, 7)), draw(LOCATIONS), draw(st.integers(0, 200)),
+        draw(LOCATIONS), extra,
+    )
+    return "event", fields, draw(st.sets(st.integers(0, 3), max_size=4))
+
+
+MERGE = st.tuples(st.just("merge"), st.permutations(range(4)))
+
+
+def sorted_paths(store):
+    return {pid: sorted(path) for pid, path in store.packet_paths.items()}
+
+
+def assert_same_state(store, reference):
+    assert store.applied == reference.applied
+    assert store.profiles == reference.profiles
+    assert sorted_paths(store) == sorted_paths(reference)
+
+
+class TestIncrementalMergeMatchesRebuild:
+    @settings(deadline=None)
+    @given(n_stores=st.integers(2, 4), steps=st.lists(dealt_event() | MERGE, max_size=60))
+    def test_members_equal_a_full_recompute_after_every_merge(self, n_stores, steps):
+        stores = [ObserverStore(owner=i, retain_events=True) for i in range(n_stores)]
+        union: dict[tuple[int, int], GameEvent] = {}
+        rnd = seq = 0
+
+        def merge(order):
+            nonlocal rnd, seq
+            merge_pack([stores[i] for i in order if i < n_stores])
+            rnd, seq = rnd + 1, 0  # the engine merges at the end of a round
+            reference = ObserverStore(owner=0)
+            for event_id in sorted(union):
+                reference.apply(union[event_id])
+            for store in stores:
+                assert store.unshared == []
+                assert_same_state(store, reference)
+                rebuilt = copy.deepcopy(store)
+                rebuilt.rebuild()
+                assert_same_state(rebuilt, reference)
+
+        for step in steps:
+            if step[0] == "merge":
+                merge(step[1])
+                continue
+            _, (kind, pid, node, amount, location, extra), holders = step
+            event = GameEvent(rnd, seq, kind, pid, node, amount, location, extra)
+            seq += 1
+            for i in holders:
+                if i < n_stores:
+                    stores[i].apply(event)
+                    union[event.event_id] = event
+        for store in stores:
+            # rebuild() recomputes the aggregates but keeps the outbox.
+            rebuilt = copy.deepcopy(store)
+            rebuilt.rebuild()
+            assert rebuilt.unshared == store.unshared
+            assert rebuilt.applied == store.applied and rebuilt.profiles == store.profiles
+        merge(range(n_stores - 1, -1, -1))
+        merge(range(n_stores))  # a repeated merge exchanges nothing and changes nothing
 
 
 class TestProfilesCsv:
