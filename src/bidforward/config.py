@@ -135,6 +135,12 @@ def build_topology_spec(tree: dict) -> TopologySpec:
 def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
     topo = _section(tree, "topology")
     if "file" in topo:
+        ignored = sorted(f"topology.{key}" for key in topo if key != "file")
+        if ignored:
+            raise ConfigError(
+                f"topology.file: the graph file fixes nodes, edges and gateways; "
+                f"remove {', '.join(ignored)}"
+            )
         path = topo["file"]
         if not isinstance(path, str):
             raise ConfigError(f"topology.file: expected a path, got {path!r}")

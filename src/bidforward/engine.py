@@ -213,7 +213,6 @@ class Simulation:
         scope = parse_scope_spec(config.observation, 0)
         self._global_scope = scope.mode == "global"
         self._view_k = graph.n if self._global_scope else scope.k
-        self._scope_k = scope.k
 
         self._non_gateways = sorted(set(range(graph.n)) - graph.gateways)
         if not self._non_gateways:
@@ -243,10 +242,13 @@ class Simulation:
                 observer=observer,
                 history=history,
             )
-        self._subscribers = sorted(
-            n for n, s in self.strategies.items()
+        # One scope per subscriber, in ascending node order: the order in
+        # which each event's audience hears it.
+        self._scopes = [
+            parse_scope_spec(config.observation, n)
+            for n, s in sorted(self.strategies.items())
             if s.uses_observation or s.uses_bid_history
-        )
+        ]
         self._packs: dict[str, list[NodeId]] = {}
         for node in sorted(self.contexts):
             pack = self.contexts[node].pack
@@ -266,6 +268,8 @@ class Simulation:
     # -- topology plumbing ------------------------------------------------
 
     def _rebuild_views(self) -> None:
+        """Views and event audiences for the current graph."""
+        self._audience: dict[NodeId, list[tuple[Strategy, StrategyContext]]] = {}
         if self._global_scope:
             shared = view_of(self.graph, 0, self._view_k)
             for ctx in self.contexts.values():
@@ -283,17 +287,6 @@ class Simulation:
                 best = d
         return None if best is None else best + 1
 
-    def _hears(self, observer: NodeId, location: NodeId) -> bool:
-        if self._global_scope:
-            return True
-        if location == observer:
-            return True
-        if location == BACKBONE:
-            d = self._backbone_distance(observer)
-        else:
-            d = self.graph.hop_distance(location, observer)
-        return d is not None and d <= self._scope_k
-
     # -- event plumbing ----------------------------------------------------
 
     def _emit(
@@ -308,9 +301,15 @@ class Simulation:
         event = GameEvent(self.round, self._seq, kind, packet_id, node, amount, location, extra)
         self._seq += 1
         self.events.append(event)
-        for sub in self._subscribers:
-            if self._hears(sub, location):
-                self.strategies[sub].on_event(event, self.contexts[sub])
+        audience = self._audience.get(location)
+        if audience is None:
+            audience = self._audience[location] = [
+                (self.strategies[scope.owner], self.contexts[scope.owner])
+                for scope in self._scopes
+                if scope.visible(location, self.graph)
+            ]
+        for strategy, ctx in audience:
+            strategy.on_event(event, ctx)
 
     # -- the game loop -----------------------------------------------------
 

@@ -40,16 +40,20 @@ class ObservationScope:
             raise ValueError("khop scope needs k >= 1")
 
     def visible(self, location: NodeId, graph: TopologyGraph) -> bool:
+        """Whether an event at ``location`` reaches the owner; the engine's one rule.
+
+        Distances are read from the owner, whose BFS its k-hop view shares.
+        """
         if self.mode == "global":
             return True
         if location == self.owner:
             return True
         if location == BACKBONE:
             # The backbone sits one hop past every gateway.
-            dists = [graph.hop_distance(g, self.owner) for g in graph.gateways]
+            dists = [graph.hop_distance(self.owner, g) for g in graph.gateways]
             known = [d for d in dists if d is not None]
             return bool(known) and min(known) + 1 <= self.k
-        d = graph.hop_distance(location, self.owner)
+        d = graph.hop_distance(self.owner, location)
         return d is not None and d <= self.k
 
 
@@ -111,11 +115,12 @@ class ObserverStore:
 
     def apply(self, event: GameEvent) -> bool:
         """Fold one visible event in; returns False on a duplicate."""
-        if event.event_id in self.applied:
+        event_id = event.event_id
+        if event_id in self.applied:
             return False
-        self.applied.add(event.event_id)
+        self.applied.add(event_id)
         if self.retain_events:
-            self.events[event.event_id] = event
+            self.events[event_id] = event
             self.unshared.append(event)
         kind = event.kind
         if kind is EventKind.PAYMENT:

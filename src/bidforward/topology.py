@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .model import NodeId
 
@@ -64,7 +64,7 @@ class TopologyGraph:
         """All-nodes hop distances from ``src`` (``None`` where unreachable)."""
         cached = self._dist.get(src)
         if cached is None:
-            cached = _bfs(self._adj, self.n, src)
+            cached = _bfs(self._adj.__getitem__, self.n, src)
             self._dist[src] = cached
         return cached
 
@@ -108,14 +108,15 @@ class TopologyGraph:
         return cls(n, edges, gateways)
 
 
-def _bfs(adj: Sequence[frozenset[int]], n: int, src: int) -> list[int | None]:
+def _bfs(neighbors: Callable[[int], Iterable[int]], n: int, src: int) -> list[int | None]:
+    """Hop distances from ``src`` over the edges ``neighbors`` gives."""
     dist: list[int | None] = [None] * n
     dist[src] = 0
     queue = deque([src])
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for v in adj[u]:
+        for v in neighbors(u):
             if dist[v] is None:
                 dist[v] = du + 1  # type: ignore[operator]
                 queue.append(v)
@@ -191,81 +192,86 @@ def _default_cols(n: int) -> int:
 
 
 class NodeView:
-    """One node's restricted knowledge of the graph.
+    """One node's restricted knowledge of a graph: a window onto ``g``, not a copy.
 
-    Contains every edge with at least one endpoint within k-1 hops of the
-    owner; with k at least the diameter this is the whole graph.
+    The view holds every edge with at least one endpoint within k-1 hops of
+    the owner, so it knows exactly the nodes within k hops; with k at least
+    the diameter this is the whole graph. Everything is answered from the
+    owner's distance list, which is taken from the graph's own BFS cache on
+    the first query. The owner's distance to a known node is exact, because
+    every shortest path of length at most k lies inside the view; distances
+    from any other source run a BFS over the view's edges, cached per source.
     """
 
-    __slots__ = ("owner", "k", "_adj", "_radius_dist", "_dist")
+    __slots__ = ("graph", "owner", "k", "_own", "_inner", "_dist")
 
-    def __init__(self, owner: NodeId, k: int, adjacency: dict[int, frozenset[int]],
-                 radius_dist: dict[int, int]):
+    def __init__(self, g: TopologyGraph, owner: NodeId, k: int):
+        self.graph = g
         self.owner = owner
         self.k = k
-        self._adj = adjacency
-        self._radius_dist = radius_dist  # distance from owner, within k
-        self._dist: dict[int, dict[int, int]] = {}
+        self._own: Sequence[int | None] | None = None
+        self._inner: frozenset[int] | None = None
+        self._dist: dict[int, list[int | None]] = {}
+
+    def _hops(self, node: NodeId) -> int | None:
+        """The owner's hop distance to ``node``; None when beyond k or not a node."""
+        own = self._own
+        if own is None:
+            own = self._own = self.graph.distances_from(self.owner)
+        if not 0 <= node < len(own):
+            return None
+        d = own[node]
+        return d if d is not None and d <= self.k else None
 
     def knows(self, node: NodeId) -> bool:
-        return node in self._adj
+        return self._hops(node) is not None
 
     def neighbors(self, node: NodeId) -> frozenset[int]:
         """Known neighbors of ``node``; empty when the node is unknown."""
-        return self._adj.get(node, frozenset())
+        d = self._hops(node)
+        if d is None:
+            return frozenset()
+        if d < self.k:
+            return self.graph.neighbors(node)
+        # At the rim only the edges back to nodes within k-1 hops are in the view.
+        inner = self._inner
+        if inner is None:
+            k = self.k
+            inner = self._inner = frozenset(
+                v for v, dv in enumerate(self._own) if dv is not None and dv < k
+            )
+        return self.graph.neighbors(node) & inner
 
     def covers_neighborhood(self, node: NodeId) -> bool:
         """True when every edge incident to ``node`` is in the view."""
-        d = self._radius_dist.get(node)
+        d = self._hops(node)
         return d is not None and d <= self.k - 1
 
     def edge_set(self) -> frozenset[tuple[int, int]]:
         return frozenset(
-            (u, v) for u, nbrs in self._adj.items() for v in nbrs if u < v
+            (min(u, v), max(u, v))
+            for u in range(self.graph.n)
+            if self.covers_neighborhood(u)
+            for v in self.graph.neighbors(u)
         )
 
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
-        if a not in self._adj or b not in self._adj:
+        if a == self.owner:
+            return self._hops(b)
+        if not self.knows(a) or not self.knows(b):
             return None
         from_a = self._dist.get(a)
         if from_a is None:
-            from_a = _bfs_dict(self._adj, a)
-            self._dist[a] = from_a
-        return from_a.get(b)
-
-
-def _bfs_dict(adj: dict[int, frozenset[int]], src: int) -> dict[int, int]:
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
+            from_a = self._dist[a] = _bfs(self.neighbors, self.graph.n, a)
+        return from_a[b]
 
 
 def view_of(g: TopologyGraph, owner: NodeId, k: int) -> NodeView:
-    """The owner's k-hop view of ``g``."""
+    """The owner's k-hop view of ``g``; queries read ``g`` itself, nothing is copied."""
     if k < 1:
         raise TopologyError("view radius k must be >= 1")
-    dist = g.distances_from(owner)
-    radius_dist = {node: d for node, d in enumerate(dist) if d is not None and d <= k}
-    adjacency: dict[int, set[int]] = {owner: set()}
-    for u in range(g.n):
-        du = dist[u]
-        if du is None or du > k - 1:
-            continue
-        for v in g.neighbors(u):
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
-    return NodeView(
-        owner, k,
-        {node: frozenset(nbrs) for node, nbrs in adjacency.items()},
-        radius_dist,
-    )
+    return NodeView(g, owner, k)
 
 
 def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:

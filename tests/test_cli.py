@@ -124,6 +124,17 @@ class TestTopoCommand:
         err = capsys.readouterr().err
         assert str(graph_path) in err and "line 3" in err and "'0 x'" in err
 
+    def test_graph_file_with_other_topology_keys_is_a_config_error(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("n 4\n0 1\n1 2\n2 3\ngateways 0\n")
+        topology = {"file": str(graph_path), "n": 50, "kind": "ring", "gateways": [2]}
+        conf = write_config(tmp_path, dict(DEMO, topology=topology))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "topology.file" in err
+        assert "topology.gateways, topology.kind, topology.n" in err
+        assert not os.path.exists(tmp_path / "o")
+
 
 class TestTournamentCommand:
     def tournament_tree(self, sweep=None):

@@ -1,7 +1,9 @@
 import random
 
+import networkx as nx
 import pytest
 
+from bidforward import topology
 from bidforward.engine import (
     EngineError,
     GameConfig,
@@ -24,7 +26,7 @@ from bidforward.model import (
 )
 from bidforward.observation import ObserverStore
 from bidforward.strategies import Strategy, build_strategy
-from bidforward.topology import generate
+from bidforward.topology import generate, view_of
 
 
 def ledger_of(*entries, status=LedgerStatus.IN_FLIGHT):
@@ -382,6 +384,89 @@ class TestMergeWork:
         # once more in the merge that shares it.
         assert subscribers == 10
         assert calls <= 2 * subscribers * len(result.events)
+
+
+class TestAudienceUnderChurn:
+    """Each event reaches exactly the subscribers in scope on that round's graph."""
+
+    @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
+    def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation):
+        n = 16
+        g = generate("geometric", n, radius=0.4, seed=3, gateways=(0, 5))
+        names = ["fair", "sniper", "wolfpack", "fair"]
+        assignment = {node: build_strategy(names[node % 4]) for node in range(n)}
+        heard: dict[tuple[int, int], list[int]] = {}
+        for node, strategy in assignment.items():
+            def record(event, ctx, node=node, real=strategy.on_event):
+                assert ctx.node == node
+                heard.setdefault(event.event_id, []).append(node)
+                return real(event, ctx)
+            strategy.on_event = record
+        subscribers = sorted(node for node in range(n) if names[node % 4] != "fair")
+        config = GameConfig(
+            packets_total=80, injection_rate=2, observation=observation,
+            churn_rate=0.05, master_seed=7,
+        )
+        sim = Simulation(config, g, assignment)
+        k = n if observation == "global" else int(observation.split(":")[1])
+        seen = backbone_events = 0
+        graphs = set()
+        while True:
+            graph = sim.graph
+            graphs.add(tuple(graph.edges()))
+            if not sim.step_round():
+                break
+            hops = dict(nx.all_pairs_shortest_path_length(nx.Graph(graph.edges())))
+            for event in sim.events[seen:]:
+                if event.location == BACKBONE:
+                    backbone_events += 1
+                    reach = {s: 1 + min(hops[s][gw] for gw in graph.gateways) for s in subscribers}
+                else:
+                    reach = {s: hops[s][event.location] for s in subscribers}
+                expected = [s for s in subscribers if reach[s] <= k]
+                assert heard.pop(event.event_id, []) == expected, event
+            seen = len(sim.events)
+        assert not heard
+        assert backbone_events > 0 and len(graphs) > 10
+
+
+class TestLazyViewWork:
+    """Views are taken for every node after every churn step but run no BFS of their own."""
+
+    def counting_bfs(self, monkeypatch):
+        calls = [0]
+        real_bfs = topology._bfs
+
+        def counting(*args):
+            calls[0] += 1
+            return real_bfs(*args)
+
+        monkeypatch.setattr(topology, "_bfs", counting)
+        return calls
+
+    def test_taking_views_runs_no_bfs(self, monkeypatch):
+        g = generate("geometric", 50, radius=0.3, seed=1)
+        calls = self.counting_bfs(monkeypatch)
+        views = [view_of(g, node, 2) for node in range(g.n)]
+        assert calls[0] == 0
+        assert views[7].distance(7, 7) == 0 and calls[0] == 1
+
+    def test_churn_run_bfs_count_below_one_per_node_and_round(self, monkeypatch):
+        n = 50
+        g = generate("geometric", n, radius=0.3, seed=1)
+        assignment = {
+            node: build_strategy("sniper" if node % 5 == 1 else "fair") for node in range(n)
+        }
+        config = GameConfig(
+            packets_total=100, injection_rate=2, observation="khop:2",
+            churn_rate=0.01, master_seed=1401,
+        )
+        calls = self.counting_bfs(monkeypatch)
+        result = Simulation(config, g, assignment).run()
+        # Taking every node's view after every churn step costs
+        # (rounds + 1) * n BFS runs when a view copies its part of the graph.
+        assert result.rounds == 50
+        assert calls[0] < result.rounds * n
 
 
 class TestScopedObservation:

@@ -1,8 +1,10 @@
 from collections import deque
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidforward.model import BACKBONE
 from bidforward.topology import (
     TopologyError,
     TopologyGraph,
@@ -148,6 +150,47 @@ class TestNodeView:
         for u, v in view.edge_set():
             du, dv = g.hop_distance(0, u), g.hop_distance(0, v)
             assert min(x for x in (du, dv) if x is not None) <= k - 1
+
+
+
+def oracle_view(graph, owner, k):
+    """networkx subgraph of the edges with an endpoint within k-1 hops of owner."""
+    full = nx.Graph(graph.edges())
+    full.add_nodes_from(range(graph.n))
+    inner = {v for v, d in nx.single_source_shortest_path_length(full, owner).items() if d < k}
+    sub = nx.Graph(e for e in full.edges() if e[0] in inner or e[1] in inner)
+    sub.add_node(owner)
+    return sub, inner
+
+
+class TestNodeViewAgainstNetworkx:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["ring", "grid", "geometric", "churned"]),
+        n=st.integers(4, 12),
+        seed=st.integers(0, 10_000),
+    )
+    def test_every_query_matches_the_subgraph(self, kind, n, seed):
+        if kind in ("ring", "grid"):
+            g = generate(kind, n)
+        else:
+            g = generate("geometric", n, radius=0.6, seed=seed)
+            if kind == "churned":
+                g = churn(g, 0.2, seed=seed)
+        for owner in range(n):
+            for k in (1, 2, 3, 4, n):
+                view = view_of(g, owner, k)
+                sub, inner = oracle_view(g, owner, k)
+                lengths = dict(nx.all_pairs_shortest_path_length(sub))
+                assert view.edge_set() == {(min(e), max(e)) for e in sub.edges()}
+                assert not view.knows(BACKBONE) and not view.knows(n)
+                for v in range(n):
+                    assert view.knows(v) == (v in sub)
+                    expected = frozenset(sub[v]) if v in sub else frozenset()
+                    assert view.neighbors(v) == expected
+                    assert view.covers_neighborhood(v) == (v in inner)
+                    for b in range(n):
+                        assert view.distance(v, b) == lengths.get(v, {}).get(b)
 
 
 class TestChurn:
