@@ -28,7 +28,6 @@ from .model import (
     NodeId,
     Packet,
     PathLedger,
-    format_extra,
     validate_bid,
 )
 from .observation import ObserverStore, merge_pack, parse_scope_spec
@@ -296,9 +295,16 @@ class Simulation:
         node: NodeId,
         amount: Money,
         location: NodeId,
-        extra: str = "",
+        *,
+        dest: NodeId | None = None,
+        dist: int | None = None,
+        prev: Money | None = None,
+        reason: str | None = None,
     ) -> None:
-        event = GameEvent(self.round, self._seq, kind, packet_id, node, amount, location, extra)
+        event = GameEvent(
+            self.round, self._seq, kind, packet_id, node, amount, location,
+            dest=dest, dist=dist, prev=prev, reason=reason,
+        )
         self._seq += 1
         self.events.append(event)
         audience = self._audience.get(location)
@@ -427,7 +433,9 @@ class Simulation:
             holder,
             ceiling,
             holder,
-            format_extra(dest=packet.destination, dist=advertised, prev=promise_in),
+            dest=packet.destination,
+            dist=advertised,
+            prev=promise_in,
         )
         return request
 
@@ -448,8 +456,12 @@ class Simulation:
                     )
                 continue
             bid = Bid(node, int(amount))
-            if validate_bid(request, bid, path_nodes, neighbors) is not None:
-                continue  # strategies we ship never hit this; drop bad bids
+            rejected = validate_bid(request, bid, path_nodes, neighbors)
+            if rejected is not None:
+                raise EngineError(
+                    f"node {node} ({self.strategies[node].name}) placed an invalid bid "
+                    f"of {bid.amount} on packet {request.packet_id}: {rejected}"
+                )
             bids.append(bid)
             self._emit(EventKind.BID_PLACED, request.packet_id, node, bid.amount, node)
         return bids
@@ -464,7 +476,7 @@ class Simulation:
             holder,
             ledger.promises[0],
             holder,
-            format_extra(dest=packet.destination),
+            dest=packet.destination,
         )
         for node, _ in ledger.entries:
             delta = result.deltas[node]
@@ -482,16 +494,14 @@ class Simulation:
                 SettlementResult(packet.packet_id, LedgerStatus.DROPPED, {}, 0, {})
             )
             self._emit(
-                EventKind.DROPPED, packet.packet_id, BACKBONE, 0, BACKBONE,
-                format_extra(reason="cancelled"),
+                EventKind.DROPPED, packet.packet_id, BACKBONE, 0, BACKBONE, reason="cancelled"
             )
             return
         result = settle_drop(ledger, packet.fine, self.config.fine_mode)
         self.settlements.append(result)
         dropper = ledger.last_node
         self._emit(
-            EventKind.DROPPED, packet.packet_id, dropper, packet.fine, dropper,
-            format_extra(reason=reason),
+            EventKind.DROPPED, packet.packet_id, dropper, packet.fine, dropper, reason=reason
         )
         self.stats[dropper].dropped += 1
         for node in ledger.nodes:

@@ -2,11 +2,16 @@
 
 All currency is integer points. Payments, bids, budgets and fines are
 non-negative; only running node balances may go negative.
+
+Events carry typed fields: an announcement's destination, advertised
+distance and incoming promise, a delivery's destination, a drop's reason.
+Observers read those fields directly. ``GameEvent.extra`` renders them as
+the event log's ``key=value`` column, for CSV output only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from enum import Enum
 from typing import Iterable
 
@@ -150,6 +155,10 @@ class GameEvent:
 
     ``location`` is the node where the event physically happened; it scopes
     which observers can hear it. ``(round, seq)`` totally orders the log.
+    The keyword-only fields are set only by the kinds that carry them:
+    ``dest``, ``dist`` (the holder's advertised hop distance, ``None`` when
+    it has no route) and ``prev`` (the promise the holder was paid) on an
+    announcement, ``dest`` on a delivery, ``reason`` on a drop.
     """
 
     round: int
@@ -159,11 +168,20 @@ class GameEvent:
     node: NodeId
     amount: Money
     location: NodeId
-    extra: str = ""
+    _: KW_ONLY
+    dest: NodeId | None = None
+    dist: int | None = None
+    prev: Money | None = None
+    reason: str | None = None
 
     @property
     def event_id(self) -> tuple[int, int]:
         return (self.round, self.seq)
+
+    @property
+    def extra(self) -> str:
+        """The typed fields as the log's ``extra`` column."""
+        return format_extra(dest=self.dest, dist=self.dist, prev=self.prev, reason=self.reason)
 
     def to_line(self) -> str:
         return (

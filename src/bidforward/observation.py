@@ -20,9 +20,19 @@ from .model import (
     GameEvent,
     Money,
     NodeId,
-    parse_extra,
+    parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .topology import TopologyGraph
+
+# Reading a member off an Enum class goes through EnumType.__getattr__; the
+# per-event paths compare against these module-level names instead.
+_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
+_BID_PLACED = EventKind.BID_PLACED
+_BID_WON = EventKind.BID_WON
+_DELIVERED = EventKind.DELIVERED
+_DROPPED = EventKind.DROPPED
+_FINE = EventKind.FINE_ASSESSED
+_PAYMENT = EventKind.PAYMENT
 
 
 @dataclass(frozen=True)
@@ -114,8 +124,12 @@ class ObserverStore:
         return self.packet_paths.get(packet_id, [])
 
     def apply(self, event: GameEvent) -> bool:
-        """Fold one visible event in; returns False on a duplicate."""
-        event_id = event.event_id
+        """Fold one visible event in; returns False on a duplicate.
+
+        Bids and deliveries change no profile: they are only recorded as
+        applied (and retained, for a pack member).
+        """
+        event_id = (event.round, event.seq)
         if event_id in self.applied:
             return False
         self.applied.add(event_id)
@@ -123,29 +137,23 @@ class ObserverStore:
             self.events[event_id] = event
             self.unshared.append(event)
         kind = event.kind
-        if kind is EventKind.PAYMENT:
-            self.profile(event.node).estimated_profit += event.amount
-        elif kind is EventKind.FINE_ASSESSED:
-            self.profile(event.node).estimated_profit -= event.amount
-        elif kind is EventKind.BID_WON:
+        if kind is _BID_PLACED or kind is _DELIVERED:
+            return True
+        if kind is _ANNOUNCED:
+            # A missing distance or promise is None; a 0 is folded in.
+            if event.node != BACKBONE and event.dist is not None and event.prev is not None:
+                self._fairness_increment(event.node, event.amount, event.prev, event.dist)
+        elif kind is _BID_WON:
             self.profile(event.node).observed_custodies += 1
             self.packet_paths.setdefault(event.packet_id, []).append(event.node)
-        elif kind is EventKind.DROPPED:
+        elif kind is _PAYMENT:
+            self.profile(event.node).estimated_profit += event.amount
+        elif kind is _FINE:
+            self.profile(event.node).estimated_profit -= event.amount
+        elif kind is _DROPPED:
             if event.node != BACKBONE:
                 self.profile(event.node).observed_drops += 1
-        elif kind is EventKind.AUCTION_ANNOUNCED:
-            self._apply_announcement(event)
         return True
-
-    def _apply_announcement(self, event: GameEvent) -> None:
-        if event.node == BACKBONE:
-            return
-        info = parse_extra(event.extra)
-        dist = info.get("dist", "")
-        prev = info.get("prev", "")
-        if not dist or not prev:
-            return
-        self._fairness_increment(event.node, event.amount, int(prev), int(dist))
 
     def _fairness_increment(
         self, holder: NodeId, announced: Money, incoming: Money, hop_distance: int
@@ -153,8 +161,9 @@ class ObserverStore:
         if hop_distance < 2:
             return
         fair = incoming * (hop_distance - 1) // hop_distance
-        increment = Fraction(abs(announced - fair), max(incoming, 1))
-        self.profile(holder).fairness_deviation += increment
+        profile = self.profile(holder)
+        if announced != fair:
+            profile.fairness_deviation += Fraction(abs(announced - fair), max(incoming, 1))
 
     def rebuild(self) -> None:
         """Recompute all aggregates from retained events, in ``event_id`` order.

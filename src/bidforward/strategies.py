@@ -26,11 +26,18 @@ from .model import (
     NodeId,
     Packet,
     PathLedger,
-    parse_extra,
+    parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .observation import ObserverStore
 from .predictor import BidHistory, BidHistoryPoint, predict_bid
 from .topology import NodeView
+
+# Reading a member off an Enum class goes through EnumType.__getattr__;
+# record_observed_bid, run per event, compares against these names instead.
+_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
+_BID_PLACED = EventKind.BID_PLACED
+_DELIVERED = EventKind.DELIVERED
+_DROPPED = EventKind.DROPPED
 
 
 @dataclass
@@ -88,21 +95,23 @@ def undercut_bid(ceiling: Money, hop: int, ctx: StrategyContext, small_cap: int)
 
 
 def record_observed_bid(event: GameEvent, ctx: StrategyContext) -> None:
-    """Track announcements and fold other nodes' bids into the history."""
-    if event.kind is EventKind.AUCTION_ANNOUNCED:
-        dist = parse_extra(event.extra).get("dist", "")
-        ctx.pending_auctions[event.packet_id] = (
-            event.amount, int(dist) if dist else None, event.round,
-        )
-    elif event.kind is EventKind.BID_PLACED and event.node != ctx.node:
-        pending = ctx.pending_auctions.get(event.packet_id)
-        if pending is not None:
-            ceiling, dist, _ = pending
-            if dist is not None:
+    """Track announcements and fold other nodes' bids into the history.
+
+    Wins, payments and fines are ignored.
+    """
+    kind = event.kind
+    if kind is _BID_PLACED:
+        if event.node != ctx.node:
+            pending = ctx.pending_auctions.get(event.packet_id)
+            # An announcement without a route has dist None; a 0 is recorded.
+            if pending is not None and pending[1] is not None:
+                ceiling, dist, _ = pending
                 ctx.history.record(  # type: ignore[union-attr]
                     BidHistoryPoint(ceiling, dist, event.amount, event.round)
                 )
-    elif event.kind in (EventKind.DELIVERED, EventKind.DROPPED):
+    elif kind is _ANNOUNCED:
+        ctx.pending_auctions[event.packet_id] = (event.amount, event.dist, event.round)
+    elif kind is _DELIVERED or kind is _DROPPED:
         ctx.pending_auctions.pop(event.packet_id, None)
 
 

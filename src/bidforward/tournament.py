@@ -147,7 +147,12 @@ class StrategyAggregate:
 
 @dataclass
 class RankTable:
-    """Per-cell, per-strategy aggregates plus rank distributions over seeds."""
+    """Per-cell, per-strategy aggregates plus rank distributions over seeds.
+
+    ``errors`` maps a failed cell to one message naming every failed seed,
+    ``seed <i> (run seed <s>): <ExceptionType>: <message>``, joined by
+    ``"; "``; ``run_cell_seed(cell, s)`` reproduces each on its own.
+    """
 
     cells: dict[str, dict[str, StrategyAggregate]] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
@@ -258,10 +263,14 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
     for ci, cell in enumerate(spec.cells):
         per_cell: dict[str, StrategyAggregate] = {}
         n_strategies = len({e.strategy for e in cell.mix})
+        failures = []
         for si in range(spec.seeds_per_cell):
             outcome = next(per_task)
             if isinstance(outcome, Exception):
-                table.errors.setdefault(cell.name, str(outcome))
+                run_seed = derive_seed(spec.master_seed, ci, si)
+                failures.append(
+                    f"seed {si} (run seed {run_seed}): {type(outcome).__name__}: {outcome}"
+                )
                 continue
             seed_means = {
                 name: bal / cnt for name, (cnt, bal, _, _) in outcome.items()
@@ -278,6 +287,8 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
                 agg.total_fines += fines
                 rank = _competition_rank(ordered, seed_means[name])
                 agg.rank_counts[rank - 1] += 1
+        if failures:
+            table.errors[cell.name] = "; ".join(failures)
         if per_cell:
             table.cells[cell.name] = per_cell
     return table

@@ -1,9 +1,10 @@
+import hashlib
 import random
 
 import networkx as nx
 import pytest
 
-from bidforward import topology
+from bidforward import engine, model, observation, strategies, topology
 from bidforward.engine import (
     EngineError,
     GameConfig,
@@ -22,6 +23,7 @@ from bidforward.model import (
     EventKind,
     LedgerStatus,
     PathLedger,
+    events_to_log,
     parse_extra,
 )
 from bidforward.observation import ObserverStore
@@ -57,6 +59,15 @@ class GrabAndDrop(Strategy):
 
     def on_hold(self, packet, ledger, ctx):
         return True
+
+
+class OverCeiling(Strategy):
+    """Bids one point above every ceiling."""
+
+    name = "over_ceiling"
+
+    def on_auction(self, request, ctx):
+        return request.ceiling + 1
 
 
 class TestSettleDelivery:
@@ -226,6 +237,16 @@ class TestAbstention:
             run_simulation(config, g, assignment)
 
 
+class TestInvalidBids:
+    def test_invalid_bid_is_an_error(self):
+        g = generate("ring", 6, gateways=(0,))
+        assignment = fair_assignment(6)
+        assignment[1] = OverCeiling()
+        config = GameConfig(packets_total=4, master_seed=5)
+        with pytest.raises(EngineError, match=r"node 1 \(over_ceiling\).*over-ceiling"):
+            run_simulation(config, g, assignment)
+
+
 class TestDeliberateDrop:
     def test_drop_is_fined_like_ttl_exhaustion(self):
         g = generate("grid", 4, cols=1, gateways=(0,))  # 0-1-2-3
@@ -384,6 +405,43 @@ class TestMergeWork:
         # once more in the merge that shares it.
         assert subscribers == 10
         assert calls <= 2 * subscribers * len(result.events)
+
+
+class TestNoStringFieldsOnHotPaths:
+    """A run never encodes or parses the log's extra column."""
+
+    @pytest.mark.parametrize("observation_spec", ["global", "khop:2"])
+    def test_run_without_extra_helpers(self, monkeypatch, observation_spec):
+        g = generate("geometric", 14, radius=0.45, seed=4)
+        names = ["fair", "wolfpack", "always_one", "sniper"]
+
+        def build():
+            return {
+                node: build_strategy("wolfpack", {"pack": "a", "sabotage_enabled": True})
+                if names[node % 4] == "wolfpack" else build_strategy(names[node % 4])
+                for node in range(14)
+            }
+
+        config = GameConfig(
+            packets_total=40, injection_rate=2, observation=observation_spec, master_seed=21
+        )
+
+        def digest(events):
+            return hashlib.sha256(events_to_log(events).encode()).hexdigest()
+
+        expected = digest(run_simulation(config, g, build()).events)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("extra column helper called during a run")
+
+        with monkeypatch.context() as patch:
+            for module in (model, observation, strategies, engine):
+                for name in ("parse_extra", "format_extra"):
+                    patch.setattr(module, name, forbidden, raising=False)
+            result = run_simulation(config, g, build())
+        assert digest(result.events) == expected
+        kinds = {e.kind for e in result.events}
+        assert {EventKind.AUCTION_ANNOUNCED, EventKind.DELIVERED, EventKind.DROPPED} <= kinds
 
 
 class TestAudienceUnderChurn:

@@ -98,7 +98,7 @@ class TestEventLog:
         assert e.to_line() == "3,payment,12,4,30,"
 
     def test_log_has_header(self):
-        e = GameEvent(0, 0, EventKind.DROPPED, 1, 2, 200, 2, "reason=ttl")
+        e = GameEvent(0, 0, EventKind.DROPPED, 1, 2, 200, 2, reason="ttl")
         text = events_to_log([e])
         lines = text.splitlines()
         assert lines[0] == "round,kind,packet_id,node,amount,extra"

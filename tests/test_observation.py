@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidforward.model import BACKBONE, AuctionRequest, EventKind, GameEvent, format_extra
+from bidforward.model import BACKBONE, AuctionRequest, EventKind, GameEvent
 from bidforward.observation import (
     ObservationScope,
     ObserverStore,
@@ -18,9 +18,9 @@ from bidforward.observation import (
 from bidforward.topology import generate
 
 
-def ev(rnd, seq, kind, pid, node, amount, location=None, extra=""):
+def ev(rnd, seq, kind, pid, node, amount, location=None, **fields):
     return GameEvent(rnd, seq, kind, pid, node, amount,
-                     node if location is None else location, extra)
+                     node if location is None else location, **fields)
 
 
 class TestIngest:
@@ -116,13 +116,13 @@ class TestFairness:
     def test_announcement_event_drives_update(self):
         store = ObserverStore(owner=0)
         store.apply(ev(0, 0, EventKind.AUCTION_ANNOUNCED, 0, 3, 30,
-                       extra="dest=9;dist=3;prev=90"))
+                       dest=9, dist=3, prev=90))
         assert store.profile(3).fairness_deviation == Fraction(1, 3)
 
     def test_backbone_announcement_ignored(self):
         store = ObserverStore(owner=0)
         store.apply(ev(0, 0, EventKind.AUCTION_ANNOUNCED, 0, -1, 100,
-                       location=-1, extra="dest=9;dist=3;prev=100"))
+                       location=-1, dest=9, dist=3, prev=100))
         assert store.profiles == {}
 
 
@@ -200,20 +200,20 @@ LOCATIONS = st.sampled_from([BACKBONE, *range(6)])
 def dealt_event(draw):
     """Event fields without an id, plus the store indexes it is dealt to."""
     kind = draw(st.sampled_from(list(EventKind)))
-    extra = ""
+    typed = {}
     if kind is EventKind.AUCTION_ANNOUNCED:
-        extra = format_extra(
+        typed = dict(
             dest=draw(st.integers(0, 5)),
             dist=draw(st.none() | st.integers(0, 6)),
             prev=draw(st.integers(0, 200)),
         )
     elif kind is EventKind.DELIVERED:
-        extra = format_extra(dest=draw(st.integers(0, 5)))
+        typed = dict(dest=draw(st.integers(0, 5)))
     elif kind is EventKind.DROPPED:
-        extra = format_extra(reason=draw(st.sampled_from(["ttl", "no-winner", "deliberate"])))
+        typed = dict(reason=draw(st.sampled_from(["ttl", "no-winner", "deliberate"])))
     fields = (
         kind, draw(st.integers(0, 7)), draw(LOCATIONS), draw(st.integers(0, 200)),
-        draw(LOCATIONS), extra,
+        draw(LOCATIONS), typed,
     )
     return "event", fields, draw(st.sets(st.integers(0, 3), max_size=4))
 
@@ -257,8 +257,8 @@ class TestIncrementalMergeMatchesRebuild:
             if step[0] == "merge":
                 merge(step[1])
                 continue
-            _, (kind, pid, node, amount, location, extra), holders = step
-            event = GameEvent(rnd, seq, kind, pid, node, amount, location, extra)
+            _, (kind, pid, node, amount, location, typed), holders = step
+            event = GameEvent(rnd, seq, kind, pid, node, amount, location, **typed)
             seq += 1
             for i in holders:
                 if i < n_stores:

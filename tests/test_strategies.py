@@ -329,6 +329,36 @@ class TestWolfPack:
         assert winner == Bid(2, 10)
 
 
+class TestZeroValuedEventFields:
+    """A typed 0 is a value: only None means the field is missing."""
+
+    def announcement(self, amount, dist, prev):
+        return GameEvent(0, 0, EventKind.AUCTION_ANNOUNCED, 7, 3, amount, 3,
+                         dest=5, dist=dist, prev=prev)
+
+    def test_zero_incoming_promise_adds_deviation(self):
+        store = ObserverStore(owner=0)
+        store.apply(self.announcement(5, dist=3, prev=0))
+        # fair share of 0 is 0; the deviation is 5 over max(0, 1)
+        assert store.profile(3).fairness_deviation == Fraction(5)
+
+    def test_zero_distance_bid_is_recorded(self):
+        g = generate("ring", 8)
+        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
+        sniper = LastHopSniper()
+        sniper.on_event(self.announcement(40, dist=0, prev=90), ctx)
+        sniper.on_event(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1), ctx)
+        assert ctx.history.points() == [BidHistoryPoint(40, 0, 30, 0)]
+
+    def test_missing_distance_records_nothing(self):
+        g = generate("ring", 8)
+        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
+        sniper = LastHopSniper()
+        sniper.on_event(self.announcement(40, dist=None, prev=90), ctx)
+        sniper.on_event(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1), ctx)
+        assert ctx.history.points() == []
+
+
 class TestBidValidityFuzz:
     @settings(max_examples=80, deadline=None)
     @given(

@@ -118,6 +118,22 @@ class TestRunTournament:
         assert "bad" in table.errors
         assert "good" in table.cells
 
+    def test_failure_names_every_seed_and_reproduces(self):
+        bad_topo = TopologySpec(kind="geometric", n=12, radius=0.05)
+        bad = dataclasses.replace(small_cell("bad"), topology=bad_topo)
+        spec = TournamentSpec((small_cell("good"), bad), seeds_per_cell=2, master_seed=1)
+        message = run_tournament(spec).errors["bad"]
+        failures = message.split("; ")
+        assert len(failures) == 2
+        for seed_index, failure in enumerate(failures):
+            run_seed = derive_seed(1, 1, seed_index)
+            prefix = f"seed {seed_index} (run seed {run_seed}): "
+            assert failure.startswith(prefix)
+            type_name = failure[len(prefix):].split(":", 1)[0]
+            with pytest.raises(Exception) as info:
+                run_cell_seed(bad, run_seed)
+            assert type(info.value).__name__ == type_name
+
     def test_csv_shape(self):
         table = run_tournament(TournamentSpec((small_cell(),), seeds_per_cell=2, master_seed=5))
         lines = table.to_csv().splitlines()

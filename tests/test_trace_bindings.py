@@ -1,0 +1,48 @@
+"""The benchmark's tracer still finds every name it rebinds.
+
+``benches/spans.py`` wraps module attributes by name (``parse_extra`` in
+``observation`` and ``strategies``, ``validate_bid`` in ``engine``, methods
+of ``ObserverStore`` and ``BidHistory``, ...). A name removed from the
+package makes ``Tracer.install()`` raise, and every traced benchmark
+operation fails; this test makes that a tier-1 failure.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCRIPT = """
+from spans import Tracer
+
+from bidforward.engine import GameConfig, Simulation
+from bidforward.strategies import build_strategy
+from bidforward.topology import generate
+
+tracer = Tracer()
+tracer.install()
+graph = generate("geometric", 10, radius=0.5, seed=3)
+names = ["fair", "wolfpack", "always_one", "sniper", "random"]
+assignment = {n: build_strategy(names[n % len(names)]) for n in range(10)}
+assignment[0] = build_strategy("fair")
+config = GameConfig(packets_total=10, injection_rate=2, master_seed=1)
+result = Simulation(config, graph, assignment).run()
+assert tracer.counts["engine.events"] == len(result.events) > 0
+assert tracer.counts["strategies.on_event_calls"] > 0
+assert tracer.counts["observation.apply_calls"] > 0
+assert tracer.counts["engine.bids"] > 0
+"""
+
+
+def test_tracer_installs_and_traces_a_run():
+    paths = [str(ROOT / "benches"), str(ROOT / "src")]
+    if os.environ.get("PYTHONPATH"):
+        paths.append(os.environ["PYTHONPATH"])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
