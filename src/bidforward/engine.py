@@ -312,7 +312,7 @@ class Simulation:
             audience = self._audience[location] = [
                 (self.strategies[scope.owner], self.contexts[scope.owner])
                 for scope in self._scopes
-                if scope.visible(location, self.graph)
+                if scope.visible(location, self.contexts[scope.owner].view)
             ]
         for strategy, ctx in audience:
             strategy.on_event(event, ctx)
@@ -326,6 +326,8 @@ class Simulation:
         self._seq = 0
         for ctx in self.contexts.values():
             ctx.round = self.round
+            # Every packet is resolved within the round that injects it.
+            ctx.pending_auctions.clear()
         for _ in range(self.config.injection_rate):
             if self._injected >= self.config.packets_total:
                 break

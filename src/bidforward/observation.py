@@ -22,7 +22,7 @@ from .model import (
     NodeId,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
-from .topology import TopologyGraph
+from .topology import NodeView
 
 # Reading a member off an Enum class goes through EnumType.__getattr__; the
 # per-event paths compare against these module-level names instead.
@@ -49,22 +49,20 @@ class ObservationScope:
         if self.mode == "khop" and self.k < 1:
             raise ValueError("khop scope needs k >= 1")
 
-    def visible(self, location: NodeId, graph: TopologyGraph) -> bool:
+    def visible(self, location: NodeId, view: NodeView) -> bool:
         """Whether an event at ``location`` reaches the owner; the engine's one rule.
 
-        Distances are read from the owner, whose BFS its k-hop view shares.
+        ``view`` is the owner's k-hop view, so the audience check and the
+        owner's view share one BFS bounded at k. A node location is heard
+        when the view knows it. The backbone sits one hop past every gateway,
+        so it is heard when the view covers some gateway's neighbourhood,
+        that is, when a gateway lies within k-1 hops.
         """
         if self.mode == "global":
             return True
-        if location == self.owner:
-            return True
         if location == BACKBONE:
-            # The backbone sits one hop past every gateway.
-            dists = [graph.hop_distance(self.owner, g) for g in graph.gateways]
-            known = [d for d in dists if d is not None]
-            return bool(known) and min(known) + 1 <= self.k
-        d = graph.hop_distance(self.owner, location)
-        return d is not None and d <= self.k
+            return any(view.covers_neighborhood(g) for g in view.graph.gateways)
+        return view.knows(location)
 
 
 def parse_scope_spec(spec: str, owner: NodeId) -> ObservationScope:
@@ -186,10 +184,10 @@ def ingest(
     store: ObserverStore,
     event: GameEvent,
     scope: ObservationScope,
-    graph: TopologyGraph,
+    view: NodeView,
 ) -> bool:
-    """Apply ``event`` to ``store`` iff the scope can hear it."""
-    if not scope.visible(event.location, graph):
+    """Apply ``event`` to ``store`` iff the scope, with the owner's ``view``, can hear it."""
+    if not scope.visible(event.location, view):
         return False
     return store.apply(event)
 

@@ -2,6 +2,11 @@
 
 Graphs are simple and undirected over dense integer node ids. The backbone
 is not part of the adjacency; the gateway set marks nodes adjacent to it.
+A k-hop view answers from a BFS of its owner that stops at depth k, so its
+work is that of the owner's k-ball, not of the whole graph. A churn step
+costs one random draw per non-gateway pair, a search per removal that stops
+once the edge's ends are joined another way, and a copy of the neighbour
+sets it toggles.
 """
 
 from __future__ import annotations
@@ -47,6 +52,15 @@ class TopologyGraph:
         if any(not (0 <= g < n) for g in self.gateways):
             raise TopologyError("gateway id out of range")
         self._dist: dict[int, list[int | None]] = {}
+
+    @classmethod
+    def _from_adjacency(
+        cls, adj: tuple[frozenset[int], ...], gateways: frozenset[int]
+    ) -> "TopologyGraph":
+        """A graph over ``adj`` as given: symmetric and loop-free, not checked or copied."""
+        graph = cls.__new__(cls)
+        graph.n, graph._adj, graph.gateways, graph._dist = len(adj), adj, gateways, {}
+        return graph
 
     def neighbors(self, u: NodeId) -> frozenset[int]:
         return self._adj[u]
@@ -108,18 +122,28 @@ class TopologyGraph:
         return cls(n, edges, gateways)
 
 
-def _bfs(neighbors: Callable[[int], Iterable[int]], n: int, src: int) -> list[int | None]:
-    """Hop distances from ``src`` over the edges ``neighbors`` gives."""
+def _bfs(
+    neighbors: Callable[[int], Iterable[int]], n: int, src: int, depth: int | None = None
+) -> list[int | None]:
+    """Hop distances from ``src`` over the edges ``neighbors`` gives.
+
+    With ``depth``, nodes at that depth are not expanded: only nodes within
+    ``depth`` hops get a distance, and ``neighbors`` is called once for each
+    node closer than that.
+    """
     dist: list[int | None] = [None] * n
     dist[src] = 0
-    queue = deque([src])
-    while queue:
-        u = queue.popleft()
-        du = dist[u]
-        for v in neighbors(u):
-            if dist[v] is None:
-                dist[v] = du + 1  # type: ignore[operator]
-                queue.append(v)
+    frontier = [src]
+    d = 0
+    while frontier and d != depth:
+        d += 1
+        reached = []
+        for u in frontier:
+            for v in neighbors(u):
+                if dist[v] is None:
+                    dist[v] = d
+                    reached.append(v)
+        frontier = reached
     return dist
 
 
@@ -197,50 +221,58 @@ class NodeView:
     The view holds every edge with at least one endpoint within k-1 hops of
     the owner, so it knows exactly the nodes within k hops; with k at least
     the diameter this is the whole graph. Everything is answered from the
-    owner's distance list, which is taken from the graph's own BFS cache on
-    the first query. The owner's distance to a known node is exact, because
-    every shortest path of length at most k lies inside the view; distances
-    from any other source run a BFS over the view's edges, cached per source.
+    owner's distance list, a BFS over ``g`` bounded at depth k that runs on
+    the first query; the graph's own BFS cache is not used. The owner's
+    distance to a known node is exact, because every shortest path of length
+    at most k lies inside the view. The view's adjacency is built once, on
+    the first ``neighbors`` query or distance from another source; such
+    distances run a BFS over it, cached per source.
     """
 
-    __slots__ = ("graph", "owner", "k", "_own", "_inner", "_dist")
+    __slots__ = ("graph", "owner", "k", "_own", "_adj", "_dist")
 
     def __init__(self, g: TopologyGraph, owner: NodeId, k: int):
         self.graph = g
         self.owner = owner
         self.k = k
-        self._own: Sequence[int | None] | None = None
-        self._inner: frozenset[int] | None = None
+        self._own: list[int | None] | None = None
+        self._adj: dict[int, frozenset[int]] | None = None
         self._dist: dict[int, list[int | None]] = {}
+
+    def _owner_distances(self) -> list[int | None]:
+        """The owner's hop distances, None beyond k hops."""
+        own = self._own
+        if own is None:
+            g = self.graph
+            own = self._own = _bfs(g._adj.__getitem__, g.n, self.owner, self.k)
+        return own
 
     def _hops(self, node: NodeId) -> int | None:
         """The owner's hop distance to ``node``; None when beyond k or not a node."""
-        own = self._own
-        if own is None:
-            own = self._own = self.graph.distances_from(self.owner)
-        if not 0 <= node < len(own):
-            return None
-        d = own[node]
-        return d if d is not None and d <= self.k else None
+        own = self._owner_distances()
+        return own[node] if 0 <= node < len(own) else None
+
+    def _adjacency(self) -> dict[int, frozenset[int]]:
+        """Known node -> its neighbors in the view."""
+        adj = self._adj
+        if adj is None:
+            k, nbrs = self.k, self.graph._adj
+            own = self._owner_distances()
+            inner = frozenset(v for v, d in enumerate(own) if d is not None and d < k)
+            # At the rim only the edges back to nodes within k-1 hops are in the view.
+            adj = self._adj = {
+                v: nbrs[v] if d < k else nbrs[v] & inner
+                for v, d in enumerate(own)
+                if d is not None
+            }
+        return adj
 
     def knows(self, node: NodeId) -> bool:
         return self._hops(node) is not None
 
     def neighbors(self, node: NodeId) -> frozenset[int]:
         """Known neighbors of ``node``; empty when the node is unknown."""
-        d = self._hops(node)
-        if d is None:
-            return frozenset()
-        if d < self.k:
-            return self.graph.neighbors(node)
-        # At the rim only the edges back to nodes within k-1 hops are in the view.
-        inner = self._inner
-        if inner is None:
-            k = self.k
-            inner = self._inner = frozenset(
-                v for v, dv in enumerate(self._own) if dv is not None and dv < k
-            )
-        return self.graph.neighbors(node) & inner
+        return self._adjacency().get(node, frozenset())
 
     def covers_neighborhood(self, node: NodeId) -> bool:
         """True when every edge incident to ``node`` is in the view."""
@@ -263,7 +295,7 @@ class NodeView:
             return None
         from_a = self._dist.get(a)
         if from_a is None:
-            from_a = self._dist[a] = _bfs(self.neighbors, self.graph.n, a)
+            from_a = self._dist[a] = _bfs(self._adjacency().__getitem__, self.graph.n, a)
         return from_a[b]
 
 
@@ -278,41 +310,63 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     """Toggle each non-gateway node pair with probability ``p``.
 
     Pairs touching a gateway are left alone, and any toggle that would
-    disconnect the graph is reverted. Deterministic for a given seed.
+    disconnect the graph is reverted; on a disconnected graph every removal
+    is, until additions connect it. Pairs are drawn in ``(u, v)`` order,
+    one random number each, so the result is deterministic for a given
+    seed. ``g`` is not changed; the result shares the neighbor sets of the
+    nodes no toggle touched, and is ``g`` itself when nothing was toggled.
     """
     if not 0.0 <= p <= 1.0:
         raise TopologyError("churn probability must be in [0, 1]")
     if p == 0.0:
         return g
-    rng = random.Random(seed)
-    adj = [set(g.neighbors(u)) for u in range(g.n)]
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if u in g.gateways or v in g.gateways:
-                continue
-            if rng.random() >= p:
-                continue
+    draw = random.Random(seed).random
+    n = g.n
+    free = [u for u in range(n) if u not in g.gateways]
+    adj: list[frozenset[int] | set[int]] = list(g._adj)
+    edited: dict[int, set[int]] = {}
+
+    def edit(x: int) -> set[int]:
+        s = edited.get(x)
+        if s is None:
+            s = edited[x] = set(adj[x])
+            adj[x] = s
+        return s
+
+    connected: bool | None = None  # whether adj is connected, tested when first needed
+    for i, u in enumerate(free):
+        for v in [v for v in free[i + 1:] if draw() < p]:
             if v in adj[u]:
-                adj[u].discard(v)
-                adj[v].discard(u)
-                if not _connected(adj):
-                    adj[u].add(v)
-                    adj[v].add(u)
+                if connected is None:
+                    connected = None not in _bfs(adj.__getitem__, n, 0)
+                # Removing an edge of a connected graph keeps it connected iff
+                # its ends are still joined by another path.
+                if connected and _detour(adj, u, v):
+                    edit(u).discard(v)
+                    edit(v).discard(u)
             else:
-                adj[u].add(v)
-                adj[v].add(u)
-    edges = [(u, v) for u in range(g.n) for v in adj[u] if u < v]
-    return TopologyGraph(g.n, edges, g.gateways)
+                edit(u).add(v)
+                edit(v).add(u)
+                if connected is False:
+                    connected = None not in _bfs(adj.__getitem__, n, 0)
+    if not edited:
+        return g
+    for x, s in edited.items():
+        adj[x] = frozenset(s)
+    return TopologyGraph._from_adjacency(tuple(adj), g.gateways)  # type: ignore[arg-type]
 
 
-def _connected(adj: Sequence[set[int]]) -> bool:
-    n = len(adj)
-    seen = {0}
-    queue = deque([0])
+def _detour(adj: Sequence[Iterable[int]], u: int, v: int) -> bool:
+    """Whether ``u`` reaches ``v`` other than over the edge (u, v); stops once it does."""
+    first = set(adj[u])
+    first.discard(v)
+    seen = first | {u}
+    queue = deque(first)
     while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == n
+        for y in adj[queue.popleft()]:
+            if y == v:
+                return True
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return False

@@ -527,6 +527,28 @@ class TestLazyViewWork:
         assert calls[0] < result.rounds * n
 
 
+class TestPendingAuctions:
+    """A node's pending announcements never outlive the round that made them."""
+
+    def test_entries_are_dropped_each_round(self):
+        n = 50
+        g = generate("geometric", n, radius=0.3, seed=1)
+        assignment = {
+            node: build_strategy("sniper" if 1 <= node <= 10 else "fair") for node in range(n)
+        }
+        config = GameConfig(
+            packets_total=200, injection_rate=2, observation="khop:2",
+            churn_rate=0.01, master_seed=1401,
+        )
+        sim = Simulation(config, g, assignment)
+        snipers = [sim.contexts[node] for node in range(1, 11)]
+        # Under khop scopes a sniper can hear an announcement but not the
+        # packet's end; every packet still ends within its own round.
+        while sim.step_round():
+            for ctx in snipers:
+                assert len(ctx.pending_auctions) <= config.injection_rate
+
+
 class TestScopedObservation:
     def test_khop_store_never_sees_far_events(self):
         g = generate("grid", 6, cols=1, gateways=(0,))  # a long line

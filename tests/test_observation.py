@@ -15,7 +15,7 @@ from bidforward.observation import (
     parse_scope_spec,
     profiles_csv,
 )
-from bidforward.topology import generate
+from bidforward.topology import generate, view_of
 
 
 def ev(rnd, seq, kind, pid, node, amount, location=None, **fields):
@@ -36,7 +36,7 @@ class TestIngest:
         g = generate("grid", 5, cols=1)  # path 0-1-2-3-4
         store = ObserverStore(owner=0)
         scope = ObservationScope("khop", owner=0, k=1)
-        applied = ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 3, 99), scope, g)
+        applied = ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 3, 99), scope, view_of(g, 0, 1))
         assert not applied
         assert store.profiles == {}
 
@@ -44,7 +44,7 @@ class TestIngest:
         g = generate("grid", 5, cols=1)
         store = ObserverStore(owner=0)
         scope = ObservationScope("khop", owner=0, k=1)
-        assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, g)
+        assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, view_of(g, 0, 1))
         assert store.estimated_profit(1) == 99
 
     def test_drop_updates_counters_and_profit(self):
@@ -83,9 +83,9 @@ class TestScope:
 
     def test_backbone_location_visible_near_gateway(self):
         g = generate("grid", 5, cols=1, gateways=(0,))
-        assert ObservationScope("khop", owner=0, k=1).visible(-1, g)
-        assert not ObservationScope("khop", owner=2, k=1).visible(-1, g)
-        assert ObservationScope("khop", owner=2, k=3).visible(-1, g)
+        assert ObservationScope("khop", owner=0, k=1).visible(-1, view_of(g, 0, 1))
+        assert not ObservationScope("khop", owner=2, k=1).visible(-1, view_of(g, 2, 1))
+        assert ObservationScope("khop", owner=2, k=3).visible(-1, view_of(g, 2, 3))
 
 
 class TestFairness:
@@ -177,8 +177,8 @@ class TestMergePack:
         scope_b = ObservationScope("khop", owner=4, k=1)
         for seq, node in enumerate(range(5)):
             event = ev(0, seq, EventKind.PAYMENT, seq, node, 10)
-            ingest(a, event, scope_a, g)
-            ingest(b, event, scope_b, g)
+            ingest(a, event, scope_a, view_of(g, 0, 1))
+            ingest(b, event, scope_b, view_of(g, 4, 1))
         covered_a = set(a.profiles)
         covered_b = set(b.profiles)
         merge_pack([a, b])

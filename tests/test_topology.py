@@ -1,9 +1,11 @@
+import random
 from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidforward import topology
 from bidforward.model import BACKBONE
 from bidforward.topology import (
     TopologyError,
@@ -191,6 +193,102 @@ class TestNodeViewAgainstNetworkx:
                     assert view.covers_neighborhood(v) == (v in inner)
                     for b in range(n):
                         assert view.distance(v, b) == lengths.get(v, {}).get(b)
+
+
+def nx_graph(g):
+    graph = nx.Graph(g.edges())
+    graph.add_nodes_from(range(g.n))
+    return graph
+
+
+class TestBoundedViewWork:
+    def test_owner_bfs_expands_only_nodes_closer_than_k(self, monkeypatch):
+        g = generate("geometric", 400, radius=0.1, seed=2)
+        lookups = [0]
+        real_bfs = topology._bfs
+
+        def counting_bfs(neighbors, *args):
+            def counted(u):
+                lookups[0] += 1
+                return neighbors(u)
+            return real_bfs(counted, *args)
+
+        monkeypatch.setattr(topology, "_bfs", counting_bfs)
+        for owner in range(g.n):
+            assert view_of(g, owner, 3).knows(owner)
+        full = nx_graph(g)
+        # The k-ball's nodes at depth k are reached but never expanded.
+        expected = sum(
+            len(nx.single_source_shortest_path_length(full, owner, cutoff=2))
+            for owner in range(g.n)
+        )
+        assert lookups[0] == expected
+
+
+def reference_churn(g, p, seed):
+    """The original churn: every node pair in (u, v) order, a whole-graph BFS per removal."""
+    rng = random.Random(seed)
+    adj = [set(g.neighbors(u)) for u in range(g.n)]
+
+    def connected():
+        seen = {0}
+        queue = deque([0])
+        while queue:
+            for v in adj[queue.popleft()]:
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return len(seen) == g.n
+
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if u in g.gateways or v in g.gateways:
+                continue
+            if rng.random() >= p:
+                continue
+            if v in adj[u]:
+                adj[u].discard(v)
+                adj[v].discard(u)
+                if not connected():
+                    adj[u].add(v)
+                    adj[v].add(u)
+            else:
+                adj[u].add(v)
+                adj[v].add(u)
+    return sorted((u, v) for u in range(g.n) for v in adj[u] if u < v)
+
+
+class TestChurnAgainstReference:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["ring", "grid", "geometric", "edge-list"]),
+        n=st.integers(4, 14),
+        seed=st.integers(0, 10_000),
+        p=st.floats(0.005, 1.0),
+        steps=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_same_graphs_as_the_reference(self, kind, n, seed, p, steps, data):
+        gateways = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+        if kind == "edge-list":
+            pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+            edges = data.draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=2 * n))
+            text = "\n".join([f"n {n}", *(f"{u} {v}" for u, v in sorted(edges))])
+            g = TopologyGraph.from_edge_list(text + "\ngateways " + " ".join(map(str, gateways)))
+        elif kind == "geometric":
+            g = generate("geometric", n, radius=0.6, seed=seed, gateways=gateways)
+        else:
+            g = generate(kind, n, gateways=gateways)
+        for step in range(steps):
+            before = (g.edges(), g.gateways, [g.neighbors(u) for u in range(n)])
+            was_connected = nx.is_connected(nx_graph(g))
+            out = churn(g, p, seed=seed + step)
+            assert out.edges() == reference_churn(g, p, seed + step)
+            assert (g.edges(), g.gateways, [g.neighbors(u) for u in range(n)]) == before
+            assert out.gateways == g.gateways
+            if was_connected:
+                assert nx.is_connected(nx_graph(out))
+            g = out
 
 
 class TestChurn:

@@ -4,7 +4,10 @@
 ``observation`` and ``strategies``, ``validate_bid`` in ``engine``, methods
 of ``ObserverStore`` and ``BidHistory``, ...). A name removed from the
 package makes ``Tracer.install()`` raise, and every traced benchmark
-operation fails; this test makes that a tier-1 failure.
+operation fails; this test makes that a tier-1 failure. The traced run
+uses k-hop views on a churning graph, so a simulation that stops calling
+``churn`` and ``view_of`` through the names the tracer wraps fails here
+too, instead of reading zero topology time per layer.
 """
 
 import os
@@ -27,12 +30,16 @@ graph = generate("geometric", 10, radius=0.5, seed=3)
 names = ["fair", "wolfpack", "always_one", "sniper", "random"]
 assignment = {n: build_strategy(names[n % len(names)]) for n in range(10)}
 assignment[0] = build_strategy("fair")
-config = GameConfig(packets_total=10, injection_rate=2, master_seed=1)
+config = GameConfig(
+    packets_total=10, injection_rate=2, observation="khop:2", churn_rate=0.05, master_seed=1
+)
 result = Simulation(config, graph, assignment).run()
 assert tracer.counts["engine.events"] == len(result.events) > 0
 assert tracer.counts["strategies.on_event_calls"] > 0
 assert tracer.counts["observation.apply_calls"] > 0
 assert tracer.counts["engine.bids"] > 0
+spans = {span[0] for span in tracer.spans}
+assert {"topology.churn", "topology.view_of"} <= spans, spans
 """
 
 
