@@ -50,7 +50,7 @@ def cmd_run(args) -> int:
         if not sim.step_round():
             break
         if args.dump_profiles:
-            stores = [c.observer for c in sim.contexts.values() if c.observer is not None]
+            stores = [(n, c.observer) for n, c in sim.contexts.items() if c.observer is not None]
             profile_rows.extend(profiles_csv(stores, round_no))
     result = sim.run()
 

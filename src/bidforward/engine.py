@@ -30,13 +30,22 @@ from .model import (
     PathLedger,
     validate_bid,
 )
-from .observation import ObserverStore, merge_pack, parse_scope_spec
-from .predictor import BidHistory, PredictorConfig
+from .observation import (
+    OBSERVED_KINDS,
+    ObservationScope,
+    ObserverStore,
+    merge_pack,
+    parse_scope_spec,
+)
+from .predictor import BID_KINDS, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import NodeView, TopologyGraph, churn, view_of
 
 FINE_MODES = ("path-split", "dropper-only")
+
+#: A subscriber as an event's audience calls it: ``strategy.on_event(event, ctx)``.
+Listener = tuple[Strategy, StrategyContext]
 
 
 class EngineError(RuntimeError):
@@ -101,11 +110,6 @@ def run_auction(request: AuctionRequest, bids: list[Bid], chooser=None) -> Bid |
     if winner not in bids:
         raise EngineError("winner chooser returned a bid that was not offered")
     return winner
-
-
-def advance_hop(ledger: PathLedger, winner: Bid) -> PathLedger:
-    """Append the winner's promise to the path."""
-    return ledger.extended(winner.bidder, winner.amount)
 
 
 def settle_delivery(ledger: PathLedger) -> SettlementResult:
@@ -217,17 +221,30 @@ class Simulation:
         if not self._non_gateways:
             raise EngineError("every node is a gateway; no valid destinations exist")
 
+        # Under global scope every subscriber hears every event in the same
+        # order, so all observers share one store and all bid histories one
+        # tape, each fed once per event by _emit.
+        self._shared_store: ObserverStore | None = None
+        self._shared_bids: BidHistory | None = None
+        if self._global_scope:
+            if any(s.uses_observation for s in self.strategies.values()):
+                self._shared_store = ObserverStore()
+            if any(s.uses_bid_history for s in self.strategies.values()):
+                self._shared_bids = BidHistory(self.predictor_cfg)
+
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
         self.contexts: dict[NodeId, StrategyContext] = {}
         for node in range(graph.n):
             strat = self.strategies[node]
-            observer = (
-                ObserverStore(node, retain_events=strat.pack is not None)
-                if strat.uses_observation
-                else None
-            )
-            history = BidHistory(self.predictor_cfg) if strat.uses_bid_history else None
+            observer = history = None
+            if strat.uses_observation:
+                observer = self._shared_store
+                if observer is None:
+                    observer = ObserverStore(node, retain_events=strat.pack is not None)
+            if strat.uses_bid_history:
+                tape = None if self._shared_bids is None else self._shared_bids.tape
+                history = BidHistory(self.predictor_cfg, node, tape)
             self.contexts[node] = StrategyContext(
                 node=node,
                 view=None,  # type: ignore[arg-type]  # set by _rebuild_views
@@ -241,18 +258,27 @@ class Simulation:
                 observer=observer,
                 history=history,
             )
-        # One scope per subscriber, in ascending node order: the order in
-        # which each event's audience hears it.
-        self._scopes = [
-            parse_scope_spec(config.observation, n)
-            for n, s in sorted(self.strategies.items())
-            if s.uses_observation or s.uses_bid_history
-        ]
+        # Every subscriber, in ascending node order (the order in which each
+        # event's audience hears it): its scope, the kinds it acts on, and
+        # what the audience calls.
+        self._subscribers: list[tuple[ObservationScope, frozenset[EventKind], Listener]] = []
+        for n, s in sorted(self.strategies.items()):
+            kinds: frozenset[EventKind] = frozenset()
+            if s.uses_observation:
+                kinds |= OBSERVED_KINDS if s.pack is None else frozenset(EventKind)
+            if s.uses_bid_history:
+                kinds |= BID_KINDS
+            if kinds:
+                scope = parse_scope_spec(config.observation, n)
+                self._subscribers.append((scope, kinds, (s, self.contexts[n])))
+        # Packs merge under khop scopes only: under global scope every member
+        # already shares the one store.
         self._packs: dict[str, list[NodeId]] = {}
-        for node in sorted(self.contexts):
-            pack = self.contexts[node].pack
-            if pack is not None:
-                self._packs.setdefault(pack, []).append(node)
+        if not self._global_scope:
+            for node in sorted(self.contexts):
+                pack = self.contexts[node].pack
+                if pack is not None:
+                    self._packs.setdefault(pack, []).append(node)
         self._rebuild_views()
 
         self.events: list[GameEvent] = []
@@ -267,8 +293,14 @@ class Simulation:
     # -- topology plumbing ------------------------------------------------
 
     def _rebuild_views(self) -> None:
-        """Views and event audiences for the current graph."""
-        self._audience: dict[NodeId, list[tuple[Strategy, StrategyContext]]] = {}
+        """Views and event audiences for the current graph.
+
+        ``_heard`` maps a location to the subscribers in scope of it, with the
+        kinds each acts on; ``_audience`` maps (location, kind) to those that
+        act on the kind.
+        """
+        self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Listener]]] = {}
+        self._audience: dict[tuple[NodeId, EventKind], list[Listener]] = {}
         if self._global_scope:
             shared = view_of(self.graph, 0, self._view_k)
             for ctx in self.contexts.values():
@@ -301,18 +333,35 @@ class Simulation:
         prev: Money | None = None,
         reason: str | None = None,
     ) -> None:
+        """Log one event and let everyone who hears it and acts on its kind fold it in.
+
+        Under ``global`` scope the engine feeds the shared store and the
+        shared bid tape directly, once per event; no ``Strategy.on_event``
+        runs. Under ``khop`` scopes each subscriber in the audience of the
+        event's (location, kind) gets ``on_event``, in ascending node order.
+        """
         event = GameEvent(
             self.round, self._seq, kind, packet_id, node, amount, location,
             dest=dest, dist=dist, prev=prev, reason=reason,
         )
         self._seq += 1
         self.events.append(event)
-        audience = self._audience.get(location)
+        if self._global_scope:
+            if self._shared_store is not None and kind in OBSERVED_KINDS:
+                self._shared_store.apply(event)
+            if self._shared_bids is not None and kind in BID_KINDS:
+                self._shared_bids.observe(event)
+            return
+        audience = self._audience.get((location, kind))
         if audience is None:
-            audience = self._audience[location] = [
-                (self.strategies[scope.owner], self.contexts[scope.owner])
-                for scope in self._scopes
-                if scope.visible(location, self.contexts[scope.owner].view)
+            heard = self._heard.get(location)
+            if heard is None:
+                heard = self._heard[location] = [
+                    (kinds, listener) for scope, kinds, listener in self._subscribers
+                    if scope.visible(location, listener[1].view)
+                ]
+            audience = self._audience[(location, kind)] = [
+                listener for kinds, listener in heard if kind in kinds
             ]
         for strategy, ctx in audience:
             strategy.on_event(event, ctx)
@@ -326,8 +375,9 @@ class Simulation:
         self._seq = 0
         for ctx in self.contexts.values():
             ctx.round = self.round
-            # Every packet is resolved within the round that injects it.
-            ctx.pending_auctions.clear()
+            if ctx.history is not None:
+                # Every packet is resolved within the round that injects it.
+                ctx.history.pending.clear()
         for _ in range(self.config.injection_rate):
             if self._injected >= self.config.packets_total:
                 break
@@ -393,7 +443,7 @@ class Simulation:
             if winner is None:
                 self._drop(packet, ledger, "no-winner" if ledger.entries else "cancelled")
                 return
-            ledger = advance_hop(ledger, winner)
+            ledger = ledger.extended(winner.bidder, winner.amount)
             ttl_remaining -= 1
             self._emit(
                 EventKind.BID_WON, packet.packet_id, winner.bidder, winner.amount, holder

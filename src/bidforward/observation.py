@@ -2,10 +2,15 @@
 
 Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and
-custody/drop counters. Pack members merge their observations so every member
-ends up with the union, deduplicated by event identity. A merge exchanges
-only the events some member applied for the first time since the previous
-merge, so a run's merge work is linear in its events.
+custody/drop counters. ``ObserverStore.apply`` never reads its owner, so
+under ``global`` scope, where every observer hears every event in the same
+order, all observers share one store and the engine applies each event to it
+once. Under ``khop`` scopes each observer has its own store. Pack members
+merge their observations so every member ends up with the union,
+deduplicated by event identity; only their stores keep the ``applied`` set
+and an outbox. A merge exchanges only the events some member applied for the
+first time since the previous merge, so a run's merge work is linear in its
+events.
 """
 
 from __future__ import annotations
@@ -15,7 +20,6 @@ from fractions import Fraction
 
 from .model import (
     BACKBONE,
-    AuctionRequest,
     EventKind,
     GameEvent,
     Money,
@@ -33,6 +37,9 @@ _DELIVERED = EventKind.DELIVERED
 _DROPPED = EventKind.DROPPED
 _FINE = EventKind.FINE_ASSESSED
 _PAYMENT = EventKind.PAYMENT
+
+#: The kinds a store in no pack acts on: bids and deliveries change no profile.
+OBSERVED_KINDS = frozenset(EventKind) - {_BID_PLACED, _DELIVERED}
 
 
 @dataclass(frozen=True)
@@ -90,19 +97,21 @@ class NodeProfile:
 
 
 class ObserverStore:
-    """Event-sourced profile store owned by a single node.
+    """Event-sourced profile store.
 
-    The applied-id set makes ingestion idempotent. A store with
-    ``retain_events`` (a pack member) also keeps every applied event in
-    ``events``, for ``rebuild()``, and the events it applied for the first
-    time since the last ``merge_pack`` in its outbox ``unshared``.
+    Under ``global`` scope one store serves every observer and has no
+    ``owner``. A pack member's store (``retain_events``) deduplicates by
+    ``event_id`` in ``applied``, keeps every applied event in ``events``, for
+    ``rebuild()``, and the events it applied for the first time since the
+    last ``merge_pack`` in its outbox ``unshared``. Any other store hears
+    each event once and keeps none of these (``applied`` is None).
     """
 
-    def __init__(self, owner: NodeId, retain_events: bool = False):
+    def __init__(self, owner: NodeId | None = None, retain_events: bool = False):
         self.owner = owner
         self.retain_events = retain_events
         self.profiles: dict[NodeId, NodeProfile] = {}
-        self.applied: set[tuple[int, int]] = set()
+        self.applied: set[tuple[int, int]] | None = set() if retain_events else None
         self.events: dict[tuple[int, int], GameEvent] = {}
         self.unshared: list[GameEvent] = []
         self.packet_paths: dict[int, list[NodeId]] = {}
@@ -114,24 +123,26 @@ class ObserverStore:
             self.profiles[subject] = prof
         return prof
 
-    def estimated_profit(self, subject: NodeId) -> Money:
-        prof = self.profiles.get(subject)
-        return prof.estimated_profit if prof else 0
-
     def known_path(self, packet_id: int) -> list[NodeId]:
         return self.packet_paths.get(packet_id, [])
 
     def apply(self, event: GameEvent) -> bool:
-        """Fold one visible event in; returns False on a duplicate.
+        """Fold one visible event in; a pack member's store returns False on a duplicate.
 
-        Bids and deliveries change no profile: they are only recorded as
-        applied (and retained, for a pack member).
+        Bids and deliveries change no profile: a pack member only records
+        them as applied and retains them.
+
+        An announcement adds the holder's fairness deviation: the fair
+        ceiling splits the incoming promise equally over the ``dist`` nodes
+        still needed (holder included), and the increment is the announced
+        ceiling's distance from it, relative to the incoming promise.
         """
-        event_id = (event.round, event.seq)
-        if event_id in self.applied:
-            return False
-        self.applied.add(event_id)
-        if self.retain_events:
+        applied = self.applied
+        if applied is not None:
+            event_id = (event.round, event.seq)
+            if event_id in applied:
+                return False
+            applied.add(event_id)
             self.events[event_id] = event
             self.unshared.append(event)
         kind = event.kind
@@ -139,8 +150,14 @@ class ObserverStore:
             return True
         if kind is _ANNOUNCED:
             # A missing distance or promise is None; a 0 is folded in.
-            if event.node != BACKBONE and event.dist is not None and event.prev is not None:
-                self._fairness_increment(event.node, event.amount, event.prev, event.dist)
+            dist, incoming = event.dist, event.prev
+            if event.node != BACKBONE and dist is not None and incoming is not None and dist >= 2:
+                fair = incoming * (dist - 1) // dist
+                profile = self.profile(event.node)
+                if event.amount != fair:
+                    profile.fairness_deviation += Fraction(
+                        abs(event.amount - fair), max(incoming, 1)
+                    )
         elif kind is _BID_WON:
             self.profile(event.node).observed_custodies += 1
             self.packet_paths.setdefault(event.packet_id, []).append(event.node)
@@ -153,16 +170,6 @@ class ObserverStore:
                 self.profile(event.node).observed_drops += 1
         return True
 
-    def _fairness_increment(
-        self, holder: NodeId, announced: Money, incoming: Money, hop_distance: int
-    ) -> None:
-        if hop_distance < 2:
-            return
-        fair = incoming * (hop_distance - 1) // hop_distance
-        profile = self.profile(holder)
-        if announced != fair:
-            profile.fairness_deviation += Fraction(abs(announced - fair), max(incoming, 1))
-
     def rebuild(self) -> None:
         """Recompute all aggregates from retained events, in ``event_id`` order.
 
@@ -171,41 +178,13 @@ class ObserverStore:
         """
         retained, outbox = self.events, self.unshared
         self.profiles = {}
-        self.applied = set()
+        self.applied = set() if self.retain_events else None
         self.events = {}
         self.unshared = []
         self.packet_paths = {}
         for event_id in sorted(retained):
             self.apply(retained[event_id])
         self.unshared = outbox
-
-
-def ingest(
-    store: ObserverStore,
-    event: GameEvent,
-    scope: ObservationScope,
-    view: NodeView,
-) -> bool:
-    """Apply ``event`` to ``store`` iff the scope, with the owner's ``view``, can hear it."""
-    if not scope.visible(event.location, view):
-        return False
-    return store.apply(event)
-
-
-def fairness_update(
-    store: ObserverStore, auction: AuctionRequest, incoming_promise: Money
-) -> None:
-    """Fold one witnessed auction announcement into the holder's deviation.
-
-    The fair ceiling splits the incoming promise equally over the
-    hop_distance nodes still needed (holder included); the increment is the
-    relative distance of the announced ceiling from that point.
-    """
-    if auction.holder == BACKBONE or auction.hop_distance is None:
-        return
-    store._fairness_increment(
-        auction.holder, auction.ceiling, incoming_promise, auction.hop_distance
-    )
 
 
 def merge_pack(stores: list[ObserverStore]) -> None:
@@ -232,14 +211,20 @@ def merge_pack(stores: list[ObserverStore]) -> None:
         store.unshared.clear()
 
 
-def profiles_csv(stores: list[ObserverStore], round_no: int) -> list[str]:
-    """Diagnostics rows ``round,observer,subject,profit_est,fairness_dev,drop_rate``."""
+def profiles_csv(
+    stores: list[tuple[NodeId, ObserverStore]], round_no: int
+) -> list[str]:
+    """Diagnostics rows ``round,observer,subject,profit_est,fairness_dev,drop_rate``.
+
+    ``stores`` pairs each observer with its store; under ``global`` scope
+    every observer's store is the shared one.
+    """
     rows = []
-    for store in stores:
+    for owner, store in stores:
         for subject in sorted(store.profiles):
             prof = store.profiles[subject]
             rows.append(
-                f"{round_no},{store.owner},{subject},{prof.estimated_profit},"
+                f"{round_no},{owner},{subject},{prof.estimated_profit},"
                 f"{float(prof.fairness_deviation):.6f},{prof.drop_rate:.6f}"
             )
     return rows

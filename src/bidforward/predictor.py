@@ -1,4 +1,4 @@
-"""Historical bid prediction and binary-search bid probing.
+"""Historical bid prediction.
 
 The predictor keeps a bounded history of observed bids arranged by the two
 attributes an auction exposes (the hop count and the maximum allowed bid),
@@ -7,19 +7,35 @@ current query, and undercuts the smallest of them by one point, never going
 below a configured floor. The floor keeps the output useful even when
 observed bids have collapsed to zero.
 
-The prober discovers a fixed rival bid under lowest-bid-wins by bisecting:
-start at the center of [lo, hi]; after a win the unknown rival lies above,
-so lo rises to the last bid; after a loss hi falls to it.
+A history is its owner's window onto a tape, an append-only log of
+``(point, bidder)`` records. The window holds the last ``max_history``
+points not bid by the owner, minus those more than ``max_age_rounds`` older
+than the newest of them: what a bounded deque with age eviction would hold
+if it skipped the owner's own bids. Under ``global`` observation every
+history shares one tape, filled once per bid; under ``khop`` scopes each
+history has a tape of its own.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable
+from operator import attrgetter
 
-from .model import Money
+from .model import EventKind, GameEvent, Money, NodeId
+
+# Reading a member off an Enum class goes through EnumType.__getattr__;
+# observe, run per event, compares against these module-level names instead.
+_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
+_BID_PLACED = EventKind.BID_PLACED
+_DELIVERED = EventKind.DELIVERED
+_DROPPED = EventKind.DROPPED
+
+_ROUND = attrgetter("round")
+
+#: The kinds ``BidHistory.observe`` acts on.
+BID_KINDS = frozenset({_ANNOUNCED, _BID_PLACED, _DELIVERED, _DROPPED})
 
 
 @dataclass(frozen=True)
@@ -67,46 +83,156 @@ class BidHistoryPoint:
             raise ValueError("bids and ceilings are non-negative")
 
 
-class BidHistory:
-    """Bounded, age-limited store of observed bids."""
+class BidTape:
+    """Append-only log of observed bids and their bidders, windowed by histories.
+
+    Records are appended in round order. Every history that windows the tape
+    registers its owner in ``owners``. ``pending`` maps a packet to its
+    latest announcement ``(ceiling, advertised distance, round)``, against
+    which a bid on that packet is recorded. Once the tape holds more than
+    ``limit`` records it drops every record that no owner's window can reach
+    again. That leaves at most two windows' worth, and ``limit`` becomes
+    twice what is left, but at least two windows' worth: the tape never
+    holds more than four windows' worth, and a trim comes at most once per
+    window's worth of records.
+    """
 
     def __init__(self, cfg: PredictorConfig):
         self.cfg = cfg
-        self._points: deque[BidHistoryPoint] = deque(maxlen=cfg.max_history)
+        self.points: list[BidHistoryPoint] = []
+        self.bidders: list[NodeId | None] = []
+        self.owners: set[NodeId | None] = set()
+        self.pending: dict[int, tuple[Money, int | None, int]] = {}
+        self.limit = 2 * cfg.max_history
+
+    def first_live(self, cutoff: int, start: int) -> int:
+        """Index of the first record at or after ``start`` from round ``cutoff`` on."""
+        return bisect_left(self.points, cutoff, start, key=_ROUND)
+
+    def start(self, owner: NodeId | None) -> int:
+        """Index of the first record in ``owner``'s window.
+
+        The window is the last ``max_history`` records not bid by ``owner``
+        (all records when ``owner`` is None), minus those more than
+        ``max_age_rounds`` older than the newest of them. Records by the
+        owner inside the returned range are not part of it.
+        """
+        bidders = self.bidders
+        end = len(bidders)
+        start = max(0, end - self.cfg.max_history)
+        last = end - 1
+        if owner is not None:
+            # Every owner's record in [start, end) displaces one further back.
+            missing = bidders[start:].count(owner)
+            while missing and start:
+                lower = max(0, start - missing)
+                missing = bidders[lower:start].count(owner)
+                start = lower
+            while last >= start and bidders[last] == owner:
+                last -= 1
+        if last < start:
+            return end
+        return self.first_live(self.points[last].round - self.cfg.max_age_rounds, start)
+
+    def trim(self) -> None:
+        """Drop the records outside every registered owner's window.
+
+        Only the owner whose window starts first reaches the records before
+        the second-earliest start, and it skips its own among them; every
+        later record lies in two windows with different owners, so at least
+        one of them holds it. What is kept is that first window plus the
+        second owner's records outside it: at most two windows' worth.
+        """
+        points, bidders = self.points, self.bidders
+        starts = {owner: self.start(owner) for owner in self.owners}
+        first = min(starts, key=starts.__getitem__)
+        lo = starts.pop(first)
+        hi = min(starts.values(), default=len(points))
+        if first is not None and first in bidders[lo:hi]:
+            keep = [i for i in range(lo, hi) if bidders[i] != first]
+            points[lo:hi] = [points[i] for i in keep]
+            bidders[lo:hi] = [bidders[i] for i in keep]
+        del points[:lo], bidders[:lo]
+        self.limit = 2 * max(len(points), self.cfg.max_history)
+
+
+class BidHistory:
+    """One owner's window onto a bid tape: bids by the owner are left out.
+
+    Without an ``owner`` the window holds every bidder's records; without a
+    ``tape`` the history gets one of its own. ``pending`` is the tape's table
+    of announcements.
+    """
+
+    def __init__(
+        self,
+        cfg: PredictorConfig,
+        owner: NodeId | None = None,
+        tape: BidTape | None = None,
+    ):
+        self.cfg = cfg
+        self.owner = owner
+        self.tape = BidTape(cfg) if tape is None else tape
+        self.tape.owners.add(owner)
+        self.pending = self.tape.pending
 
     def __len__(self) -> int:
-        return len(self._points)
+        tape = self.tape
+        start = tape.start(self.owner)
+        size = len(tape.bidders) - start
+        if self.owner is not None:
+            size -= tape.bidders[start:].count(self.owner)
+        return size
 
-    def record(self, point: BidHistoryPoint) -> None:
-        """Append a point; evict beyond-capacity and over-age points."""
-        self._points.append(point)
-        cutoff = point.round - self.cfg.max_age_rounds
-        while self._points and self._points[0].round < cutoff:
-            self._points.popleft()
+    def record(self, point: BidHistoryPoint, bidder: NodeId | None = None) -> None:
+        """Append a point bid by ``bidder`` to the tape; points come in round order."""
+        tape = self.tape
+        points = tape.points
+        if points and point.round < points[-1].round:
+            raise ValueError("bids must be recorded in round order")
+        points.append(point)
+        tape.bidders.append(bidder)
+        if len(points) > tape.limit:
+            tape.trim()
 
     def points(self, now_round: int | None = None) -> list[BidHistoryPoint]:
-        """Live points, age-filtered relative to ``now_round`` when given."""
-        if now_round is None:
-            return list(self._points)
-        cutoff = now_round - self.cfg.max_age_rounds
-        return [p for p in self._points if p.round >= cutoff]
+        """Live points, oldest first, age-filtered relative to ``now_round`` when given."""
+        tape = self.tape
+        owner = self.owner
+        start = tape.start(owner)
+        if now_round is not None:
+            start = tape.first_live(now_round - self.cfg.max_age_rounds, start)
+        if owner is None:
+            return tape.points[start:]
+        bidders, points = tape.bidders, tape.points
+        out: list[BidHistoryPoint] = []
+        for _ in range(bidders[start:].count(owner)):
+            own = bidders.index(owner, start)
+            out += points[start:own]
+            start = own + 1
+        out += points[start:]
+        return out
 
-    def to_csv(self) -> str:
-        lines = ["round,max_allowed,hop_count,observed_bid"]
-        lines.extend(
-            f"{p.round},{p.max_allowed},{p.hop_count},{p.observed_bid}"
-            for p in self._points
-        )
-        return "\n".join(lines) + "\n"
+    def observe(self, event: GameEvent) -> None:
+        """Fold one heard event in: track announcements, record others' bids.
 
-    @classmethod
-    def from_csv(cls, text: str, cfg: PredictorConfig) -> "BidHistory":
-        history = cls(cfg)
-        rows = [line for line in text.splitlines() if line.strip()]
-        for line in rows[1:]:
-            rnd, max_allowed, hop_count, bid = (int(tok) for tok in line.split(","))
-            history.record(BidHistoryPoint(max_allowed, hop_count, bid, rnd))
-        return history
+        A bid is recorded against its packet's latest announcement, and only
+        when that announcement carried a distance (a 0 is one). Wins,
+        payments and fines are ignored.
+        """
+        kind = event.kind
+        if kind is _BID_PLACED:
+            if event.node != self.owner:
+                announced = self.pending.get(event.packet_id)
+                if announced is not None and announced[1] is not None:
+                    ceiling, dist, _ = announced
+                    self.record(
+                        BidHistoryPoint(ceiling, dist, event.amount, event.round), event.node
+                    )
+        elif kind is _ANNOUNCED:
+            self.pending[event.packet_id] = (event.amount, event.dist, event.round)
+        elif kind is _DELIVERED or kind is _DROPPED:
+            self.pending.pop(event.packet_id, None)
 
 
 def neighborhood(
@@ -149,37 +275,3 @@ def predict_bid(
     else:
         raw = int(max_allowed * cfg.fallback_fraction)
     return min(max_allowed, max(cfg.min_bid_floor, raw))
-
-
-@dataclass(frozen=True)
-class ProberState:
-    """Bisection interval; ``last_bid`` is the bid currently in play."""
-
-    lo: Money
-    hi: Money
-    last_bid: Money
-
-    def __post_init__(self) -> None:
-        if not self.lo <= self.last_bid <= self.hi:
-            raise ValueError("prober bid escaped its interval")
-
-    @property
-    def width(self) -> Money:
-        return self.hi - self.lo
-
-
-def prober_start(lo: Money, hi: Money) -> ProberState:
-    """Initial state: bid the center of the allowed range."""
-    if lo > hi:
-        raise ValueError("prober range is empty")
-    return ProberState(lo, hi, (lo + hi) // 2)
-
-
-def prober_next(state: ProberState, won: bool) -> ProberState:
-    """Fold one auction outcome into the interval and pick the next bid.
-
-    Winning means the rival bid lies above ours (lowest bid wins), so the
-    floor rises; losing drops the ceiling.
-    """
-    lo, hi = (state.last_bid, state.hi) if won else (state.lo, state.last_bid)
-    return ProberState(lo, hi, (lo + hi) // 2)

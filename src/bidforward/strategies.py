@@ -3,16 +3,17 @@
 Every node runs one strategy instance. The engine consults it at four
 decision points: bidding on a neighbor's auction, choosing a winner for its
 own auction, announcing the next hop's ceiling while holding a packet, and
-optionally dropping a held packet on purpose. Strategies also receive the
-events their node can hear, which feed the observation store and the bid
-history.
+optionally dropping a held packet on purpose. Under ``khop`` scopes a
+strategy also receives, through ``on_event``, the events its node can hear
+and acts on, which feed its observation store and its bid history. Under
+``global`` scope the engine feeds the one shared store and bid tape itself.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -20,7 +21,6 @@ from .model import (
     BACKBONE,
     AuctionRequest,
     Bid,
-    EventKind,
     GameEvent,
     Money,
     NodeId,
@@ -29,15 +29,8 @@ from .model import (
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .observation import ObserverStore
-from .predictor import BidHistory, BidHistoryPoint, predict_bid
+from .predictor import BidHistory, predict_bid
 from .topology import NodeView
-
-# Reading a member off an Enum class goes through EnumType.__getattr__;
-# record_observed_bid, run per event, compares against these names instead.
-_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
-_BID_PLACED = EventKind.BID_PLACED
-_DELIVERED = EventKind.DELIVERED
-_DROPPED = EventKind.DROPPED
 
 
 @dataclass
@@ -56,8 +49,15 @@ class StrategyContext:
     observer: ObserverStore | None = None
     history: BidHistory | None = None
     round: int = 0
-    # per-packet (ceiling, advertised distance, round) of the latest announcement
-    pending_auctions: dict[int, tuple[Money, int | None, int]] = field(default_factory=dict)
+
+    @property
+    def pending_auctions(self) -> dict[int, tuple[Money, int | None, int]]:
+        """Per-packet (ceiling, advertised distance, round) of the latest announcement.
+
+        They live on the bid history's tape, so under ``global`` scope every
+        context sees the one shared table.
+        """
+        return {} if self.history is None else self.history.pending
 
     def distance_to(self, dest: NodeId, advertised: int | None = None) -> int | None:
         """Own hop distance to ``dest``; falls back to the advertised one."""
@@ -92,27 +92,6 @@ def undercut_bid(ceiling: Money, hop: int, ctx: StrategyContext, small_cap: int)
     if ctx.history is None or len(ctx.history) == 0:
         return min(ceiling, ctx.rng.randint(1, small_cap))
     return predict_bid(ctx.history, ceiling, hop, ctx.round)
-
-
-def record_observed_bid(event: GameEvent, ctx: StrategyContext) -> None:
-    """Track announcements and fold other nodes' bids into the history.
-
-    Wins, payments and fines are ignored.
-    """
-    kind = event.kind
-    if kind is _BID_PLACED:
-        if event.node != ctx.node:
-            pending = ctx.pending_auctions.get(event.packet_id)
-            # An announcement without a route has dist None; a 0 is recorded.
-            if pending is not None and pending[1] is not None:
-                ceiling, dist, _ = pending
-                ctx.history.record(  # type: ignore[union-attr]
-                    BidHistoryPoint(ceiling, dist, event.amount, event.round)
-                )
-    elif kind is _ANNOUNCED:
-        ctx.pending_auctions[event.packet_id] = (event.amount, event.dist, event.round)
-    elif kind is _DELIVERED or kind is _DROPPED:
-        ctx.pending_auctions.pop(event.packet_id, None)
 
 
 class Strategy:
@@ -158,10 +137,15 @@ class Strategy:
         return False
 
     def on_event(self, event: GameEvent, ctx: StrategyContext) -> None:
+        """Fold an event the node heard into its store and its bid history.
+
+        The engine calls this under ``khop`` scopes; under ``global`` scope
+        it feeds the shared store and tape itself (see ``Simulation._emit``).
+        """
         if ctx.observer is not None:
             ctx.observer.apply(event)
         if ctx.history is not None:
-            record_observed_bid(event, ctx)
+            ctx.history.observe(event)
 
 
 class FairSplit(Strategy):

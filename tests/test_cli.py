@@ -1,3 +1,4 @@
+import hashlib
 import os
 
 import pytest
@@ -86,6 +87,32 @@ class TestRunCommand:
         main(["run", "--config", conf, "--out", out, "--dump-profiles"])
         header = read(os.path.join(out, "profiles.csv")).decode().splitlines()[0]
         assert header == "round,observer,subject,profit_est,fairness_dev,drop_rate"
+
+    @pytest.mark.parametrize("observation, digest", [
+        ("global", "24a6a0d706281da60626e49838162567c31756a53b86c00da01d5ee37911f4fa"),
+        ("khop:2", "78ec16dc71341fe647e58b55228304b134a0f1126106c6463d908e75a23de40c"),
+    ], ids=["global", "khop2"])
+    def test_dump_profiles_rows_are_unchanged(self, tmp_path, observation, digest):
+        # Digests recorded when every observer kept a store of its own: the
+        # shared store under global scope prints one block per observer.
+        tree = {
+            "game": {"packets_total": 40, "injection_rate": 2, "ttl": 6, "seed": 5,
+                     "observation": observation},
+            "topology": {"kind": "geometric", "n": 16, "radius": 0.4, "seed": 3,
+                         "gateways": [0]},
+            "strategies": [
+                {"nodes": [0], "strategy": "fair"},
+                {"nodes": "1-5", "strategy": "wolfpack",
+                 "params": {"pack": "a", "sabotage_enabled": True}},
+                {"nodes": "6-9", "strategy": "always_one"},
+                {"nodes": "10-12", "strategy": "sniper"},
+                {"rest": True, "strategy": "fair"},
+            ],
+        }
+        out = tmp_path / "o"
+        assert main(["run", "--config", write_config(tmp_path, tree), "--out", str(out),
+                     "--dump-profiles"]) == 0
+        assert hashlib.sha256((out / "profiles.csv").read_bytes()).hexdigest() == digest
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2

@@ -9,7 +9,6 @@ from bidforward.engine import (
     EngineError,
     GameConfig,
     Simulation,
-    advance_hop,
     balances_csv,
     run_auction,
     run_simulation,
@@ -27,6 +26,7 @@ from bidforward.model import (
     parse_extra,
 )
 from bidforward.observation import ObserverStore
+from bidforward.predictor import BidHistory
 from bidforward.strategies import Strategy, build_strategy
 from bidforward.topology import generate, view_of
 
@@ -135,12 +135,6 @@ class TestRunAuction:
     def test_foreign_winner_rejected(self):
         with pytest.raises(EngineError):
             run_auction(self.request(), [Bid(1, 40)], lambda r, b: Bid(9, 1))
-
-
-class TestAdvanceHop:
-    def test_appends_promise(self):
-        ledger = advance_hop(ledger_of((1, 90)), Bid(2, 60))
-        assert ledger.entries == ((1, 90), (2, 60))
 
 
 class TestSmallestGame:
@@ -445,14 +439,23 @@ class TestNoStringFieldsOnHotPaths:
 
 
 class TestAudienceUnderChurn:
-    """Each event reaches exactly the subscribers in scope on that round's graph."""
+    """Each event reaches exactly the subscribers in scope on that round's graph
+    that act on its kind. Under global scope no subscriber is called: the
+    shared store and the shared bid tape take each event they act on once."""
 
     @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
-    def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation):
+    def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation, monkeypatch):
         n = 16
         g = generate("geometric", n, radius=0.4, seed=3, gateways=(0, 5))
         names = ["fair", "sniper", "wolfpack", "fair"]
         assignment = {node: build_strategy(names[node % 4]) for node in range(n)}
+        bid_kinds = {
+            EventKind.AUCTION_ANNOUNCED, EventKind.BID_PLACED,
+            EventKind.DELIVERED, EventKind.DROPPED,
+        }
+        # A sniper keeps a bid history only; a wolfpack in no pack keeps a
+        # history and a store, which ignores bids and deliveries.
+        acts_on = {"sniper": bid_kinds, "wolfpack": set(EventKind)}
         heard: dict[tuple[int, int], list[int]] = {}
         for node, strategy in assignment.items():
             def record(event, ctx, node=node, real=strategy.on_event):
@@ -460,6 +463,17 @@ class TestAudienceUnderChurn:
                 heard.setdefault(event.event_id, []).append(node)
                 return real(event, ctx)
             strategy.on_event = record
+        fed: dict[tuple[int, int], list[str]] = {}
+
+        def spy(name, real):
+            def wrapper(target, event):
+                fed.setdefault(event.event_id, []).append(name)
+                return real(target, event)
+            return wrapper
+
+        if observation == "global":
+            monkeypatch.setattr(ObserverStore, "apply", spy("apply", ObserverStore.apply))
+            monkeypatch.setattr(BidHistory, "observe", spy("observe", BidHistory.observe))
         subscribers = sorted(node for node in range(n) if names[node % 4] != "fair")
         config = GameConfig(
             packets_total=80, injection_rate=2, observation=observation,
@@ -481,10 +495,20 @@ class TestAudienceUnderChurn:
                     reach = {s: 1 + min(hops[s][gw] for gw in graph.gateways) for s in subscribers}
                 else:
                     reach = {s: hops[s][event.location] for s in subscribers}
-                expected = [s for s in subscribers if reach[s] <= k]
+                if observation == "global":
+                    expected = []
+                    shared = ["observe"] if event.kind in bid_kinds else []
+                    if event.kind not in (EventKind.BID_PLACED, EventKind.DELIVERED):
+                        shared.insert(0, "apply")
+                    assert fed.pop(event.event_id, []) == shared, event
+                else:
+                    expected = [
+                        s for s in subscribers
+                        if reach[s] <= k and event.kind in acts_on[names[s % 4]]
+                    ]
                 assert heard.pop(event.event_id, []) == expected, event
             seen = len(sim.events)
-        assert not heard
+        assert not heard and not fed
         assert backbone_events > 0 and len(graphs) > 10
 
 
@@ -550,7 +574,15 @@ class TestPendingAuctions:
 
 
 class TestScopedObservation:
-    def test_khop_store_never_sees_far_events(self):
+    def test_khop_store_never_sees_far_events(self, monkeypatch):
+        applied: dict[int, set[tuple[int, int]]] = {}
+        real_apply = ObserverStore.apply
+
+        def recording_apply(store, event):
+            applied.setdefault(store.owner, set()).add(event.event_id)
+            return real_apply(store, event)
+
+        monkeypatch.setattr(ObserverStore, "apply", recording_apply)
         g = generate("grid", 6, cols=1, gateways=(0,))  # a long line
         assignment = {n: build_strategy("wolfpack") for n in range(6)}
         config = GameConfig(
@@ -560,7 +592,7 @@ class TestScopedObservation:
         result = sim.run()
         by_id = {e.event_id: e for e in result.events}
         for node, ctx in sim.contexts.items():
-            for event_id in ctx.observer.applied:
+            for event_id in applied.get(node, ()):
                 loc = by_id[event_id].location
                 if loc == BACKBONE:
                     assert g.hop_distance(0, node) <= 0  # only the gateway hears it
@@ -573,8 +605,10 @@ class TestScopedObservation:
         sim = Simulation(GameConfig(packets_total=16, master_seed=3), g, assignment)
         while sim.step_round():
             for ctx in sim.contexts.values():
+                profiles = ctx.observer.profiles
                 for subject in range(10):
-                    assert ctx.observer.estimated_profit(subject) == sim.balances[subject]
+                    profit = profiles[subject].estimated_profit if subject in profiles else 0
+                    assert profit == sim.balances[subject]
 
 
 class TestValidationAndOutputs:

@@ -5,12 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bidforward.model import BACKBONE, AuctionRequest, EventKind, GameEvent
+from bidforward.model import BACKBONE, EventKind, GameEvent
 from bidforward.observation import (
     ObservationScope,
     ObserverStore,
-    fairness_update,
-    ingest,
     merge_pack,
     parse_scope_spec,
     profiles_csv,
@@ -23,14 +21,19 @@ def ev(rnd, seq, kind, pid, node, amount, location=None, **fields):
                      node if location is None else location, **fields)
 
 
+def ingest(store, event, scope, view):
+    """Apply ``event`` iff the scope, with the owner's ``view``, hears it (the engine's rule)."""
+    return scope.visible(event.location, view) and store.apply(event)
+
+
 class TestIngest:
     def test_delivery_payments_mirror_settlement(self):
         # Path [(4, 90), (5, 60)]: node 4 keeps 30, node 5 keeps 60.
         store = ObserverStore(owner=0)
         store.apply(ev(0, 0, EventKind.PAYMENT, 0, 4, 30))
         store.apply(ev(0, 1, EventKind.PAYMENT, 0, 5, 60))
-        assert store.estimated_profit(4) == 30
-        assert store.estimated_profit(5) == 60
+        assert store.profiles[4].estimated_profit == 30
+        assert store.profiles[5].estimated_profit == 60
 
     def test_out_of_range_event_ignored(self):
         g = generate("grid", 5, cols=1)  # path 0-1-2-3-4
@@ -45,7 +48,7 @@ class TestIngest:
         store = ObserverStore(owner=0)
         scope = ObservationScope("khop", owner=0, k=1)
         assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, view_of(g, 0, 1))
-        assert store.estimated_profit(1) == 99
+        assert store.profiles[1].estimated_profit == 99
 
     def test_drop_updates_counters_and_profit(self):
         store = ObserverStore(owner=0)
@@ -54,19 +57,19 @@ class TestIngest:
         store.apply(ev(0, 2, EventKind.DROPPED, 0, 5, 200))
         store.apply(ev(0, 3, EventKind.FINE_ASSESSED, 0, 4, 100))
         store.apply(ev(0, 4, EventKind.FINE_ASSESSED, 0, 5, 100))
-        assert store.estimated_profit(4) == -100
-        assert store.estimated_profit(5) == -100
+        assert store.profiles[4].estimated_profit == -100
+        assert store.profiles[5].estimated_profit == -100
         assert store.profile(4).observed_custodies == 1
         assert store.profile(5).observed_drops == 1
         assert store.profile(4).observed_drops == 0
         assert store.known_path(0) == [4, 5]
 
     def test_duplicate_events_apply_once(self):
-        store = ObserverStore(owner=0)
+        store = ObserverStore(owner=0, retain_events=True)
         event = ev(0, 0, EventKind.PAYMENT, 0, 4, 30)
         assert store.apply(event)
         assert not store.apply(event)
-        assert store.estimated_profit(4) == 30
+        assert store.profiles[4].estimated_profit == 30
 
     def test_drop_rate_safe_denominator(self):
         store = ObserverStore(owner=0)
@@ -89,28 +92,29 @@ class TestScope:
 
 
 class TestFairness:
-    def make_request(self, ceiling, dist, holder=3):
-        return AuctionRequest(0, 9, ceiling, 200, 3, holder, dist)
+    def announce(self, store, ceiling, dist, incoming_promise, holder=3):
+        store.apply(ev(0, 0, EventKind.AUCTION_ANNOUNCED, 0, holder, ceiling,
+                       dest=9, dist=dist, prev=incoming_promise))
 
     def test_exactly_fair_announcement(self):
         store = ObserverStore(owner=0)
-        fairness_update(store, self.make_request(60, 3), incoming_promise=90)
+        self.announce(store, 60, 3, incoming_promise=90)
         assert store.profile(3).fairness_deviation == 0
 
     def test_greedy_announcement(self):
         store = ObserverStore(owner=0)
-        fairness_update(store, self.make_request(30, 3), incoming_promise=90)
+        self.announce(store, 30, 3, incoming_promise=90)
         assert store.profile(3).fairness_deviation == Fraction(1, 3)
 
     def test_keeping_everything(self):
         store = ObserverStore(owner=0)
-        fairness_update(store, self.make_request(0, 2), incoming_promise=100)
+        self.announce(store, 0, 2, incoming_promise=100)
         assert store.profile(3).fairness_deviation == Fraction(1, 2)
 
     def test_deviation_accumulates(self):
         store = ObserverStore(owner=0)
-        fairness_update(store, self.make_request(30, 3), incoming_promise=90)
-        fairness_update(store, self.make_request(0, 2), incoming_promise=100)
+        self.announce(store, 30, 3, incoming_promise=90)
+        self.announce(store, 0, 2, incoming_promise=100)
         assert store.profile(3).fairness_deviation == Fraction(1, 3) + Fraction(1, 2)
 
     def test_announcement_event_drives_update(self):
@@ -136,8 +140,8 @@ class TestMergePack:
         b.apply(e2)
         merge_pack([a, b])
         for store in (a, b):
-            assert store.estimated_profit(4) == 30
-            assert store.estimated_profit(5) == 60
+            assert store.profiles[4].estimated_profit == 30
+            assert store.profiles[5].estimated_profit == 60
 
     def test_shared_event_counted_once(self):
         a = ObserverStore(owner=1, retain_events=True)
@@ -146,8 +150,8 @@ class TestMergePack:
         a.apply(e1)
         b.apply(e1)
         merge_pack([a, b])
-        assert a.estimated_profit(4) == 30
-        assert b.estimated_profit(4) == 30
+        assert a.profiles[4].estimated_profit == 30
+        assert b.profiles[4].estimated_profit == 30
 
     def test_idempotent_and_commutative(self):
         def build():
@@ -243,7 +247,7 @@ class TestIncrementalMergeMatchesRebuild:
             nonlocal rnd, seq
             merge_pack([stores[i] for i in order if i < n_stores])
             rnd, seq = rnd + 1, 0  # the engine merges at the end of a round
-            reference = ObserverStore(owner=0)
+            reference = ObserverStore(owner=0, retain_events=True)
             for event_id in sorted(union):
                 reference.apply(union[event_id])
             for store in stores:
@@ -278,5 +282,5 @@ class TestProfilesCsv:
     def test_rows(self):
         store = ObserverStore(owner=1)
         store.apply(ev(0, 0, EventKind.PAYMENT, 0, 4, 30))
-        rows = profiles_csv([store], round_no=7)
+        rows = profiles_csv([(1, store)], round_no=7)
         assert rows == ["7,1,4,30,0.000000,0.000000"]

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +10,6 @@ from bidforward.predictor import (
     PredictorConfig,
     neighborhood,
     predict_bid,
-    prober_next,
-    prober_start,
 )
 
 
@@ -127,46 +126,53 @@ class TestPredict:
             assert predict_bid(h_large, 50, 4) <= predict_bid(h_small, 50, 4)
 
 
-class TestProber:
-    def test_first_bid_is_center(self):
-        state = prober_start(0, 100)
-        assert state.last_bid == 50
+class TestSharedTape:
+    """Each owner's window onto a shared tape holds what a private deque would."""
 
-    def test_win_moves_up(self):
-        state = prober_next(prober_start(0, 100), won=True)
-        assert state.last_bid == 75
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bids=st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 50)), max_size=90
+        ),
+        max_history=st.integers(1, 6),
+        max_age=st.integers(0, 6),
+        lag=st.integers(0, 4),
+    )
+    def test_windows_equal_private_deques(self, bids, max_history, max_age, lag):
+        cfg = PredictorConfig(max_history=max_history, max_age_rounds=max_age)
+        writer = BidHistory(cfg)
+        owners = [None, 0, 1, 2]
+        windows = {o: BidHistory(cfg, o, writer.tape) for o in owners[1:]}
+        windows[None] = writer
+        private = {o: deque(maxlen=max_history) for o in owners}
+        rnd = 0
+        for bidder, step, amount in bids:
+            rnd += step
+            point = BidHistoryPoint(50, 2, amount, rnd)
+            writer.record(point, bidder)
+            for owner, points in private.items():
+                if bidder != owner:
+                    points.append(point)
+                    while points[0].round < rnd - max_age:
+                        points.popleft()
+            assert len(writer.tape.points) <= 4 * max_history
+            for owner in owners:
+                now = rnd + lag
+                live = [p for p in private[owner] if p.round >= now - max_age]
+                assert windows[owner].points() == list(private[owner])
+                assert windows[owner].points(now) == live
+                assert len(windows[owner]) == len(private[owner])
 
-    def test_loss_moves_down(self):
-        state = prober_next(prober_start(0, 100), won=False)
-        assert state.last_bid == 25
+    def test_owner_bids_do_not_age_out_older_points(self):
+        cfg = PredictorConfig(max_age_rounds=5)
+        writer = BidHistory(cfg)
+        mine = BidHistory(cfg, 1, writer.tape)
+        writer.record(BidHistoryPoint(100, 3, 40, 0), 2)
+        writer.record(BidHistoryPoint(100, 3, 30, 10), 1)
+        assert [p.observed_bid for p in mine.points()] == [40]
+        assert [p.observed_bid for p in writer.points()] == [30]
 
-    def test_width_strictly_decreases(self):
-        state = prober_start(0, 100)
-        while state.width > 1:
-            before = state.width
-            state = prober_next(state, won=(state.last_bid % 2 == 0))
-            assert state.width < before
-
-    def test_brackets_every_hidden_bid(self):
-        # Lowest bid wins; we win iff our bid strictly undercuts the rival.
-        for rival in range(1, 100):
-            state = prober_start(0, 100)
-            for _ in range(7):  # ceil(log2(100))
-                state = prober_next(state, won=state.last_bid < rival)
-            assert state.width <= 1
-            assert state.lo < rival <= state.hi
-
-    def test_invalid_interval_rejected(self):
+    def test_points_must_come_in_round_order(self):
+        history = history_from([(100, 3, 40, 5)], PredictorConfig())
         with pytest.raises(ValueError):
-            prober_start(5, 4)
-
-
-class TestHistoryCsv:
-    def test_round_trip(self, predictor_cfg):
-        h = history_from([(100, 3, 40, 2), (80, 2, 10, 5)], predictor_cfg)
-        text = h.to_csv()
-        assert text.splitlines()[0] == "round,max_allowed,hop_count,observed_bid"
-        back = BidHistory.from_csv(text, predictor_cfg)
-        assert [(p.max_allowed, p.hop_count, p.observed_bid, p.round) for p in back.points()] == [
-            (100, 3, 40, 2), (80, 2, 10, 5),
-        ]
+            history.record(BidHistoryPoint(100, 3, 40, 4))
