@@ -82,6 +82,8 @@ def cmd_tournament(args) -> int:
     tree = _load_tree(args)
     spec, extras = cfg.build_tournament(tree, args.seed)
     workers = args.workers if args.workers is not None else extras["workers"]
+    if workers < 1:
+        raise cfg.ConfigError("--workers: must be >= 1")
     if extras["sweep"] is None:
         table = run_tournament(spec, workers=workers)
         _write(os.path.join(args.out, "ranktable.csv"), table.to_csv())

@@ -15,9 +15,16 @@ import yaml
 
 from .engine import EngineError, GameConfig
 from .predictor import PredictorConfig
-from .strategies import STRATEGY_REGISTRY
+from .strategies import STRATEGY_REGISTRY, build_strategy
 from .topology import TopologyError, TopologyGraph
-from .tournament import CellSpec, MixEntry, TopologySpec, TournamentSpec, make_mix_entry
+from .tournament import (
+    SWEEP_AXES,
+    CellSpec,
+    MixEntry,
+    TopologySpec,
+    TournamentSpec,
+    make_mix_entry,
+)
 
 
 class ConfigError(ValueError):
@@ -70,14 +77,26 @@ def _section(tree: dict, name: str) -> dict:
     return sec
 
 
+def _number(value, where: str, kind=int):
+    """``value`` as an int or a float; a bool, or a fraction where an int is due, is an error."""
+    fraction = kind is int and isinstance(value, float) and not value.is_integer()
+    if not isinstance(value, bool) and not fraction:
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+
+
+def _flag(value, where: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where}: expected true or false, got {value!r}")
+    return value
+
+
 def _take(section: dict, name: str, field: str, kind, default):
     value = section.get(field, default)
-    if value is None:
-        return None
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{name}.{field}: expected {kind.__name__}, got {value!r}") from None
+    return None if value is None else _number(value, f"{name}.{field}", kind)
 
 
 def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfig:
@@ -98,7 +117,7 @@ def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfi
             packets_total=_take(game, "game", "packets_total", int, 50),
             injection_rate=_take(game, "game", "injection_rate", int, 2),
             observation=str(game.get("observation", "global")),
-            forced_bid_mode=bool(game.get("forced_bid_mode", False)),
+            forced_bid_mode=_flag(game.get("forced_bid_mode", False), "game.forced_bid_mode"),
             fine_mode=str(game.get("fine_mode", "path-split")),
             churn_rate=_take(game, "game", "churn_rate", float, 0.0),
             master_seed=seed,
@@ -127,7 +146,7 @@ def build_topology_spec(tree: dict) -> TopologySpec:
         n=_take(topo, "topology", "n", int, 20),
         radius=_take(topo, "topology", "radius", float, 0.35),
         cols=_take(topo, "topology", "cols", int, None),
-        gateways=tuple(int(g) for g in gateways),
+        gateways=tuple(_number(g, "topology.gateways") for g in gateways),
         seed=_take(topo, "topology", "seed", int, None),
     )
 
@@ -184,10 +203,10 @@ def build_predictor_config(tree: dict, game: GameConfig) -> PredictorConfig:
 
 def parse_node_set(spec: object) -> tuple[int, ...]:
     """Node ids from ``"0-4,7"`` style strings, ints, or int lists."""
-    if isinstance(spec, int):
-        return (spec,)
+    if isinstance(spec, (int, float)):
+        spec = [spec]
     if isinstance(spec, (list, tuple)):
-        return tuple(int(x) for x in spec)
+        return tuple(_number(x, "node id") for x in spec)
     out: list[int] = []
     for chunk in str(spec).split(","):
         chunk = chunk.strip()
@@ -230,18 +249,26 @@ def build_mix(tree: dict) -> tuple[MixEntry, ...]:
         params = raw.get("params") or {}
         if not isinstance(params, dict):
             raise ConfigError(f"{where}.params: must be a mapping")
+        try:
+            build_strategy(name, params)
+        except ValueError as exc:
+            raise ConfigError(f"{where}.params: {exc}") from None
         nodes = raw.get("nodes")
         count = raw.get("count")
-        rest = raw.get("rest", False)
+        rest = _flag(raw.get("rest", False), f"{where}.rest")
         extra_keys = set(raw) - {"strategy", "params", "nodes", "count", "rest"}
         if extra_keys:
             raise ConfigError(f"{where}.{sorted(extra_keys)[0]}: unknown field")
         if sum(x is not None and x is not False for x in (nodes, count, rest)) != 1:
             raise ConfigError(f"{where}: give exactly one of nodes, count, rest")
         if nodes is not None:
-            mix.append(make_mix_entry(str(name), params, nodes=parse_node_set(nodes)))
+            try:
+                selected = parse_node_set(nodes)
+            except ConfigError as exc:
+                raise ConfigError(f"{where}.nodes: {exc}") from None
+            mix.append(make_mix_entry(str(name), params, nodes=selected))
         elif count is not None:
-            mix.append(make_mix_entry(str(name), params, count=int(count)))
+            mix.append(make_mix_entry(str(name), params, count=_number(count, f"{where}.count")))
         else:
             mix.append(make_mix_entry(str(name), params))
     return tuple(mix)
@@ -271,6 +298,8 @@ def build_tournament(
             raise ConfigError(f"tournament.{key}: unknown field")
     seeds = _take(section, "tournament", "seeds", int, 5)
     workers = _take(section, "tournament", "workers", int, 1)
+    if workers is None or workers < 1:
+        raise ConfigError("tournament.workers: must be >= 1")
     master = (
         seed_override
         if seed_override is not None
@@ -302,8 +331,8 @@ def build_tournament(
             raise ConfigError("tournament.sweep: must be a mapping")
         axis = sweep_def.get("axis")
         values = sweep_def.get("values")
-        if axis not in ("fine", "ttl", "churn"):
-            raise ConfigError("tournament.sweep.axis: must be fine, ttl or churn")
+        if axis not in SWEEP_AXES:
+            raise ConfigError(f"tournament.sweep.axis: must be one of {', '.join(SWEEP_AXES)}")
         if not isinstance(values, list) or not values:
             raise ConfigError("tournament.sweep.values: need a non-empty list")
         extras["sweep"] = (str(axis), list(values))

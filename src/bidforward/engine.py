@@ -8,6 +8,12 @@ becomes the ceiling bound for the next hop. Adjacent destinations are
 delivered directly with no auction. Custody transfers consume TTL; running
 out, finding no bidder, or a deliberate drop ends the packet with a fine.
 
+Every event goes to the observer stores and bid histories that hear it and
+act on its kind. The scope decides which those are: under ``global`` all
+subscribers share one store and one bid history, so each event is folded in
+at most twice; under ``khop:<k>`` every subscriber keeps its own and hears
+the events within k hops of it.
+
 A run is strictly sequential and deterministic for a given config, graph,
 assignment and master seed.
 """
@@ -15,7 +21,8 @@ assignment and master seed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable
 
 from .model import (
     BACKBONE,
@@ -30,13 +37,7 @@ from .model import (
     PathLedger,
     validate_bid,
 )
-from .observation import (
-    OBSERVED_KINDS,
-    ObservationScope,
-    ObserverStore,
-    merge_pack,
-    parse_scope_spec,
-)
+from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
 from .predictor import BID_KINDS, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
@@ -44,8 +45,8 @@ from .topology import NodeView, TopologyGraph, churn, view_of
 
 FINE_MODES = ("path-split", "dropper-only")
 
-#: A subscriber as an event's audience calls it: ``strategy.on_event(event, ctx)``.
-Listener = tuple[Strategy, StrategyContext]
+#: What an event's audience calls: a bound ``ObserverStore.apply`` or ``BidHistory.observe``.
+Sink = Callable[[GameEvent], object]
 
 
 class EngineError(RuntimeError):
@@ -81,7 +82,7 @@ class GameConfig:
         if not 0.0 <= self.churn_rate <= 1.0:
             raise EngineError("churn_rate must be in [0, 1]")
         try:
-            parse_scope_spec(self.observation, 0)
+            parse_scope_spec(self.observation)
         except ValueError as exc:
             raise EngineError(f"observation: {exc}") from exc
 
@@ -213,39 +214,38 @@ class Simulation:
         self.predictor_cfg = predictor or PredictorConfig(
             budget_norm=config.budget, ttl_norm=config.ttl
         )
-        scope = parse_scope_spec(config.observation, 0)
-        self._global_scope = scope.mode == "global"
-        self._view_k = graph.n if self._global_scope else scope.k
+        self._scope = parse_scope_spec(config.observation)
+        shared = self._scope.mode == "global"
+        self._view_k = graph.n if shared else self._scope.k
 
         self._non_gateways = sorted(set(range(graph.n)) - graph.gateways)
         if not self._non_gateways:
             raise EngineError("every node is a gateway; no valid destinations exist")
 
         # Under global scope every subscriber hears every event in the same
-        # order, so all observers share one store and all bid histories one
-        # tape, each fed once per event by _emit.
-        self._shared_store: ObserverStore | None = None
-        self._shared_bids: BidHistory | None = None
-        if self._global_scope:
-            if any(s.uses_observation for s in self.strategies.values()):
-                self._shared_store = ObserverStore()
-            if any(s.uses_bid_history for s in self.strategies.values()):
-                self._shared_bids = BidHistory(self.predictor_cfg)
+        # order, so all observers share one store, and one owner-less history
+        # writes the tape that every node's history windows.
+        shared_store = ObserverStore() if shared else None
+        shared_history = BidHistory(self.predictor_cfg) if shared else None
 
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
         self.contexts: dict[NodeId, StrategyContext] = {}
+        # Each store and bid history that events feed, in ascending order of
+        # the first node using it: the context whose view scopes it, the
+        # kinds it acts on, and what the audience calls.
+        sinks: dict[object, tuple[StrategyContext, frozenset[EventKind], Sink]] = {}
         for node in range(graph.n):
             strat = self.strategies[node]
             observer = history = None
             if strat.uses_observation:
-                observer = self._shared_store
-                if observer is None:
-                    observer = ObserverStore(node, retain_events=strat.pack is not None)
+                observer = shared_store or ObserverStore(
+                    node, retain_events=strat.pack is not None
+                )
             if strat.uses_bid_history:
-                tape = None if self._shared_bids is None else self._shared_bids.tape
+                tape = None if shared_history is None else shared_history.tape
                 history = BidHistory(self.predictor_cfg, node, tape)
-            self.contexts[node] = StrategyContext(
+            ctx = self.contexts[node] = StrategyContext(
                 node=node,
                 view=None,  # type: ignore[arg-type]  # set by _rebuild_views
                 rng=random.Random(derive_seed(seed, "node", node)),
@@ -258,27 +258,19 @@ class Simulation:
                 observer=observer,
                 history=history,
             )
-        # Every subscriber, in ascending node order (the order in which each
-        # event's audience hears it): its scope, the kinds it acts on, and
-        # what the audience calls.
-        self._subscribers: list[tuple[ObservationScope, frozenset[EventKind], Listener]] = []
-        for n, s in sorted(self.strategies.items()):
-            kinds: frozenset[EventKind] = frozenset()
-            if s.uses_observation:
-                kinds |= OBSERVED_KINDS if s.pack is None else frozenset(EventKind)
-            if s.uses_bid_history:
-                kinds |= BID_KINDS
-            if kinds:
-                scope = parse_scope_spec(config.observation, n)
-                self._subscribers.append((scope, kinds, (s, self.contexts[n])))
-        # Packs merge under khop scopes only: under global scope every member
-        # already shares the one store.
-        self._packs: dict[str, list[NodeId]] = {}
-        if not self._global_scope:
-            for node in sorted(self.contexts):
-                pack = self.contexts[node].pack
-                if pack is not None:
-                    self._packs.setdefault(pack, []).append(node)
+            if observer is not None:
+                kinds = frozenset(EventKind) if observer.retain_events else OBSERVED_KINDS
+                sinks.setdefault(observer, (ctx, kinds, observer.apply))
+            if history is not None:
+                feed = history if shared_history is None else shared_history
+                sinks.setdefault(feed, (ctx, BID_KINDS, feed.observe))
+        self._sinks = list(sinks.values())
+        # Only pack members' stores retain events, and only under khop
+        # scopes: under global scope every member shares the one store.
+        self._packs: dict[str, list[ObserverStore]] = {}
+        for ctx in self.contexts.values():
+            if ctx.observer is not None and ctx.observer.retain_events:
+                self._packs.setdefault(ctx.pack, []).append(ctx.observer)  # type: ignore[arg-type]
         self._rebuild_views()
 
         self.events: list[GameEvent] = []
@@ -295,13 +287,13 @@ class Simulation:
     def _rebuild_views(self) -> None:
         """Views and event audiences for the current graph.
 
-        ``_heard`` maps a location to the subscribers in scope of it, with the
-        kinds each acts on; ``_audience`` maps (location, kind) to those that
-        act on the kind.
+        ``_heard`` maps a location to the sinks in scope of it, with the kinds
+        each acts on; ``_audience`` maps (location, kind) to those that act on
+        the kind.
         """
-        self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Listener]]] = {}
-        self._audience: dict[tuple[NodeId, EventKind], list[Listener]] = {}
-        if self._global_scope:
+        self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
+        self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
+        if self._scope.mode == "global":
             shared = view_of(self.graph, 0, self._view_k)
             for ctx in self.contexts.values():
                 ctx.view = shared
@@ -333,12 +325,11 @@ class Simulation:
         prev: Money | None = None,
         reason: str | None = None,
     ) -> None:
-        """Log one event and let everyone who hears it and acts on its kind fold it in.
+        """Log one event and feed it to every sink that hears it and acts on its kind.
 
-        Under ``global`` scope the engine feeds the shared store and the
-        shared bid tape directly, once per event; no ``Strategy.on_event``
-        runs. Under ``khop`` scopes each subscriber in the audience of the
-        event's (location, kind) gets ``on_event``, in ascending node order.
+        The sinks in the audience of the event's (location, kind) are called
+        in the order of the sink table: ascending by the first node each
+        serves, a node's store before its bid history.
         """
         event = GameEvent(
             self.round, self._seq, kind, packet_id, node, amount, location,
@@ -346,25 +337,20 @@ class Simulation:
         )
         self._seq += 1
         self.events.append(event)
-        if self._global_scope:
-            if self._shared_store is not None and kind in OBSERVED_KINDS:
-                self._shared_store.apply(event)
-            if self._shared_bids is not None and kind in BID_KINDS:
-                self._shared_bids.observe(event)
-            return
         audience = self._audience.get((location, kind))
         if audience is None:
             heard = self._heard.get(location)
             if heard is None:
+                visible = self._scope.visible
                 heard = self._heard[location] = [
-                    (kinds, listener) for scope, kinds, listener in self._subscribers
-                    if scope.visible(location, listener[1].view)
+                    (kinds, sink) for ctx, kinds, sink in self._sinks
+                    if visible(location, ctx.view)
                 ]
             audience = self._audience[(location, kind)] = [
-                listener for kinds, listener in heard if kind in kinds
+                sink for kinds, sink in heard if kind in kinds
             ]
-        for strategy, ctx in audience:
-            strategy.on_event(event, ctx)
+        for sink in audience:
+            sink(event)
 
     # -- the game loop -----------------------------------------------------
 
@@ -388,7 +374,7 @@ class Simulation:
             self._injected += 1
             self._process_packet(packet)
         for pack in sorted(self._packs):
-            merge_pack([self.contexts[n].observer for n in self._packs[pack]])  # type: ignore[misc]
+            merge_pack(self._packs[pack])
         if self.config.churn_rate > 0:
             self.graph = churn(
                 self.graph,

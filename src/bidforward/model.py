@@ -117,10 +117,6 @@ class PathLedger:
     def last_node(self) -> NodeId | None:
         return self.entries[-1][0] if self.entries else None
 
-    @property
-    def last_promise(self) -> Money | None:
-        return self.entries[-1][1] if self.entries else None
-
     def extended(self, node: NodeId, promise: Money) -> "PathLedger":
         """Return a new ledger with ``(node, promise)`` appended."""
         if self.status is not LedgerStatus.IN_FLIGHT:

@@ -4,13 +4,13 @@ Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and
 custody/drop counters. ``ObserverStore.apply`` never reads its owner, so
 under ``global`` scope, where every observer hears every event in the same
-order, all observers share one store and the engine applies each event to it
-once. Under ``khop`` scopes each observer has its own store. Pack members
-merge their observations so every member ends up with the union,
-deduplicated by event identity; only their stores keep the ``applied`` set
-and an outbox. A merge exchanges only the events some member applied for the
-first time since the previous merge, so a run's merge work is linear in its
-events.
+order, all observers share one store. Under ``khop`` scopes each observer
+has its own store. Either way the engine applies each event a store hears to
+it directly, once (see ``Simulation._emit``). Pack members merge their
+observations so every member ends up with the union, deduplicated by event
+identity; only their stores keep the ``applied`` set and an outbox. A merge
+exchanges only the events some member applied for the first time since the
+previous merge, so a run's merge work is linear in its events.
 """
 
 from __future__ import annotations
@@ -44,10 +44,9 @@ OBSERVED_KINDS = frozenset(EventKind) - {_BID_PLACED, _DELIVERED}
 
 @dataclass(frozen=True)
 class ObservationScope:
-    """Which events an owner can hear: everything, or within k hops."""
+    """Which events an observer can hear: everything, or within k hops."""
 
     mode: str  # "global" | "khop"
-    owner: NodeId
     k: int = 0
 
     def __post_init__(self) -> None:
@@ -57,10 +56,10 @@ class ObservationScope:
             raise ValueError("khop scope needs k >= 1")
 
     def visible(self, location: NodeId, view: NodeView) -> bool:
-        """Whether an event at ``location`` reaches the owner; the engine's one rule.
+        """Whether an event at ``location`` reaches the owner of ``view``; the engine's one rule.
 
-        ``view`` is the owner's k-hop view, so the audience check and the
-        owner's view share one BFS bounded at k. A node location is heard
+        ``view`` is the observer's k-hop view, so the audience check and the
+        view share one BFS bounded at k. A node location is heard
         when the view knows it. The backbone sits one hop past every gateway,
         so it is heard when the view covers some gateway's neighbourhood,
         that is, when a gateway lies within k-1 hops.
@@ -72,12 +71,12 @@ class ObservationScope:
         return view.knows(location)
 
 
-def parse_scope_spec(spec: str, owner: NodeId) -> ObservationScope:
+def parse_scope_spec(spec: str) -> ObservationScope:
     """Build a scope from a config string, ``"global"`` or ``"khop:<k>"``."""
     if spec == "global":
-        return ObservationScope("global", owner)
+        return ObservationScope("global")
     if spec.startswith("khop:"):
-        return ObservationScope("khop", owner, int(spec.split(":", 1)[1]))
+        return ObservationScope("khop", int(spec.split(":", 1)[1]))
     raise ValueError(f"unknown observation spec {spec!r}")
 
 

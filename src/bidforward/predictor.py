@@ -12,8 +12,9 @@ A history is its owner's window onto a tape, an append-only log of
 points not bid by the owner, minus those more than ``max_age_rounds`` older
 than the newest of them: what a bounded deque with age eviction would hold
 if it skipped the owner's own bids. Under ``global`` observation every
-history shares one tape, filled once per bid; under ``khop`` scopes each
-history has a tape of its own.
+history shares one tape, which one owner-less history fills once per bid;
+under ``khop`` scopes each history has a tape of its own and fills it. The
+engine calls ``BidHistory.observe`` directly on the history it feeds.
 """
 
 from __future__ import annotations

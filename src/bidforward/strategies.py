@@ -3,10 +3,9 @@
 Every node runs one strategy instance. The engine consults it at four
 decision points: bidding on a neighbor's auction, choosing a winner for its
 own auction, announcing the next hop's ceiling while holding a packet, and
-optionally dropping a held packet on purpose. Under ``khop`` scopes a
-strategy also receives, through ``on_event``, the events its node can hear
-and acts on, which feed its observation store and its bid history. Under
-``global`` scope the engine feeds the one shared store and bid tape itself.
+optionally dropping a held packet on purpose. A strategy that
+``uses_observation`` or ``uses_bid_history`` reads its context's store or bid
+history; the engine feeds those itself, with the events the node can hear.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from .model import (
     BACKBONE,
     AuctionRequest,
     Bid,
-    GameEvent,
     Money,
     NodeId,
     Packet,
@@ -49,15 +47,6 @@ class StrategyContext:
     observer: ObserverStore | None = None
     history: BidHistory | None = None
     round: int = 0
-
-    @property
-    def pending_auctions(self) -> dict[int, tuple[Money, int | None, int]]:
-        """Per-packet (ceiling, advertised distance, round) of the latest announcement.
-
-        They live on the bid history's tape, so under ``global`` scope every
-        context sees the one shared table.
-        """
-        return {} if self.history is None else self.history.pending
 
     def distance_to(self, dest: NodeId, advertised: int | None = None) -> int | None:
         """Own hop distance to ``dest``; falls back to the advertised one."""
@@ -135,17 +124,6 @@ class Strategy:
     def on_hold(self, packet: Packet, ledger: PathLedger, ctx: StrategyContext) -> bool:
         """True to deliberately drop the held packet instead of auctioning it."""
         return False
-
-    def on_event(self, event: GameEvent, ctx: StrategyContext) -> None:
-        """Fold an event the node heard into its store and its bid history.
-
-        The engine calls this under ``khop`` scopes; under ``global`` scope
-        it feeds the shared store and tape itself (see ``Simulation._emit``).
-        """
-        if ctx.observer is not None:
-            ctx.observer.apply(event)
-        if ctx.history is not None:
-            ctx.history.observe(event)
 
 
 class FairSplit(Strategy):
@@ -274,6 +252,9 @@ class WolfPackParams:
             raise ValueError("drop_rate_cap must be in [0, 1]")
         if self.sabotage_budget < 0 or self.greed_margin < 0 or self.small_cap < 1:
             raise ValueError("bad wolfpack parameter")
+        for name in ("prefer_unfair", "sabotage_enabled"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValueError(f"{name} must be true or false")
 
 
 @dataclass(frozen=True)

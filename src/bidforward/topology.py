@@ -279,14 +279,6 @@ class NodeView:
         d = self._hops(node)
         return d is not None and d <= self.k - 1
 
-    def edge_set(self) -> frozenset[tuple[int, int]]:
-        return frozenset(
-            (min(u, v), max(u, v))
-            for u in range(self.graph.n)
-            if self.covers_neighborhood(u)
-            for v in self.graph.neighbors(u)
-        )
-
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
         if a == self.owner:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import os
 
@@ -269,5 +270,65 @@ class TestConfigHelpers:
             {"rest": True, "strategy": "wolfpack", "params": {"w_richness": 2}},
         ])
         conf = write_config(tmp_path, tree)
-        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 1
-        assert "wolfpack" in capsys.readouterr().err
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "wolfpack" in err and "strategies[0].params" in err
+
+
+def with_override(path, value):
+    """A copy of the demo tree with ``value`` set at the dotted ``path``."""
+    tree = copy.deepcopy(DEMO)
+    tree["tournament"] = {"seeds": 1}
+    node = tree
+    keys = path.split(".")
+    for key in keys[:-1]:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[keys[-1]] = value
+    return tree
+
+
+class TestConfigValueChecks:
+    """Values of the wrong type are config errors naming the field, never coerced."""
+
+    @pytest.mark.parametrize("path, value, field", [
+        ("game.packets_total", 20.9, "game.packets_total"),
+        ("game.ttl", True, "game.ttl"),
+        ("game.churn_rate", True, "game.churn_rate"),
+        ("predictor.max_history", 2.5, "predictor.max_history"),
+        ("topology.gateways", [0.5], "topology.gateways"),
+        ("game.forced_bid_mode", "false", "game.forced_bid_mode"),
+        ("strategies.2.rest", "yes", "strategies[2].rest"),
+        ("strategies.1.count", 1.5, "strategies[1].count"),
+        ("strategies.0.nodes", [0, 1, 2, 3.5], "strategies[0].nodes"),
+        ("strategies.0.params", {"bogus": 1}, "strategies[0].params"),
+        ("strategies.1.params.sabotage_enabled", "no", "strategies[1].params: sabotage_enabled"),
+        ("strategies.1.params.prefer_unfair", 1, "strategies[1].params: prefer_unfair"),
+    ])
+    def test_run_rejects(self, tmp_path, capsys, path, value, field):
+        conf = write_config(tmp_path, with_override(path, value))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, field", [
+        ("tournament.workers", -3, "tournament.workers"),
+        ("tournament.workers", 0, "tournament.workers"),
+        ("tournament.sweep", {"axis": "budget", "values": [1]}, "tournament.sweep.axis"),
+    ])
+    def test_tournament_rejects(self, tmp_path, capsys, path, value, field):
+        conf = write_config(tmp_path, with_override(path, value))
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_workers_flag_below_one_rejected(self, tmp_path, capsys):
+        conf = write_config(tmp_path, with_override("tournament.workers", 2))
+        args = ["tournament", "--config", conf, "--out", str(tmp_path / "t"), "--workers", "0"]
+        assert main(args) == 2
+        assert "--workers" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    def test_integral_float_and_yaml_booleans_accepted(self, tmp_path):
+        tree = with_override("game.packets_total", 4.0)
+        tree["game"]["forced_bid_mode"] = False
+        tree["strategies"][2]["rest"] = True
+        conf = write_config(tmp_path, tree)
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0

@@ -439,9 +439,9 @@ class TestNoStringFieldsOnHotPaths:
 
 
 class TestAudienceUnderChurn:
-    """Each event reaches exactly the subscribers in scope on that round's graph
-    that act on its kind. Under global scope no subscriber is called: the
-    shared store and the shared bid tape take each event they act on once."""
+    """Each event reaches exactly the stores and bid histories in scope on that
+    round's graph that act on its kind, each once. Under global scope those are
+    the shared store and the shared, owner-less bid history."""
 
     @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
     def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation, monkeypatch):
@@ -453,62 +453,58 @@ class TestAudienceUnderChurn:
             EventKind.AUCTION_ANNOUNCED, EventKind.BID_PLACED,
             EventKind.DELIVERED, EventKind.DROPPED,
         }
+        store_kinds = set(EventKind) - {EventKind.BID_PLACED, EventKind.DELIVERED}
         # A sniper keeps a bid history only; a wolfpack in no pack keeps a
-        # history and a store, which ignores bids and deliveries.
-        acts_on = {"sniper": bid_kinds, "wolfpack": set(EventKind)}
-        heard: dict[tuple[int, int], list[int]] = {}
-        for node, strategy in assignment.items():
-            def record(event, ctx, node=node, real=strategy.on_event):
-                assert ctx.node == node
-                heard.setdefault(event.event_id, []).append(node)
-                return real(event, ctx)
-            strategy.on_event = record
-        fed: dict[tuple[int, int], list[str]] = {}
+        # store, which ignores bids and deliveries, and a history.
+        acts_on = {
+            "sniper": [("observe", bid_kinds)],
+            "wolfpack": [("apply", store_kinds), ("observe", bid_kinds)],
+        }
+        fed: dict[tuple[int, int], list[tuple[str, int | None]]] = {}
 
         def spy(name, real):
             def wrapper(target, event):
-                fed.setdefault(event.event_id, []).append(name)
+                fed.setdefault(event.event_id, []).append((name, target.owner))
                 return real(target, event)
             return wrapper
 
-        if observation == "global":
-            monkeypatch.setattr(ObserverStore, "apply", spy("apply", ObserverStore.apply))
-            monkeypatch.setattr(BidHistory, "observe", spy("observe", BidHistory.observe))
+        monkeypatch.setattr(ObserverStore, "apply", spy("apply", ObserverStore.apply))
+        monkeypatch.setattr(BidHistory, "observe", spy("observe", BidHistory.observe))
         subscribers = sorted(node for node in range(n) if names[node % 4] != "fair")
+        shared = observation == "global"
         config = GameConfig(
             packets_total=80, injection_rate=2, observation=observation,
             churn_rate=0.05, master_seed=7,
         )
         sim = Simulation(config, g, assignment)
-        k = n if observation == "global" else int(observation.split(":")[1])
-        seen = backbone_events = 0
+        # Sinks are deduplicated before any visibility test: under global
+        # scope an audience build scans the two shared ones only.
+        own_sinks = sum(len(acts_on[names[s % 4]]) for s in subscribers)
+        assert len(sim._sinks) == (2 if shared else own_sinks)
+        k = n if shared else int(observation.split(":")[1])
+        backbone_events = 0
         graphs = set()
         while True:
             graph = sim.graph
             graphs.add(tuple(graph.edges()))
+            first = len(sim.events)
             if not sim.step_round():
                 break
             hops = dict(nx.all_pairs_shortest_path_length(nx.Graph(graph.edges())))
-            for event in sim.events[seen:]:
+            for event in sim.events[first:]:
                 if event.location == BACKBONE:
                     backbone_events += 1
                     reach = {s: 1 + min(hops[s][gw] for gw in graph.gateways) for s in subscribers}
                 else:
                     reach = {s: hops[s][event.location] for s in subscribers}
-                if observation == "global":
-                    expected = []
-                    shared = ["observe"] if event.kind in bid_kinds else []
-                    if event.kind not in (EventKind.BID_PLACED, EventKind.DELIVERED):
-                        shared.insert(0, "apply")
-                    assert fed.pop(event.event_id, []) == shared, event
-                else:
-                    expected = [
-                        s for s in subscribers
-                        if reach[s] <= k and event.kind in acts_on[names[s % 4]]
-                    ]
-                assert heard.pop(event.event_id, []) == expected, event
-            seen = len(sim.events)
-        assert not heard and not fed
+                expected = []
+                for s in subscribers:
+                    for name, kinds in acts_on[names[s % 4]]:
+                        target = (name, None if shared else s)
+                        if reach[s] <= k and event.kind in kinds and target not in expected:
+                            expected.append(target)
+                assert fed.pop(event.event_id, []) == expected, event
+        assert not fed
         assert backbone_events > 0 and len(graphs) > 10
 
 
@@ -570,7 +566,7 @@ class TestPendingAuctions:
         # packet's end; every packet still ends within its own round.
         while sim.step_round():
             for ctx in snipers:
-                assert len(ctx.pending_auctions) <= config.injection_rate
+                assert len(ctx.history.pending) <= config.injection_rate
 
 
 class TestScopedObservation:

@@ -88,7 +88,6 @@ class TestPathLedger:
         assert ledger.nodes == (1, 2)
         assert ledger.promises == (90, 60)
         assert ledger.last_node == 2
-        assert ledger.last_promise == 60
         assert len(ledger) == 2
 
 

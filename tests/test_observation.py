@@ -38,7 +38,7 @@ class TestIngest:
     def test_out_of_range_event_ignored(self):
         g = generate("grid", 5, cols=1)  # path 0-1-2-3-4
         store = ObserverStore(owner=0)
-        scope = ObservationScope("khop", owner=0, k=1)
+        scope = ObservationScope("khop", k=1)
         applied = ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 3, 99), scope, view_of(g, 0, 1))
         assert not applied
         assert store.profiles == {}
@@ -46,7 +46,7 @@ class TestIngest:
     def test_in_range_event_applied(self):
         g = generate("grid", 5, cols=1)
         store = ObserverStore(owner=0)
-        scope = ObservationScope("khop", owner=0, k=1)
+        scope = ObservationScope("khop", k=1)
         assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, view_of(g, 0, 1))
         assert store.profiles[1].estimated_profit == 99
 
@@ -78,17 +78,17 @@ class TestIngest:
 
 class TestScope:
     def test_parse(self):
-        assert parse_scope_spec("global", 3).mode == "global"
-        scope = parse_scope_spec("khop:2", 3)
-        assert (scope.mode, scope.k, scope.owner) == ("khop", 2, 3)
+        assert parse_scope_spec("global").mode == "global"
+        scope = parse_scope_spec("khop:2")
+        assert (scope.mode, scope.k) == ("khop", 2)
         with pytest.raises(ValueError):
-            parse_scope_spec("near", 0)
+            parse_scope_spec("near")
 
     def test_backbone_location_visible_near_gateway(self):
         g = generate("grid", 5, cols=1, gateways=(0,))
-        assert ObservationScope("khop", owner=0, k=1).visible(-1, view_of(g, 0, 1))
-        assert not ObservationScope("khop", owner=2, k=1).visible(-1, view_of(g, 2, 1))
-        assert ObservationScope("khop", owner=2, k=3).visible(-1, view_of(g, 2, 3))
+        assert ObservationScope("khop", k=1).visible(-1, view_of(g, 0, 1))
+        assert not ObservationScope("khop", k=1).visible(-1, view_of(g, 2, 1))
+        assert ObservationScope("khop", k=3).visible(-1, view_of(g, 2, 3))
 
 
 class TestFairness:
@@ -177,8 +177,8 @@ class TestMergePack:
         g = generate("grid", 5, cols=1)
         a = ObserverStore(owner=0, retain_events=True)
         b = ObserverStore(owner=4, retain_events=True)
-        scope_a = ObservationScope("khop", owner=0, k=1)
-        scope_b = ObservationScope("khop", owner=4, k=1)
+        scope_a = ObservationScope("khop", k=1)
+        scope_b = ObservationScope("khop", k=1)
         for seq, node in enumerate(range(5)):
             event = ev(0, seq, EventKind.PAYMENT, seq, node, 10)
             ingest(a, event, scope_a, view_of(g, 0, 1))

@@ -345,17 +345,15 @@ class TestZeroValuedEventFields:
     def test_zero_distance_bid_is_recorded(self):
         g = generate("ring", 8)
         ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
-        sniper = LastHopSniper()
-        sniper.on_event(self.announcement(40, dist=0, prev=90), ctx)
-        sniper.on_event(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1), ctx)
+        ctx.history.observe(self.announcement(40, dist=0, prev=90))
+        ctx.history.observe(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
         assert ctx.history.points() == [BidHistoryPoint(40, 0, 30, 0)]
 
     def test_missing_distance_records_nothing(self):
         g = generate("ring", 8)
         ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
-        sniper = LastHopSniper()
-        sniper.on_event(self.announcement(40, dist=None, prev=90), ctx)
-        sniper.on_event(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1), ctx)
+        ctx.history.observe(self.announcement(40, dist=None, prev=90))
+        ctx.history.observe(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
         assert ctx.history.points() == []
 
 
@@ -400,3 +398,6 @@ class TestRegistry:
             WolfPackParams(rich_threshold=0)
         with pytest.raises(ValueError):
             LastHopSniper(small_cap=0)
+        for name in ("sabotage_enabled", "prefer_unfair"):
+            with pytest.raises(ValueError, match=name):
+                WolfPackParams(**{name: "no"})

@@ -35,7 +35,7 @@ config = GameConfig(
 )
 result = Simulation(config, graph, assignment).run()
 assert tracer.counts["engine.events"] == len(result.events) > 0
-assert tracer.counts["strategies.on_event_calls"] > 0
+assert tracer.counts["predictor.record_calls"] > 0
 assert tracer.counts["observation.apply_calls"] > 0
 assert tracer.counts["engine.bids"] > 0
 spans = {span[0] for span in tracer.spans}
