@@ -84,10 +84,12 @@ def cmd_tournament(args) -> int:
     workers = args.workers if args.workers is not None else extras["workers"]
     if workers < 1:
         raise cfg.ConfigError("--workers: must be >= 1")
+    failed: list[str] = []
     if extras["sweep"] is None:
         table = run_tournament(spec, workers=workers)
         _write(os.path.join(args.out, "ranktable.csv"), table.to_csv())
         print(table.summary())
+        failed.extend(table.errors)
     else:
         axis, values = extras["sweep"]
         if len(spec.cells) != 1:
@@ -104,8 +106,12 @@ def cmd_tournament(args) -> int:
                 combined_lines.append(body[0])
             combined_lines.extend(body[1:])
             print(table.summary())
+            failed.extend(table.errors)
         _write(os.path.join(args.out, "ranktable.csv"), "\n".join(combined_lines) + "\n")
     print(f"outputs in {args.out}/")
+    if failed:
+        print(f"error: {len(failed)} cell(s) failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -95,8 +95,11 @@ def _flag(value, where: str) -> bool:
 
 
 def _take(section: dict, name: str, field: str, kind, default):
+    """``section[field]`` read by ``_number``; ``null`` only where the default is None."""
     value = section.get(field, default)
-    return None if value is None else _number(value, f"{name}.{field}", kind)
+    if value is None and default is None:
+        return None
+    return _number(value, f"{name}.{field}", kind)
 
 
 def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfig:
@@ -187,16 +190,17 @@ def build_predictor_config(tree: dict, game: GameConfig) -> PredictorConfig:
     for key in pred:
         if key not in known:
             raise ConfigError(f"predictor.{key}: unknown field")
+    fields = dict(
+        epsilon=_take(pred, "predictor", "epsilon", float, 0.15),
+        min_bid_floor=_take(pred, "predictor", "min_bid_floor", int, 1),
+        max_history=_take(pred, "predictor", "max_history", int, 128),
+        max_age_rounds=_take(pred, "predictor", "max_age_rounds", int, 512),
+        budget_norm=_take(pred, "predictor", "budget_norm", int, game.budget),
+        ttl_norm=_take(pred, "predictor", "ttl_norm", int, game.ttl),
+        fallback_fraction=_take(pred, "predictor", "fallback_fraction", float, 0.5),
+    )
     try:
-        return PredictorConfig(
-            epsilon=_take(pred, "predictor", "epsilon", float, 0.15),
-            min_bid_floor=_take(pred, "predictor", "min_bid_floor", int, 1),
-            max_history=_take(pred, "predictor", "max_history", int, 128),
-            max_age_rounds=_take(pred, "predictor", "max_age_rounds", int, 512),
-            budget_norm=_take(pred, "predictor", "budget_norm", int, game.budget),
-            ttl_norm=_take(pred, "predictor", "ttl_norm", int, game.ttl),
-            fallback_fraction=_take(pred, "predictor", "fallback_fraction", float, 0.5),
-        )
+        return PredictorConfig(**fields)
     except ValueError as exc:
         raise ConfigError(f"predictor: {exc}") from exc
 
@@ -297,8 +301,10 @@ def build_tournament(
         if key not in known:
             raise ConfigError(f"tournament.{key}: unknown field")
     seeds = _take(section, "tournament", "seeds", int, 5)
+    if seeds < 1:
+        raise ConfigError("tournament.seeds: must be >= 1")
     workers = _take(section, "tournament", "workers", int, 1)
-    if workers is None or workers < 1:
+    if workers < 1:
         raise ConfigError("tournament.workers: must be >= 1")
     master = (
         seed_override

@@ -14,7 +14,9 @@ than the newest of them: what a bounded deque with age eviction would hold
 if it skipped the owner's own bids. Under ``global`` observation every
 history shares one tape, which one owner-less history fills once per bid;
 under ``khop`` scopes each history has a tape of its own and fills it. The
-engine calls ``BidHistory.observe`` directly on the history it feeds.
+engine calls ``BidHistory.observe`` directly on the history it feeds. A tape's
+``pending`` maps a packet to its latest announcement event; the histories
+that heard both that announcement and a bid on it record one shared point.
 """
 
 from __future__ import annotations
@@ -34,6 +36,14 @@ _DELIVERED = EventKind.DELIVERED
 _DROPPED = EventKind.DROPPED
 
 _ROUND = attrgetter("round")
+
+# The announcement and bid the last point was built from, and that point.
+# The engine feeds an event to every history that hears it before the next
+# event, so histories fed in a row that heard the same announcement share
+# the point. A hit needs the very same two event objects, so runs cannot see
+# each other through it. A module global, because rebinding a class
+# attribute once per bid would invalidate the class's attribute cache.
+_last_point: tuple = (None, None, None)
 
 #: The kinds ``BidHistory.observe`` acts on.
 BID_KINDS = frozenset({_ANNOUNCED, _BID_PLACED, _DELIVERED, _DROPPED})
@@ -89,8 +99,8 @@ class BidTape:
 
     Records are appended in round order. Every history that windows the tape
     registers its owner in ``owners``. ``pending`` maps a packet to its
-    latest announcement ``(ceiling, advertised distance, round)``, against
-    which a bid on that packet is recorded. Once the tape holds more than
+    latest ``AUCTION_ANNOUNCED`` event, whose ceiling and advertised distance
+    a bid on that packet is recorded against. Once the tape holds more than
     ``limit`` records it drops every record that no owner's window can reach
     again. That leaves at most two windows' worth, and ``limit`` becomes
     twice what is left, but at least two windows' worth: the tape never
@@ -103,7 +113,7 @@ class BidTape:
         self.points: list[BidHistoryPoint] = []
         self.bidders: list[NodeId | None] = []
         self.owners: set[NodeId | None] = set()
-        self.pending: dict[int, tuple[Money, int | None, int]] = {}
+        self.pending: dict[int, GameEvent] = {}
         self.limit = 2 * cfg.max_history
 
     def first_live(self, cutoff: int, start: int) -> int:
@@ -162,7 +172,7 @@ class BidHistory:
 
     Without an ``owner`` the window holds every bidder's records; without a
     ``tape`` the history gets one of its own. ``pending`` is the tape's table
-    of announcements.
+    of latest announcement events.
     """
 
     def __init__(
@@ -218,20 +228,27 @@ class BidHistory:
         """Fold one heard event in: track announcements, record others' bids.
 
         A bid is recorded against its packet's latest announcement, and only
-        when that announcement carried a distance (a 0 is one). Wins,
+        when that announcement carried a distance (a 0 is one). The point is
+        built once per (announcement, bid) pair: a history that heard the
+        same announcement as the history fed the bid before it records the
+        same object, one that heard an older announcement gets its own. Wins,
         payments and fines are ignored.
         """
+        global _last_point
         kind = event.kind
         if kind is _BID_PLACED:
             if event.node != self.owner:
                 announced = self.pending.get(event.packet_id)
-                if announced is not None and announced[1] is not None:
-                    ceiling, dist, _ = announced
-                    self.record(
-                        BidHistoryPoint(ceiling, dist, event.amount, event.round), event.node
-                    )
+                if announced is not None and announced.dist is not None:
+                    last_announced, last_bid, point = _last_point
+                    if last_bid is not event or last_announced is not announced:
+                        point = BidHistoryPoint(
+                            announced.amount, announced.dist, event.amount, event.round
+                        )
+                        _last_point = (announced, event, point)
+                    self.record(point, event.node)
         elif kind is _ANNOUNCED:
-            self.pending[event.packet_id] = (event.amount, event.dist, event.round)
+            self.pending[event.packet_id] = event
         elif kind is _DELIVERED or kind is _DROPPED:
             self.pending.pop(event.packet_id, None)
 

@@ -225,8 +225,12 @@ class NodeView:
     the first query; the graph's own BFS cache is not used. The owner's
     distance to a known node is exact, because every shortest path of length
     at most k lies inside the view. The view's adjacency is built once, on
-    the first ``neighbors`` query or distance from another source; such
-    distances run a BFS over it, cached per source.
+    the first ``neighbors`` query or distance between two other nodes. It is
+    symmetric, so ``distance(a, b) == distance(b, a)``: a distance to the
+    owner is read off the owner's list too, and any other distance off a
+    cached BFS over the view from either end, or else from a new one from
+    ``b``. A chooser asks ``distance(bidder, dest)`` for many bidders and
+    one destination, so that is one BFS per destination.
     """
 
     __slots__ = ("graph", "owner", "k", "_own", "_adj", "_dist")
@@ -281,14 +285,21 @@ class NodeView:
 
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
-        if a == self.owner:
+        owner = self.owner
+        if a == owner:
             return self._hops(b)
+        if b == owner:
+            return self._hops(a)
         if not self.knows(a) or not self.knows(b):
             return None
-        from_a = self._dist.get(a)
-        if from_a is None:
-            from_a = self._dist[a] = _bfs(self._adjacency().__getitem__, self.graph.n, a)
-        return from_a[b]
+        dist = self._dist
+        from_a = dist.get(a)
+        if from_a is not None:
+            return from_a[b]
+        from_b = dist.get(b)
+        if from_b is None:
+            from_b = dist[b] = _bfs(self._adjacency().__getitem__, self.graph.n, b)
+        return from_b[a]
 
 
 def view_of(g: TopologyGraph, owner: NodeId, k: int) -> NodeView:

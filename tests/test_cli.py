@@ -220,6 +220,18 @@ class TestTournamentCommand:
         assert os.path.exists(os.path.join(out, "ranktable_fine_0.csv"))
         assert not os.path.exists(os.path.join(out, "ranktable_fine_200.csv"))
 
+    @pytest.mark.parametrize("sweep", [None, {"axis": "fine", "values": [0, 200]}])
+    def test_failed_cells_exit_one(self, tmp_path, capsys, sweep):
+        tree = self.tournament_tree(sweep=sweep)
+        # No geometric graph this sparse is connected: every run fails.
+        tree["topology"] = dict(tree["topology"], radius=0.01)
+        conf = write_config(tmp_path, tree)
+        out = str(tmp_path / "t")
+        assert main(["tournament", "--config", conf, "--out", out]) == 1
+        captured = capsys.readouterr()
+        assert "FAILED" in captured.out and "failed" in captured.err
+        assert os.path.exists(os.path.join(out, "ranktable.csv"))
+
     def test_graph_file_rejected(self, tmp_path, capsys):
         graph_path = tmp_path / "graph.txt"
         graph_path.write_text("n 4\n0 1\n1 2\n2 3\ngateways 0\n")
@@ -318,6 +330,29 @@ class TestConfigValueChecks:
         conf = write_config(tmp_path, with_override(path, value))
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path", [
+        "game.packets_total", "game.budget", "game.churn_rate", "game.seed",
+        "topology.n", "predictor.epsilon",
+    ])
+    def test_null_rejected_where_the_default_is_not(self, tmp_path, capsys, path):
+        conf = write_config(tmp_path, with_override(path, None))
+        for command in ("run", "tournament"):
+            assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 2
+            assert path in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_null_accepted_where_the_default_is_none(self, tmp_path):
+        tree = with_override("topology.cols", None)
+        tree["topology"]["seed"] = None
+        conf = write_config(tmp_path, tree)
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0
+
+    @pytest.mark.parametrize("value", [0, -1, None])
+    def test_tournament_seeds_below_one_rejected(self, tmp_path, capsys, value):
+        conf = write_config(tmp_path, with_override("tournament.seeds", value))
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert "tournament.seeds" in capsys.readouterr().err
 
     def test_workers_flag_below_one_rejected(self, tmp_path, capsys):
         conf = write_config(tmp_path, with_override("tournament.workers", 2))

@@ -4,6 +4,8 @@ from collections import deque
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidforward.engine import GameConfig, Simulation
+from bidforward.model import EventKind, GameEvent
 from bidforward.predictor import (
     BidHistory,
     BidHistoryPoint,
@@ -11,6 +13,8 @@ from bidforward.predictor import (
     neighborhood,
     predict_bid,
 )
+from bidforward.strategies import build_strategy
+from bidforward.topology import generate
 
 
 def history_from(points, cfg):
@@ -176,3 +180,102 @@ class TestSharedTape:
         history = history_from([(100, 3, 40, 5)], PredictorConfig())
         with pytest.raises(ValueError):
             history.record(BidHistoryPoint(100, 3, 40, 4))
+
+
+def announcement(packet_id, ceiling, dist, rnd, seq=0):
+    return GameEvent(rnd, seq, EventKind.AUCTION_ANNOUNCED, packet_id, 0, ceiling, 0, dist=dist)
+
+
+def bid(packet_id, bidder, amount, rnd, seq=1):
+    return GameEvent(rnd, seq, EventKind.BID_PLACED, packet_id, bidder, amount, bidder)
+
+
+class TestObserve:
+    def heard(self, owners, *events):
+        histories = [BidHistory(PredictorConfig(), owner) for owner in owners]
+        for event in events:
+            for h in histories:
+                h.observe(event)
+        return histories
+
+    def test_histories_that_heard_one_announcement_share_its_point(self):
+        offer = bid(7, 5, 50, 1)
+        first, second = self.heard((1, 2), announcement(7, 60, 2, 1), offer)
+        assert first.points() == [BidHistoryPoint(60, 2, 50, 1)]
+        assert first.points()[0] is second.points()[0]
+
+    def test_older_announcement_gives_a_point_of_its_own(self):
+        first, second, third = self.heard((1, 2, 3), announcement(7, 80, 3, 0))
+        newer = announcement(7, 60, 2, 1)
+        first.observe(newer)
+        third.observe(newer)
+        offer = bid(7, 5, 50, 1)
+        for h in (first, second, third):
+            h.observe(offer)
+        assert second.points() == [BidHistoryPoint(80, 3, 50, 1)]
+        assert first.points() == third.points() == [BidHistoryPoint(60, 2, 50, 1)]
+
+    def test_owner_bid_and_routeless_announcement_are_not_recorded(self):
+        routeless = announcement(8, 80, None, 0)
+        (h,) = self.heard((5,), announcement(7, 80, 3, 0), bid(7, 5, 50, 0), routeless)
+        h.observe(bid(8, 4, 50, 0))
+        assert h.points() == []
+        assert h.pending[8] is routeless
+
+
+class TestSharedPointsUnderKhop:
+    """Under ``khop:2`` the histories that hear one bid share its point."""
+
+    def test_same_announcement_same_point(self, monkeypatch):
+        built = [0]
+        real_post_init = BidHistoryPoint.__post_init__
+
+        def counting_post_init(point):
+            built[0] += 1
+            real_post_init(point)
+
+        monkeypatch.setattr(BidHistoryPoint, "__post_init__", counting_post_init)
+        recorded: list[BidHistoryPoint] = []
+        real_record, real_observe = BidHistory.record, BidHistory.observe
+
+        def spy_record(history, point, bidder=None):
+            recorded.append(point)
+            real_record(history, point, bidder)
+
+        # (announcement, bid) -> the points recorded against that pair
+        heard: dict[tuple[int, int], list[BidHistoryPoint]] = {}
+        alive = []  # keeps the events alive so that their ids stay unique
+
+        def spy_observe(history, event):
+            announced = history.pending.get(event.packet_id)
+            recorded.clear()
+            real_observe(history, event)
+            if recorded:
+                assert announced is not None
+                alive.append((announced, event))
+                heard.setdefault((id(announced), id(event)), []).extend(recorded)
+
+        monkeypatch.setattr(BidHistory, "record", spy_record)
+        monkeypatch.setattr(BidHistory, "observe", spy_observe)
+        n = 50
+        g = generate("geometric", n, radius=0.3, seed=1)
+        assignment = {
+            node: build_strategy("sniper" if 1 <= node <= 10 else "fair") for node in range(n)
+        }
+        config = GameConfig(
+            packets_total=100, injection_rate=2, observation="khop:2",
+            churn_rate=0.01, master_seed=1401,
+        )
+        Simulation(config, g, assignment).run()
+        assert heard
+        for points in heard.values():
+            assert all(p is points[0] for p in points)
+        assert any(len(points) > 1 for points in heard.values())
+        for announced, event in alive:
+            point = heard[id(announced), id(event)][0]
+            assert (point.max_allowed, point.hop_count) == (announced.amount, announced.dist)
+            assert (point.observed_bid, point.round) == (event.amount, event.round)
+        # At most one construction per bid and announcement heard with it:
+        # bids times the distinct announcements heard with each.
+        assert built[0] <= len(heard)
+        assert built[0] < sum(len(points) for points in heard.values())

@@ -236,6 +236,37 @@ class TestBoundedViewWork:
         assert lookups[0] == expected
 
 
+class TestSymmetricViewDistances:
+    """A chooser asks ``distance(bidder, dest)`` for many bidders and one ``dest``."""
+
+    def test_one_bfs_per_destination(self, monkeypatch):
+        g = churn(generate("geometric", 50, radius=0.3, seed=1), 0.05, seed=3)
+        sources = []
+        real_bfs = topology._bfs
+
+        def counting_bfs(neighbors, n, src, depth=None):
+            sources.append(src)
+            return real_bfs(neighbors, n, src, depth)
+
+        monkeypatch.setattr(topology, "_bfs", counting_bfs)
+        full = nx_graph(g)
+        for owner in (0, 7, 31):
+            for k in (1, 2, 3, g.n):
+                known = [v for v in range(g.n) if view_of(g, owner, k).knows(v)]
+                for dest in known:
+                    view = view_of(g, owner, k)
+                    sources.clear()
+                    for x in range(-1, g.n + 1):
+                        view.distance(x, dest)
+                    others = [src for src in sources if src != owner]
+                    assert others == ([] if dest == owner else [dest])
+                    if k == g.n:
+                        expected = nx.single_source_shortest_path_length(full, dest)
+                        assert [view.distance(x, dest) for x in known] == [
+                            expected[x] for x in known
+                        ]
+
+
 def reference_churn(g, p, seed):
     """The original churn: every node pair in (u, v) order, a whole-graph BFS per removal."""
     rng = random.Random(seed)
