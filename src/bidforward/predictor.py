@@ -15,8 +15,8 @@ if it skipped the owner's own bids. Under ``global`` observation every
 history shares one tape, which one owner-less history fills once per bid;
 under ``khop`` scopes each history has a tape of its own and fills it. The
 engine calls ``BidHistory.observe`` directly on the history it feeds. A tape's
-``pending`` maps a packet to its latest announcement event; the histories
-that heard both that announcement and a bid on it record one shared point.
+``pending`` maps a packet to its latest announcement event; histories fed a
+bid in a row that heard the same announcement record one shared point.
 """
 
 from __future__ import annotations
@@ -228,11 +228,10 @@ class BidHistory:
         """Fold one heard event in: track announcements, record others' bids.
 
         A bid is recorded against its packet's latest announcement, and only
-        when that announcement carried a distance (a 0 is one). The point is
-        built once per (announcement, bid) pair: a history that heard the
-        same announcement as the history fed the bid before it records the
-        same object, one that heard an older announcement gets its own. Wins,
-        payments and fines are ignored.
+        when that announcement carried a distance (a 0 is one). A history
+        that heard the same announcement as the history that recorded the bid
+        before it records the same point object; any other builds its own.
+        Wins, payments and fines are ignored.
         """
         global _last_point
         kind = event.kind

@@ -225,12 +225,10 @@ class NodeView:
     the first query; the graph's own BFS cache is not used. The owner's
     distance to a known node is exact, because every shortest path of length
     at most k lies inside the view. The view's adjacency is built once, on
-    the first ``neighbors`` query or distance between two other nodes. It is
-    symmetric, so ``distance(a, b) == distance(b, a)``: a distance to the
-    owner is read off the owner's list too, and any other distance off a
-    cached BFS over the view from either end, or else from a new one from
-    ``b``. A chooser asks ``distance(bidder, dest)`` for many bidders and
-    one destination, so that is one BFS per destination.
+    the first ``neighbors`` query or distance from another source. It is
+    symmetric, so ``distance(a, b)`` reads ``a`` off one BFS over it from
+    ``b``, cached per destination: a chooser asks ``distance(bidder, dest)``
+    for many bidders and one destination.
     """
 
     __slots__ = ("graph", "owner", "k", "_own", "_adj", "_dist")
@@ -285,20 +283,13 @@ class NodeView:
 
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
-        owner = self.owner
-        if a == owner:
+        if a == self.owner:
             return self._hops(b)
-        if b == owner:
-            return self._hops(a)
         if not self.knows(a) or not self.knows(b):
             return None
-        dist = self._dist
-        from_a = dist.get(a)
-        if from_a is not None:
-            return from_a[b]
-        from_b = dist.get(b)
+        from_b = self._dist.get(b)
         if from_b is None:
-            from_b = dist[b] = _bfs(self._adjacency().__getitem__, self.graph.n, b)
+            from_b = self._dist[b] = _bfs(self._adjacency().__getitem__, self.graph.n, b)
         return from_b[a]
 
 

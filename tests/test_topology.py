@@ -258,8 +258,8 @@ class TestSymmetricViewDistances:
                     sources.clear()
                     for x in range(-1, g.n + 1):
                         view.distance(x, dest)
-                    others = [src for src in sources if src != owner]
-                    assert others == ([] if dest == owner else [dest])
+                    # The owner's bounded BFS, then one over the view from dest.
+                    assert sources == [owner, dest]
                     if k == g.n:
                         expected = nx.single_source_shortest_path_length(full, dest)
                         assert [view.distance(x, dest) for x in known] == [
