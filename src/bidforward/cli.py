@@ -36,7 +36,7 @@ def cmd_run(args) -> int:
     tree = _load_tree(args)
     game = cfg.build_game_config(tree, args.seed)
     graph = cfg.build_graph(tree, game.master_seed)
-    mix = cfg.build_mix(tree)
+    mix = cfg.build_mix(tree, graph.n)
     resolved = assign_mix(mix, graph.n, game.master_seed)
     assignment = {
         node: build_strategy(name, params) for node, (name, params) in resolved.items()
@@ -92,8 +92,6 @@ def cmd_tournament(args) -> int:
         failed.extend(table.errors)
     else:
         axis, values = extras["sweep"]
-        if len(spec.cells) != 1:
-            raise cfg.ConfigError("tournament.sweep: works with exactly one base cell")
         combined_lines: list[str] = []
         for value, table in sweep(
             axis, values, spec.cells[0], spec.seeds_per_cell, spec.master_seed, workers

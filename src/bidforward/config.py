@@ -19,11 +19,15 @@ from .strategies import STRATEGY_REGISTRY, build_strategy
 from .topology import TopologyError, TopologyGraph
 from .tournament import (
     SWEEP_AXES,
+    SWEEP_FIELDS,
     CellSpec,
     MixEntry,
+    MixError,
     TopologySpec,
     TournamentSpec,
+    check_mix,
     make_mix_entry,
+    swept_config,
 )
 
 
@@ -233,7 +237,8 @@ def parse_node_set(spec: object) -> tuple[int, ...]:
     return tuple(out)
 
 
-def build_mix(tree: dict) -> tuple[MixEntry, ...]:
+def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
+    """The strategy mix; given the node count ``n``, also checked to cover it."""
     entries = tree.get("strategies")
     if not entries:
         raise ConfigError("strategies: section is required")
@@ -275,16 +280,23 @@ def build_mix(tree: dict) -> tuple[MixEntry, ...]:
             mix.append(make_mix_entry(str(name), params, count=_number(count, f"{where}.count")))
         else:
             mix.append(make_mix_entry(str(name), params))
+    if n is not None:
+        try:
+            check_mix(tuple(mix), n)
+        except MixError as exc:
+            where = "strategies" if exc.entry is None else f"strategies[{exc.entry}].{exc.field}"
+            raise ConfigError(f"{where}: {exc}") from None
     return tuple(mix)
 
 
 def build_cell(tree: dict, name: str, seed_override: int | None = None) -> CellSpec:
     game = build_game_config(tree, seed_override)
+    topology = build_topology_spec(tree)
     return CellSpec(
         name=name,
         config=game,
-        topology=build_topology_spec(tree),
-        mix=build_mix(tree),
+        topology=topology,
+        mix=build_mix(tree, topology.n),
         predictor=build_predictor_config(tree, game),
     )
 
@@ -316,11 +328,17 @@ def build_tournament(
     if not isinstance(cell_defs, list):
         raise ConfigError("tournament.cells: must be a list")
     cells = []
+    names: dict[str, int] = {}
     for i, raw in enumerate(cell_defs):
         where = f"tournament.cells[{i}]"
         if not isinstance(raw, dict):
             raise ConfigError(f"{where}: must be a mapping")
         cell_name = str(raw.get("name", f"cell{i}"))
+        if cell_name in names:
+            raise ConfigError(
+                f"{where}.name: {cell_name!r} already names tournament.cells[{names[cell_name]}]"
+            )
+        names[cell_name] = i
         overrides = raw.get("overrides") or {}
         if not isinstance(overrides, dict):
             raise ConfigError(f"{where}.overrides: must be a mapping of dotted paths")
@@ -341,5 +359,14 @@ def build_tournament(
             raise ConfigError(f"tournament.sweep.axis: must be one of {', '.join(SWEEP_AXES)}")
         if not isinstance(values, list) or not values:
             raise ConfigError("tournament.sweep.values: need a non-empty list")
+        if len(cells) != 1:
+            raise ConfigError("tournament.sweep: works with exactly one base cell")
+        kind = SWEEP_FIELDS[axis][1]
+        for i, value in enumerate(values):
+            where = f"tournament.sweep.values[{i}]"
+            try:
+                swept_config(cells[0].config, axis, _number(value, where, kind))
+            except EngineError as exc:
+                raise ConfigError(f"{where}: {exc}") from None
         extras["sweep"] = (str(axis), list(values))
     return spec, extras

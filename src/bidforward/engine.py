@@ -331,9 +331,10 @@ class Simulation:
         in the order of the sink table: ascending by the first node each
         serves, a node's store before its bid history.
         """
+        # Positional: a NamedTuple binds keyword arguments at about twice the cost.
         event = GameEvent(
             self.round, self._seq, kind, packet_id, node, amount, location,
-            dest=dest, dist=dist, prev=prev, reason=reason,
+            dest, dist, prev, reason,
         )
         self._seq += 1
         self.events.append(event)

@@ -7,13 +7,24 @@ Events carry typed fields: an announcement's destination, advertised
 distance and incoming promise, a delivery's destination, a drop's reason.
 Observers read those fields directly. ``GameEvent.extra`` renders them as
 the event log's ``key=value`` column, for CSV output only.
+
+A run builds these records per event, per bid and per hop, so none of them
+is a frozen dataclass, whose ``__init__`` pays one ``object.__setattr__``
+per field. ``GameEvent`` is a ``NamedTuple``: the log, every sink that
+hears an event and the predictor's point memo share one event object, so
+it stays immutable and hashable. ``Packet``, ``AuctionRequest``, ``Bid``
+and ``PathLedger`` are slotted dataclasses that keep their validating
+``__post_init__``; nothing assigns their fields after construction. The
+predictor's ``BidHistoryPoint`` and the wolf pack's ``BidderMetrics`` are
+slotted for the same reason. Records built once per run (the game, predictor, topology and tournament
+configs) stay frozen.
 """
 
 from __future__ import annotations
 
-from dataclasses import KW_ONLY, dataclass
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Money = int
 NodeId = int
@@ -27,7 +38,7 @@ class ModelError(ValueError):
     """Raised when a domain value violates its invariants."""
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
     """One forwarding task handed to the ad-hoc network by the backbone."""
 
@@ -48,7 +59,7 @@ class Packet:
             raise ModelError(f"packet {self.packet_id}: destination must be a real node")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AuctionRequest:
     """One hop's sealed-bid auction announcement.
 
@@ -72,7 +83,7 @@ class AuctionRequest:
             raise ModelError(f"auction for packet {self.packet_id}: ttl_remaining must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Bid:
     bidder: NodeId
     amount: Money
@@ -90,7 +101,7 @@ class LedgerStatus(str, Enum):
     DROPPED = "dropped"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PathLedger:
     """Chain of (node, promised amount) pairs a packet accumulated so far.
 
@@ -145,13 +156,13 @@ class EventKind(str, Enum):
     PAYMENT = "payment"
 
 
-@dataclass(frozen=True)
-class GameEvent:
+class GameEvent(NamedTuple):
     """One observable game occurrence.
 
     ``location`` is the node where the event physically happened; it scopes
     which observers can hear it. ``(round, seq)`` totally orders the log.
-    The keyword-only fields are set only by the kinds that carry them:
+    The fields after ``location`` default to None and are set only by the
+    kinds that carry them:
     ``dest``, ``dist`` (the holder's advertised hop distance, ``None`` when
     it has no route) and ``prev`` (the promise the holder was paid) on an
     announcement, ``dest`` on a delivery, ``reason`` on a drop.
@@ -164,7 +175,6 @@ class GameEvent:
     node: NodeId
     amount: Money
     location: NodeId
-    _: KW_ONLY
     dest: NodeId | None = None
     dist: int | None = None
     prev: Money | None = None

@@ -80,8 +80,14 @@ class PredictorConfig:
             raise ValueError("fallback_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BidHistoryPoint:
+    """One observed bid, with the ceiling and advertised distance it was made under.
+
+    Slotted but not frozen, since one is built per recorded bid; histories
+    share points, so nothing assigns a field after construction.
+    """
+
     max_allowed: Money
     hop_count: int
     observed_bid: Money

@@ -257,7 +257,7 @@ class WolfPackParams:
                 raise ValueError(f"{name} must be true or false")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BidderMetrics:
     """The four ranking inputs for one bidder, plus its drop rate."""
 

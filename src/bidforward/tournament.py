@@ -64,40 +64,81 @@ def make_mix_entry(strategy: str, params: dict | None = None,
     return MixEntry(strategy, tuple(sorted((params or {}).items())), nodes, count)
 
 
+class MixError(ValueError):
+    """A mix that leaves some node without a strategy or gives it two, for every seed.
+
+    ``entry`` is the index of the entry at fault and ``field`` its field
+    (``nodes``, ``count`` or ``rest``); both are None when no one entry is.
+    """
+
+    def __init__(self, message: str, entry: int | None = None, field: str | None = None):
+        super().__init__(message)
+        self.entry = entry
+        self.field = field
+
+
+def check_mix(mix: tuple[MixEntry, ...], n: int) -> None:
+    """Raise ``MixError`` unless ``mix`` gives each of ``n`` nodes exactly one strategy.
+
+    Whether it does depends on ``n`` and the mix alone, never on the run seed.
+    """
+    pinned: dict[NodeId, int] = {}
+    for i, entry in enumerate(mix):
+        for node in entry.nodes or ():
+            if not 0 <= node < n:
+                raise MixError(f"node {node} is not in the topology (n = {n})", i, "nodes")
+            if node in pinned:
+                raise MixError(
+                    f"node {node} assigned twice in mix (also in entry {pinned[node]})", i, "nodes"
+                )
+            pinned[node] = i
+    left = n - len(pinned)
+    rest = None
+    for i, entry in enumerate(mix):
+        if entry.nodes is not None:
+            continue
+        if entry.count is None:
+            if rest is not None:
+                raise MixError(f"entry {rest} already takes the remaining nodes", i, "rest")
+            rest = i
+        elif entry.count < 0:
+            raise MixError("must be >= 0", i, "count")
+        elif entry.count > left:
+            raise MixError(f"wants {entry.count} more nodes than remain ({left})", i, "count")
+        else:
+            left -= entry.count
+    if left and rest is None:
+        # Which nodes the counts leave over depends on the seed, unless there are none.
+        free = [node for node in range(n) if node not in pinned]
+        which = f"node {free[0]}" if left == len(free) else f"{left} of the unpinned nodes"
+        raise MixError(f"no strategy assigned to {which}; give one entry rest: true")
+
+
 def assign_mix(mix: tuple[MixEntry, ...], n: int, run_seed: int) -> dict[NodeId, tuple[str, dict]]:
     """Resolve a mix into node -> (strategy name, params).
 
     Pinned nodes first; counted entries draw from the remaining nodes in a
-    seed-shuffled order; at most one ``count=None`` entry absorbs the rest.
+    seed-shuffled order; the one ``count=None`` entry, if any, absorbs the
+    rest. A mix that ``check_mix`` rejects raises ``MixError``.
     """
     import random
 
+    check_mix(mix, n)
     assignment: dict[NodeId, tuple[str, dict]] = {}
     for entry in mix:
-        if entry.nodes is None:
-            continue
-        for node in entry.nodes:
-            if node in assignment:
-                raise ValueError(f"node {node} assigned twice in mix")
+        for node in entry.nodes or ():
             assignment[node] = (entry.strategy, entry.params_dict())
     pool = [node for node in range(n) if node not in assignment]
     random.Random(derive_seed(run_seed, "mix")).shuffle(pool)
-    rest_entries = [e for e in mix if e.nodes is None and e.count is None]
-    if len(rest_entries) > 1:
-        raise ValueError("at most one mix entry may take the remaining nodes")
     for entry in mix:
         if entry.nodes is None and entry.count is not None:
-            if entry.count > len(pool):
-                raise ValueError(f"mix wants {entry.count} more nodes than remain")
             for node in pool[: entry.count]:
                 assignment[node] = (entry.strategy, entry.params_dict())
             pool = pool[entry.count:]
-    for entry in rest_entries:
-        for node in pool:
-            assignment[node] = (entry.strategy, entry.params_dict())
-        pool = []
-    if pool:
-        raise ValueError(f"no strategy assigned to node {min(pool)}")
+    for entry in mix:
+        if entry.nodes is None and entry.count is None:
+            for node in pool:
+                assignment[node] = (entry.strategy, entry.params_dict())
     return assignment
 
 
@@ -294,7 +335,15 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
     return table
 
 
-SWEEP_AXES = ("fine", "ttl", "churn")
+#: Sweep axis -> the ``GameConfig`` field it sets and that field's type.
+SWEEP_FIELDS = {"fine": ("fine", int), "ttl": ("ttl", int), "churn": ("churn_rate", float)}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
+
+
+def swept_config(config: GameConfig, axis: str, value) -> GameConfig:
+    """``config`` with the field of sweep ``axis`` set to ``value``."""
+    field_name, kind = SWEEP_FIELDS[axis]
+    return dataclasses.replace(config, **{field_name: kind(value)})
 
 
 def sweep(
@@ -319,12 +368,7 @@ def sweep(
 
 def _sweep_iter(axis, values, base, seeds_per_cell, master_seed, workers):
     for value in values:
-        if axis == "fine":
-            config = dataclasses.replace(base.config, fine=int(value))
-        elif axis == "ttl":
-            config = dataclasses.replace(base.config, ttl=int(value))
-        else:
-            config = dataclasses.replace(base.config, churn_rate=float(value))
+        config = swept_config(base.config, axis, value)
         cell = dataclasses.replace(base, name=f"{base.name}[{axis}={value}]", config=config)
         table = run_tournament(
             TournamentSpec((cell,), seeds_per_cell, master_seed), workers=workers

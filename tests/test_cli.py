@@ -367,3 +367,60 @@ class TestConfigValueChecks:
         tree["strategies"][2]["rest"] = True
         conf = write_config(tmp_path, tree)
         assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0
+
+
+class TestChecksBeforeAnyRun:
+    """Errors that depend only on the config fail before any run starts or file is written."""
+
+    def test_duplicate_cell_names_rejected(self, tmp_path, capsys):
+        tree = with_override("tournament.cells", [
+            {"name": "a"}, {"name": "a", "overrides": {"game.fine_mode": "dropper-only"}},
+        ])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert "tournament.cells[1].name" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("axis, values, field", [
+        ("ttl", [2.5], "values[0]"),
+        ("ttl", [3, 0], "values[1]"),
+        ("ttl", [True], "values[0]"),
+        ("fine", [100, -5], "values[1]"),
+        ("churn", [0.1, "abc"], "values[1]"),
+        ("churn", [1.5], "values[0]"),
+    ])
+    def test_bad_sweep_value_rejected(self, tmp_path, capsys, axis, values, field):
+        tree = with_override("tournament.sweep", {"axis": axis, "values": values})
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert f"tournament.sweep.{field}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("mix, field", [
+        ([{"nodes": "0-3", "strategy": "fair"}, {"nodes": [3], "strategy": "sniper"},
+          {"rest": True, "strategy": "random"}], "strategies[1].nodes: node 3"),
+        ([{"nodes": [0, 40], "strategy": "fair"}, {"rest": True, "strategy": "random"}],
+         "strategies[0].nodes: node 40"),
+        ([{"nodes": "0-3", "strategy": "fair"}, {"count": 4, "strategy": "sniper"},
+          {"count": 4, "strategy": "random"}], "strategies[2].count"),
+        ([{"nodes": "0-3", "strategy": "fair"}, {"count": 2, "strategy": "sniper"}],
+         "strategies: no strategy assigned to 4 of the unpinned nodes"),
+        ([{"rest": True, "strategy": "fair"}, {"rest": True, "strategy": "random"}],
+         "strategies[1].rest"),
+        ([{"count": -1, "strategy": "fair"}, {"rest": True, "strategy": "random"}],
+         "strategies[0].count"),
+    ])
+    def test_mix_that_cannot_cover_the_graph_rejected(self, tmp_path, capsys, mix, field):
+        conf = write_config(tmp_path, with_override("strategies", mix))
+        for command in ("run", "tournament"):
+            assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 2
+            assert field in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    def test_mix_checked_against_each_cells_graph(self, tmp_path, capsys):
+        tree = with_override("tournament.cells", [
+            {"name": "big"}, {"name": "small", "overrides": {"topology.n": 3}},
+        ])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert "strategies[0].nodes: node 3" in capsys.readouterr().err

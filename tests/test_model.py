@@ -1,5 +1,6 @@
 import pytest
 
+from bidforward.engine import GameConfig, Simulation
 from bidforward.model import (
     AuctionRequest,
     Bid,
@@ -17,6 +18,9 @@ from bidforward.model import (
     parse_extra,
     validate_bid,
 )
+from bidforward.predictor import BidHistoryPoint
+from bidforward.strategies import BidderMetrics, build_strategy
+from bidforward.topology import generate
 
 
 def request(ceiling=100, holder=1, dest=5):
@@ -115,3 +119,53 @@ class TestEventLog:
             for r in range(3) for s in range(4)
         ]
         assert [e.event_id for e in events] == sorted(e.event_id for e in events)
+
+
+class TestRecordContract:
+    """Events are shared immutable tuples; per-bid and per-hop records are slotted."""
+
+    def test_event_fields_cannot_be_assigned(self):
+        e = GameEvent(0, 1, EventKind.AUCTION_ANNOUNCED, 2, 3, 50, 3, dest=7, dist=2, prev=60)
+        with pytest.raises(AttributeError):
+            e.amount = 1
+        with pytest.raises(AttributeError):
+            e.dist = None
+
+    def test_equal_events_are_equal_and_hash_equal(self):
+        a = GameEvent(0, 1, EventKind.DROPPED, 2, 3, 200, 3, reason="ttl")
+        b = GameEvent(0, 1, EventKind.DROPPED, 2, 3, 200, 3, reason="ttl")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a != GameEvent(0, 1, EventKind.DROPPED, 2, 3, 200, 3, reason="deliberate")
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("record", [
+        Bid(1, 5),
+        AuctionRequest(0, 1, 10, 0, 1, 2, None),
+        Packet(0, 1, budget=1, fine=0, ttl=1),
+        PathLedger(0).extended(1, 90),
+        BidHistoryPoint(10, 1, 5, 0),
+        BidderMetrics(0, 1, 5, 0, 0.0),
+    ], ids=lambda record: type(record).__name__)
+    def test_per_bid_and_per_hop_records_have_no_dict(self, record):
+        assert not hasattr(record, "__dict__")
+
+    def test_one_event_built_per_logged_event(self, monkeypatch):
+        built = []
+        new = GameEvent.__new__
+
+        def counting_new(cls, *args, **kwargs):
+            built.append(cls)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(GameEvent, "__new__", counting_new)
+        graph = generate("geometric", 12, radius=0.45, seed=2)
+        names = ["fair", "sniper", "wolfpack", "random", "always_one"]
+        assignment = {n: build_strategy(names[n % len(names)]) for n in range(12)}
+        assignment[0] = build_strategy("fair")
+        config = GameConfig(
+            packets_total=12, injection_rate=3, observation="khop:2", churn_rate=0.05,
+            master_seed=4,
+        )
+        result = Simulation(config, graph, assignment).run()
+        assert result.events and len(built) == len(result.events)
+        assert all(type(e) is GameEvent for e in result.events)

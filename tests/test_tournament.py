@@ -6,6 +6,7 @@ from bidforward.engine import GameConfig
 from bidforward.seeding import derive_seed
 from bidforward.tournament import (
     CellSpec,
+    MixError,
     TopologySpec,
     TournamentSpec,
     assign_mix,
@@ -60,6 +61,16 @@ class TestAssignMix:
         mix = (make_mix_entry("fair", count=9),)
         with pytest.raises(ValueError, match="more nodes than remain"):
             assign_mix(mix, 4, 0)
+
+    @pytest.mark.parametrize("entry, message", [
+        (make_mix_entry("fair", nodes=(0, 4)), "node 4 is not in the topology"),
+        (make_mix_entry("fair", count=-1), "must be >= 0"),
+    ])
+    def test_mix_outside_the_graph_rejected_for_every_seed(self, entry, message):
+        mix = (entry, make_mix_entry("random"))
+        for run_seed in range(3):
+            with pytest.raises(MixError, match=message):
+                assign_mix(mix, 4, run_seed)
 
 
 class TestRunTournament:
