@@ -343,9 +343,14 @@ def build_tournament(
         if not isinstance(overrides, dict):
             raise ConfigError(f"{where}.overrides: must be a mapping of dotted paths")
         subtree = copy.deepcopy(tree)
-        for dotted, value in overrides.items():
-            apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
-        cells.append(build_cell(subtree, cell_name))
+        try:
+            for dotted, value in overrides.items():
+                apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
+            cells.append(build_cell(subtree, cell_name))
+        except ConfigError as exc:
+            if not overrides:
+                raise
+            raise ConfigError(f"{where}: {exc}") from None
     spec = TournamentSpec(tuple(cells), seeds_per_cell=seeds, master_seed=master)
 
     sweep_def = section.get("sweep")
@@ -362,10 +367,17 @@ def build_tournament(
         if len(cells) != 1:
             raise ConfigError("tournament.sweep: works with exactly one base cell")
         kind = SWEEP_FIELDS[axis][1]
+        first: dict[Any, int] = {}  # typed value -> index of its first appearance
         for i, value in enumerate(values):
             where = f"tournament.sweep.values[{i}]"
+            typed = _number(value, where, kind)
+            if typed in first:
+                raise ConfigError(
+                    f"{where}: {value!r} repeats tournament.sweep.values[{first[typed]}]"
+                )
+            first[typed] = i
             try:
-                swept_config(cells[0].config, axis, _number(value, where, kind))
+                swept_config(cells[0].config, axis, typed)
             except EngineError as exc:
                 raise ConfigError(f"{where}: {exc}") from None
         extras["sweep"] = (str(axis), list(values))

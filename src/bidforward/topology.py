@@ -2,18 +2,25 @@
 
 Graphs are simple and undirected over dense integer node ids. The backbone
 is not part of the adjacency; the gateway set marks nodes adjacent to it.
-A k-hop view answers from a BFS of its owner that stops at depth k, so its
-work is that of the owner's k-ball, not of the whole graph. A churn step
-costs one random draw per non-gateway pair, a search per removal that stops
-once the edge's ends are joined another way, and a copy of the neighbour
-sets it toggles.
+Besides its neighbour sets a graph keeps one integer mask per node, bit v
+set for each neighbour v.
+
+A k-hop view's first query grows its owner's balls, the masks of the nodes
+within 0, 1, ..., k hops, by ORing the masks of each frontier's nodes: one
+mask read per node closer than k, and nothing past the k-ball. After that,
+``knows`` and ``covers_neighborhood`` test one bit. A churn step costs one
+random draw per non-gateway pair, over a pair list built once per node
+count and gateway set; per removal, a common-neighbour test and, failing
+that, a mask search from one end that stops at the level where it meets
+the other; and new neighbour sets for the nodes it toggled.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from collections import deque
+from functools import lru_cache, reduce
+from operator import or_
 from typing import Callable, Iterable, Sequence
 
 from .model import NodeId
@@ -31,7 +38,7 @@ class TopologyGraph:
     Shortest-hop distances are BFS results cached per source node.
     """
 
-    __slots__ = ("n", "_adj", "gateways", "_dist")
+    __slots__ = ("n", "_adj", "_mask", "gateways", "_dist")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], gateways: Iterable[int]):
         if n < 2:
@@ -46,6 +53,7 @@ class TopologyGraph:
             adj[v].add(u)
         self.n = n
         self._adj: tuple[frozenset[int], ...] = tuple(frozenset(s) for s in adj)
+        self._mask: tuple[int, ...] = tuple(sum(1 << v for v in s) for s in adj)
         self.gateways: frozenset[int] = frozenset(gateways)
         if not self.gateways:
             raise TopologyError("gateway set must be non-empty")
@@ -55,11 +63,13 @@ class TopologyGraph:
 
     @classmethod
     def _from_adjacency(
-        cls, adj: tuple[frozenset[int], ...], gateways: frozenset[int]
+        cls, adj: tuple[frozenset[int], ...], mask: tuple[int, ...], gateways: frozenset[int]
     ) -> "TopologyGraph":
-        """A graph over ``adj`` as given: symmetric and loop-free, not checked or copied."""
+        """A graph over ``adj`` and its masks as given: symmetric, loop-free and
+        in agreement, not checked or copied."""
         graph = cls.__new__(cls)
-        graph.n, graph._adj, graph.gateways, graph._dist = len(adj), adj, gateways, {}
+        graph.n, graph._adj, graph._mask = len(adj), adj, mask
+        graph.gateways, graph._dist = gateways, {}
         return graph
 
     def neighbors(self, u: NodeId) -> frozenset[int]:
@@ -122,20 +132,13 @@ class TopologyGraph:
         return cls(n, edges, gateways)
 
 
-def _bfs(
-    neighbors: Callable[[int], Iterable[int]], n: int, src: int, depth: int | None = None
-) -> list[int | None]:
-    """Hop distances from ``src`` over the edges ``neighbors`` gives.
-
-    With ``depth``, nodes at that depth are not expanded: only nodes within
-    ``depth`` hops get a distance, and ``neighbors`` is called once for each
-    node closer than that.
-    """
+def _bfs(neighbors: Callable[[int], Iterable[int]], n: int, src: int) -> list[int | None]:
+    """Hop distances from ``src`` over the edges ``neighbors`` gives."""
     dist: list[int | None] = [None] * n
     dist[src] = 0
     frontier = [src]
     d = 0
-    while frontier and d != depth:
+    while frontier:
         d += 1
         reached = []
         for u in frontier:
@@ -145,6 +148,49 @@ def _bfs(
                     reached.append(v)
         frontier = reached
     return dist
+
+
+def _balls(
+    mask: Sequence[int], adj: Sequence[Iterable[int]], src: int, depth: int
+) -> list[int]:
+    """Cumulative balls around ``src``: ``balls[d]`` masks the nodes within d hops.
+
+    Growth ends after ``depth`` levels or once the ball stops growing.
+    ``mask`` is read once for each node closer than ``depth`` hops.
+    """
+    ball = 1 << src
+    balls = [ball]
+    frontier: Iterable[int] = (src,)
+    while True:
+        new = reduce(or_, map(mask.__getitem__, frontier), ball) ^ ball
+        if not new:
+            return balls
+        ball |= new
+        balls.append(ball)
+        if len(balls) > depth:
+            return balls
+        # The first frontier is src's neighbour set; later ones are read off their bits.
+        frontier = adj[src] if len(balls) == 2 else _members(new)
+
+
+def _reach(mask: Sequence[int], src: int, stop: int = 0) -> int:
+    """The mask of the nodes ``src`` reaches, or of those within the first level
+    that meets a bit of ``stop``."""
+    ball = new = 1 << src
+    while new and not ball & stop:
+        new = reduce(or_, map(mask.__getitem__, _members(new)), ball) ^ ball
+        ball |= new
+    return ball
+
+
+def _members(mask: int) -> list[int]:
+    """The node ids whose bits are set in ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def generate(
@@ -221,56 +267,67 @@ class NodeView:
     The view holds every edge with at least one endpoint within k-1 hops of
     the owner, so it knows exactly the nodes within k hops; with k at least
     the diameter this is the whole graph. Everything is answered from the
-    owner's distance list, a BFS over ``g`` bounded at depth k that runs on
-    the first query; the graph's own BFS cache is not used. The owner's
-    distance to a known node is exact, because every shortest path of length
-    at most k lies inside the view. The view's adjacency is built once, on
-    the first ``neighbors`` query or distance from another source. It is
-    symmetric, so ``distance(a, b)`` reads ``a`` off one BFS over it from
-    ``b``, cached per destination: a chooser asks ``distance(bidder, dest)``
-    for many bidders and one destination.
+    owner's balls, grown over ``g``'s neighbour masks up to depth k on the
+    first query; the graph's own BFS cache is not used. The owner's distance
+    to a known node is exact, because every shortest path of length at most
+    k lies inside the view. The view's adjacency is built once, on the first
+    ``neighbors`` query or distance from another source. It is symmetric, so
+    ``distance(a, b)`` reads ``a`` off one BFS over it from ``b``, cached per
+    destination: a chooser asks ``distance(bidder, dest)`` for many bidders
+    and one destination.
     """
 
-    __slots__ = ("graph", "owner", "k", "_own", "_adj", "_dist")
+    __slots__ = ("graph", "owner", "k", "_balls", "_adj", "_dist")
 
     def __init__(self, g: TopologyGraph, owner: NodeId, k: int):
         self.graph = g
         self.owner = owner
         self.k = k
-        self._own: list[int | None] | None = None
+        self._balls: list[int] | None = None
         self._adj: dict[int, frozenset[int]] | None = None
         self._dist: dict[int, list[int | None]] = {}
 
-    def _owner_distances(self) -> list[int | None]:
-        """The owner's hop distances, None beyond k hops."""
-        own = self._own
-        if own is None:
-            g = self.graph
-            own = self._own = _bfs(g._adj.__getitem__, g.n, self.owner, self.k)
-        return own
+    def _grow(self) -> list[int]:
+        """The owner's balls for depths 0 up to k, fewer when its component is smaller."""
+        g = self.graph
+        balls = self._balls = _balls(g._mask, g._adj, self.owner, self.k)
+        return balls
+
+    def _inner(self, balls: list[int]) -> int:
+        """The mask of the nodes within k-1 hops, whose every edge the view holds."""
+        return balls[min(self.k, len(balls)) - 1]
 
     def _hops(self, node: NodeId) -> int | None:
         """The owner's hop distance to ``node``; None when beyond k or not a node."""
-        own = self._owner_distances()
-        return own[node] if 0 <= node < len(own) else None
+        if node < 0:
+            return None
+        balls = self._balls or self._grow()
+        bit = 1 << node
+        if not balls[-1] & bit:
+            return None
+        d = 0
+        while not balls[d] & bit:
+            d += 1
+        return d
 
     def _adjacency(self) -> dict[int, frozenset[int]]:
         """Known node -> its neighbors in the view."""
         adj = self._adj
         if adj is None:
-            k, nbrs = self.k, self.graph._adj
-            own = self._owner_distances()
-            inner = frozenset(v for v, d in enumerate(own) if d is not None and d < k)
+            nbrs = self.graph._adj
+            balls = self._balls or self._grow()
+            inner_mask = self._inner(balls)
+            inner = frozenset(_members(inner_mask))
             # At the rim only the edges back to nodes within k-1 hops are in the view.
             adj = self._adj = {
-                v: nbrs[v] if d < k else nbrs[v] & inner
-                for v, d in enumerate(own)
-                if d is not None
+                v: nbrs[v] if inner_mask >> v & 1 else nbrs[v] & inner
+                for v in _members(balls[-1])
             }
         return adj
 
     def knows(self, node: NodeId) -> bool:
-        return self._hops(node) is not None
+        balls = self._balls or self._grow()
+        return node >= 0 and balls[-1] >> node & 1 == 1
 
     def neighbors(self, node: NodeId) -> frozenset[int]:
         """Known neighbors of ``node``; empty when the node is unknown."""
@@ -278,14 +335,15 @@ class NodeView:
 
     def covers_neighborhood(self, node: NodeId) -> bool:
         """True when every edge incident to ``node`` is in the view."""
-        d = self._hops(node)
-        return d is not None and d <= self.k - 1
+        balls = self._balls or self._grow()
+        return node >= 0 and self._inner(balls) >> node & 1 == 1
 
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
         if a == self.owner:
             return self._hops(b)
-        if not self.knows(a) or not self.knows(b):
+        known = (self._balls or self._grow())[-1]
+        if a < 0 or b < 0 or not (known >> a & 1 and known >> b & 1):
             return None
         from_b = self._dist.get(b)
         if from_b is None:
@@ -315,52 +373,45 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     if p == 0.0:
         return g
     draw = random.Random(seed).random
-    n = g.n
-    free = [u for u in range(n) if u not in g.gateways]
-    adj: list[frozenset[int] | set[int]] = list(g._adj)
-    edited: dict[int, set[int]] = {}
-
-    def edit(x: int) -> set[int]:
-        s = edited.get(x)
-        if s is None:
-            s = edited[x] = set(adj[x])
-            adj[x] = s
-        return s
-
-    connected: bool | None = None  # whether adj is connected, tested when first needed
-    for i, u in enumerate(free):
-        for v in [v for v in free[i + 1:] if draw() < p]:
-            if v in adj[u]:
-                if connected is None:
-                    connected = None not in _bfs(adj.__getitem__, n, 0)
-                # Removing an edge of a connected graph keeps it connected iff
-                # its ends are still joined by another path.
-                if connected and _detour(adj, u, v):
-                    edit(u).discard(v)
-                    edit(v).discard(u)
-            else:
-                edit(u).add(v)
-                edit(v).add(u)
-                if connected is False:
-                    connected = None not in _bfs(adj.__getitem__, n, 0)
-    if not edited:
+    # No draw depends on a toggle, so every pair is drawn before any is toggled.
+    toggles = [pair for pair in _free_pairs(g.n, g.gateways) if draw() < p]
+    mask = list(g._mask)
+    full = (1 << g.n) - 1
+    flipped: dict[int, list[int]] = {}  # node -> the neighbours toggled at it
+    connected: bool | None = None  # whether mask is connected, tested when first needed
+    for u, v in toggles:
+        bu, bv = 1 << u, 1 << v
+        if mask[u] & bv:
+            if connected is None:
+                connected = _reach(mask, 0) == full
+            if not connected:
+                continue
+            mask[u] ^= bv
+            mask[v] ^= bu
+            # Removing an edge of a connected graph keeps it connected iff
+            # its ends are still joined by another path: a common neighbour
+            # or, failing that, a search from u.
+            if not (mask[u] & mask[v] or _reach(mask, u, bv) & bv):
+                mask[u] |= bv
+                mask[v] |= bu
+                continue
+        else:
+            mask[u] |= bv
+            mask[v] |= bu
+            if connected is False:
+                connected = _reach(mask, 0) == full
+        flipped.setdefault(u, []).append(v)
+        flipped.setdefault(v, []).append(u)
+    if not flipped:
         return g
-    for x, s in edited.items():
-        adj[x] = frozenset(s)
-    return TopologyGraph._from_adjacency(tuple(adj), g.gateways)  # type: ignore[arg-type]
+    adj = list(g._adj)
+    for x, partners in flipped.items():
+        adj[x] = adj[x].symmetric_difference(partners)
+    return TopologyGraph._from_adjacency(tuple(adj), tuple(mask), g.gateways)
 
 
-def _detour(adj: Sequence[Iterable[int]], u: int, v: int) -> bool:
-    """Whether ``u`` reaches ``v`` other than over the edge (u, v); stops once it does."""
-    first = set(adj[u])
-    first.discard(v)
-    seen = first | {u}
-    queue = deque(first)
-    while queue:
-        for y in adj[queue.popleft()]:
-            if y == v:
-                return True
-            if y not in seen:
-                seen.add(y)
-                queue.append(y)
-    return False
+@lru_cache(maxsize=8)
+def _free_pairs(n: int, gateways: frozenset[int]) -> tuple[tuple[int, int], ...]:
+    """Every pair ``(u, v)``, u < v, of nodes that are not gateways, in ``(u, v)`` order."""
+    free = [u for u in range(n) if u not in gateways]
+    return tuple((u, v) for i, u in enumerate(free) for v in free[i + 1:])

@@ -396,6 +396,29 @@ class TestChecksBeforeAnyRun:
         assert f"tournament.sweep.{field}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t")
 
+    @pytest.mark.parametrize("axis, values, field", [
+        ("fine", [100, 100, 100.0], "values[1]: 100 repeats tournament.sweep.values[0]"),
+        ("fine", [50, 100, 100.0], "values[2]: 100.0 repeats tournament.sweep.values[1]"),
+        ("churn", [0, 0.1, 0.0], "values[2]: 0.0 repeats tournament.sweep.values[0]"),
+    ])
+    def test_sweep_values_equal_once_typed_rejected(self, tmp_path, capsys, axis, values, field):
+        tree = with_override("tournament.sweep", {"axis": axis, "values": values})
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert f"tournament.sweep.{field}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    def test_cell_override_error_names_the_cell(self, tmp_path, capsys):
+        tree = with_override("tournament.cells", [
+            {"name": "a"}, {"name": "b", "overrides": {"game.ttl": 0}},
+        ])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert "config error: tournament.cells[1]: game: ttl must be >= 1" in (
+            capsys.readouterr().err
+        )
+        assert not os.path.exists(tmp_path / "t")
+
     @pytest.mark.parametrize("mix, field", [
         ([{"nodes": "0-3", "strategy": "fair"}, {"nodes": [3], "strategy": "sniper"},
           {"rest": True, "strategy": "random"}], "strategies[1].nodes: node 3"),

@@ -509,22 +509,24 @@ class TestAudienceUnderChurn:
 
 
 class TestLazyViewWork:
-    """Views are taken for every node after every churn step but run no BFS of their own."""
+    """Views are taken for every node after every churn step but grow no ball of their own."""
 
-    def counting_bfs(self, monkeypatch):
+    def counting_searches(self, monkeypatch):
+        """Count the runs of every graph search: view balls, churn's reach, BFS."""
         calls = [0]
-        real_bfs = topology._bfs
+        for name in ("_balls", "_reach", "_bfs"):
+            real = getattr(topology, name)
 
-        def counting(*args):
-            calls[0] += 1
-            return real_bfs(*args)
+            def counting(*args, real=real, **kwargs):
+                calls[0] += 1
+                return real(*args, **kwargs)
 
-        monkeypatch.setattr(topology, "_bfs", counting)
+            monkeypatch.setattr(topology, name, counting)
         return calls
 
     def test_taking_views_runs_no_bfs(self, monkeypatch):
         g = generate("geometric", 50, radius=0.3, seed=1)
-        calls = self.counting_bfs(monkeypatch)
+        calls = self.counting_searches(monkeypatch)
         views = [view_of(g, node, 2) for node in range(g.n)]
         assert calls[0] == 0
         assert views[7].distance(7, 7) == 0 and calls[0] == 1
@@ -539,10 +541,10 @@ class TestLazyViewWork:
             packets_total=100, injection_rate=2, observation="khop:2",
             churn_rate=0.01, master_seed=1401,
         )
-        calls = self.counting_bfs(monkeypatch)
+        calls = self.counting_searches(monkeypatch)
         result = Simulation(config, g, assignment).run()
         # Taking every node's view after every churn step costs
-        # (rounds + 1) * n BFS runs when a view copies its part of the graph.
+        # (rounds + 1) * n searches when a view copies its part of the graph.
         assert result.rounds == 50
         assert calls[0] < result.rounds * n
 

@@ -216,15 +216,20 @@ class TestBoundedViewWork:
     def test_owner_bfs_expands_only_nodes_closer_than_k(self, monkeypatch):
         g = generate("geometric", 400, radius=0.1, seed=2)
         lookups = [0]
-        real_bfs = topology._bfs
+        real_balls = topology._balls
 
-        def counting_bfs(neighbors, *args):
-            def counted(u):
+        class CountedMasks:
+            def __init__(self, mask):
+                self.mask = mask
+
+            def __getitem__(self, u):
                 lookups[0] += 1
-                return neighbors(u)
-            return real_bfs(counted, *args)
+                return self.mask[u]
 
-        monkeypatch.setattr(topology, "_bfs", counting_bfs)
+        def counting_balls(mask, *args):
+            return real_balls(CountedMasks(mask), *args)
+
+        monkeypatch.setattr(topology, "_balls", counting_balls)
         for owner in range(g.n):
             assert view_of(g, owner, 3).knows(owner)
         full = nx_graph(g)
@@ -242,12 +247,17 @@ class TestSymmetricViewDistances:
     def test_one_bfs_per_destination(self, monkeypatch):
         g = churn(generate("geometric", 50, radius=0.3, seed=1), 0.05, seed=3)
         sources = []
-        real_bfs = topology._bfs
+        real_balls, real_bfs = topology._balls, topology._bfs
 
-        def counting_bfs(neighbors, n, src, depth=None):
-            sources.append(src)
-            return real_bfs(neighbors, n, src, depth)
+        def counting_balls(mask, adj, src, depth):
+            sources.append(("ball", src))
+            return real_balls(mask, adj, src, depth)
 
+        def counting_bfs(neighbors, n, src):
+            sources.append(("bfs", src))
+            return real_bfs(neighbors, n, src)
+
+        monkeypatch.setattr(topology, "_balls", counting_balls)
         monkeypatch.setattr(topology, "_bfs", counting_bfs)
         full = nx_graph(g)
         for owner in (0, 7, 31):
@@ -258,13 +268,62 @@ class TestSymmetricViewDistances:
                     sources.clear()
                     for x in range(-1, g.n + 1):
                         view.distance(x, dest)
-                    # The owner's bounded BFS, then one over the view from dest.
-                    assert sources == [owner, dest]
+                    # The owner's bounded ball, then one BFS over the view from dest.
+                    assert sources == [("ball", owner), ("bfs", dest)]
                     if k == g.n:
                         expected = nx.single_source_shortest_path_length(full, dest)
                         assert [view.distance(x, dest) for x in known] == [
                             expected[x] for x in known
                         ]
+
+
+def random_edge_list_graph(data, n):
+    """A graph over random edges, often disconnected, with one or two gateways."""
+    gateways = data.draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=2))
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = data.draw(st.sets(pairs.filter(lambda e: e[0] < e[1]), max_size=2 * n))
+    text = "\n".join([f"n {n}", *(f"{u} {v}" for u, v in sorted(edges))])
+    return TopologyGraph.from_edge_list(text + "\ngateways " + " ".join(map(str, gateways)))
+
+
+def bits(nodes):
+    return sum(1 << v for v in nodes)
+
+
+class TestMasksAgainstNetworkx:
+    """Neighbour masks, mask reachability and view balls after chains of churn steps."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 14),
+        seed=st.integers(0, 10_000),
+        p=st.sampled_from([0.01, 0.2, 1.0]),
+        steps=st.integers(1, 4),
+        data=st.data(),
+    )
+    def test_masks_reach_and_views_match(self, n, seed, p, steps, data):
+        g = random_edge_list_graph(data, n)
+        for step in range(steps + 1):
+            if step:
+                g = churn(g, p, seed=seed + step)
+            full = nx_graph(g)
+            for u in range(n):
+                assert g._mask[u] == bits(g.neighbors(u))
+                component = nx.node_connected_component(full, u)
+                assert topology._reach(g._mask, u) == bits(component)
+                for v in range(n):
+                    if v != u:
+                        reached = topology._reach(g._mask, u, 1 << v)
+                        assert bool(reached >> v & 1) == (v in component)
+            for owner in range(n):
+                for k in (1, 2, 3, n):
+                    view = view_of(g, owner, k)
+                    lengths = nx.single_source_shortest_path_length(full, owner, cutoff=k)
+                    for x in range(-1, n + 1):
+                        d = lengths.get(x)
+                        assert view._hops(x) == d
+                        assert view.knows(x) == (d is not None)
+                        assert view.covers_neighborhood(x) == (d is not None and d < k)
 
 
 def reference_churn(g, p, seed):
