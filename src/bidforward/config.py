@@ -206,7 +206,7 @@ def build_predictor_config(tree: dict, game: GameConfig) -> PredictorConfig:
     try:
         return PredictorConfig(**fields)
     except ValueError as exc:
-        raise ConfigError(f"predictor: {exc}") from exc
+        raise ConfigError(f"predictor.{exc}") from exc
 
 
 def parse_node_set(spec: object) -> tuple[int, ...]:

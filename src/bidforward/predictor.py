@@ -8,22 +8,37 @@ below a configured floor. The floor keeps the output useful even when
 observed bids have collapsed to zero.
 
 A history is its owner's window onto a tape, an append-only log of
-``(point, bidder)`` records. The window holds the last ``max_history``
-points not bid by the owner, minus those more than ``max_age_rounds`` older
-than the newest of them: what a bounded deque with age eviction would hold
-if it skipped the owner's own bids. Under ``global`` observation every
-history shares one tape, which one owner-less history fills once per bid;
-under ``khop`` scopes each history has a tape of its own and fills it. The
-engine calls ``BidHistory.observe`` directly on the history it feeds. A tape's
+``(point, bidder)`` records, each with a sequence number that outlives the
+tape's trims. The window holds the last ``max_history`` points not bid by
+the owner, minus those more than ``max_age_rounds`` older than the newest
+of them: what a bounded deque with age eviction would hold if it skipped
+the owner's own bids. Under ``global`` observation every history shares one
+tape, which one owner-less history fills once per bid; under ``khop``
+scopes each history has a tape of its own and fills it. The engine calls
+``BidHistory.observe`` directly on the history it feeds. A tape's
 ``pending`` maps a packet to its latest announcement event; histories fed a
 bid in a row that heard the same announcement record one shared point.
+
+A query reads no window. Every point with the same ``(max_allowed,
+hop_count)`` key is at the same distance from any query, so a history keeps,
+per key, the ascending minima of its window's bids: ``(seq, bid)`` pairs
+rising in both fields, whose head is the key's least bid from any sequence
+number on (Lemire, "Streaming maximum-minimum filter using no more than
+three comparisons per element", 2006). Recording costs a history nothing;
+a query first folds in the records appended since its last one, from its
+window start on, drops chain heads that fell out of the window and, for an
+age cutoff at ``now_round``, reads each chain from the first pair at or past
+it. It then tests each key once against epsilon. A query thus costs the
+records new to the history plus its live keys, not its window.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
+from itertools import count
 from operator import attrgetter
 
 from .model import EventKind, GameEvent, Money, NodeId
@@ -44,6 +59,9 @@ _ROUND = attrgetter("round")
 # each other through it. A module global, because rebinding a class
 # attribute once per bid would invalidate the class's attribute cache.
 _last_point: tuple = (None, None, None)
+
+# A bidder no history is owned by, skipped in place of the owner by owner-less ones.
+_NOBODY = object()
 
 #: The kinds ``BidHistory.observe`` acts on.
 BID_KINDS = frozenset({_ANNOUNCED, _BID_PLACED, _DELIVERED, _DROPPED})
@@ -66,16 +84,18 @@ class PredictorConfig:
     fallback_fraction: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be >= 0")
+        if not self.epsilon >= 0:  # NaN too: no distance would ever be within it
+            raise ValueError("epsilon must be a number >= 0")
         if self.min_bid_floor < 1:
             raise ValueError("min_bid_floor must be >= 1")
         if self.max_history < 1:
             raise ValueError("max_history must be >= 1")
         if self.max_age_rounds < 0:
             raise ValueError("max_age_rounds must be >= 0")
-        if self.budget_norm < 1 or self.ttl_norm < 1:
-            raise ValueError("normalization constants must be >= 1")
+        if self.budget_norm < 1:
+            raise ValueError("budget_norm must be >= 1")
+        if self.ttl_norm < 1:
+            raise ValueError("ttl_norm must be >= 1")
         if not 0.0 <= self.fallback_fraction <= 1.0:
             raise ValueError("fallback_fraction must be in [0, 1]")
 
@@ -85,39 +105,45 @@ class BidHistoryPoint:
     """One observed bid, with the ceiling and advertised distance it was made under.
 
     Slotted but not frozen, since one is built per recorded bid; histories
-    share points, so nothing assigns a field after construction.
+    share points, so nothing assigns a field after construction. ``key``,
+    ``(max_allowed, hop_count)``, names the chain the point's bid goes to.
     """
 
     max_allowed: Money
     hop_count: int
     observed_bid: Money
     round: int
+    key: tuple[Money, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.observed_bid > self.max_allowed:
             raise ValueError("observed bid exceeds its auction ceiling")
         if self.observed_bid < 0 or self.max_allowed < 0:
             raise ValueError("bids and ceilings are non-negative")
+        self.key = (self.max_allowed, self.hop_count)
 
 
 class BidTape:
     """Append-only log of observed bids and their bidders, windowed by histories.
 
-    Records are appended in round order. Every history that windows the tape
-    registers its owner in ``owners``. ``pending`` maps a packet to its
-    latest ``AUCTION_ANNOUNCED`` event, whose ceiling and advertised distance
-    a bid on that packet is recorded against. Once the tape holds more than
-    ``limit`` records it drops every record that no owner's window can reach
-    again. That leaves at most two windows' worth, and ``limit`` becomes
-    twice what is left, but at least two windows' worth: the tape never
-    holds more than four windows' worth, and a trim comes at most once per
-    window's worth of records.
+    Records are appended in round order; ``seqs`` numbers them from 0 in
+    that order, and a record keeps its number through trims. Every history
+    that windows the tape registers its owner in ``owners``. ``pending`` maps
+    a packet to its latest ``AUCTION_ANNOUNCED`` event, whose ceiling and
+    advertised distance a bid on that packet is recorded against. Once the
+    tape holds more than ``limit`` records it drops every record that no
+    owner's window can reach again. That leaves at most two windows' worth,
+    and ``limit`` becomes twice what is left, but at least two windows'
+    worth: the tape never holds more than four windows' worth, and a trim
+    comes at most once per window's worth of records.
     """
 
     def __init__(self, cfg: PredictorConfig):
         self.cfg = cfg
         self.points: list[BidHistoryPoint] = []
         self.bidders: list[NodeId | None] = []
+        self.seqs: list[int] = []
+        self.next_seq = count().__next__
         self.owners: set[NodeId | None] = set()
         self.pending: dict[int, GameEvent] = {}
         self.limit = 2 * cfg.max_history
@@ -160,7 +186,7 @@ class BidTape:
         one of them holds it. What is kept is that first window plus the
         second owner's records outside it: at most two windows' worth.
         """
-        points, bidders = self.points, self.bidders
+        points, bidders, seqs = self.points, self.bidders, self.seqs
         starts = {owner: self.start(owner) for owner in self.owners}
         first = min(starts, key=starts.__getitem__)
         lo = starts.pop(first)
@@ -169,7 +195,8 @@ class BidTape:
             keep = [i for i in range(lo, hi) if bidders[i] != first]
             points[lo:hi] = [points[i] for i in keep]
             bidders[lo:hi] = [bidders[i] for i in keep]
-        del points[:lo], bidders[:lo]
+            seqs[lo:hi] = [seqs[i] for i in keep]
+        del points[:lo], bidders[:lo], seqs[:lo]
         self.limit = 2 * max(len(points), self.cfg.max_history)
 
 
@@ -178,7 +205,9 @@ class BidHistory:
 
     Without an ``owner`` the window holds every bidder's records; without a
     ``tape`` the history gets one of its own. ``pending`` is the tape's table
-    of latest announcement events.
+    of latest announcement events. ``chains`` maps each key
+    ``(max_allowed, hop_count)`` to the ascending minima of the window's bids
+    under it, folded in up to sequence number ``folded``.
     """
 
     def __init__(
@@ -192,6 +221,8 @@ class BidHistory:
         self.tape = BidTape(cfg) if tape is None else tape
         self.tape.owners.add(owner)
         self.pending = self.tape.pending
+        self.chains: dict[tuple[Money, int], deque[tuple[int, Money]]] = {}
+        self.folded = 0
 
     def __len__(self) -> int:
         tape = self.tape
@@ -209,6 +240,7 @@ class BidHistory:
             raise ValueError("bids must be recorded in round order")
         points.append(point)
         tape.bidders.append(bidder)
+        tape.seqs.append(tape.next_seq())
         if len(points) > tape.limit:
             tape.trim()
 
@@ -229,6 +261,66 @@ class BidHistory:
             start = own + 1
         out += points[start:]
         return out
+
+    def live_chains(
+        self, now_round: int | None = None
+    ) -> tuple[dict[tuple[Money, int], deque[tuple[int, Money]]], int]:
+        """The chains, caught up with the tape and cut to the window, and the
+        sequence number from which their pairs are live at ``now_round``.
+
+        Records appended since the last call are folded in from the window
+        start on, skipping the owner's. Pairs before the window start are
+        dropped, since a window start never moves back; pairs before the age
+        cutoff at ``now_round`` are left for the caller to skip, since a later
+        call without ``now_round`` still reads them.
+        """
+        tape = self.tape
+        seqs = tape.seqs
+        end = len(seqs)
+        start = tape.start(self.owner)
+        chains = self.chains
+        if start == end:
+            chains.clear()
+            return chains, 0
+        new = bisect_left(seqs, self.folded, start)
+        if new < end:
+            # Newest first, a record's pair joins its key's chain iff its bid
+            # is below every newer one's: only those pairs are built.
+            skip = _NOBODY if self.owner is None else self.owner
+            tails: dict[tuple[Money, int], list[tuple[int, Money]]] = {}
+            for seq, bidder, point in zip(
+                reversed(seqs[new:]), reversed(tape.bidders[new:]), reversed(tape.points[new:])
+            ):
+                if bidder == skip:
+                    continue
+                bid = point.observed_bid
+                tail = tails.get(point.key)
+                if tail is None:
+                    tails[point.key] = [(seq, bid)]
+                elif bid < tail[-1][1]:
+                    tail.append((seq, bid))
+            for key, tail in tails.items():
+                tail.reverse()
+                chain = chains.get(key)
+                if chain is None:
+                    chains[key] = deque(tail)
+                else:
+                    low = tail[0][1]
+                    while chain and chain[-1][1] >= low:
+                        chain.pop()
+                    chain.extend(tail)
+            self.folded = seqs[-1] + 1
+        first = seqs[start]
+        for key in [key for key, chain in chains.items() if chain[0][0] < first]:
+            chain = chains[key]
+            while chain and chain[0][0] < first:
+                chain.popleft()
+            if not chain:
+                del chains[key]
+        if now_round is None:
+            return chains, first
+        cut = tape.first_live(now_round - self.cfg.max_age_rounds, start)
+        return chains, seqs[cut] if cut < end else seqs[-1] + 1
 
     def observe(self, event: GameEvent) -> None:
         """Fold one heard event in: track announcements, record others' bids.
@@ -258,25 +350,6 @@ class BidHistory:
             self.pending.pop(event.packet_id, None)
 
 
-def neighborhood(
-    history: BidHistory,
-    max_allowed: Money,
-    hop_count: int,
-    now_round: int | None = None,
-) -> list[BidHistoryPoint]:
-    """History points within epsilon of the query in normalized space."""
-    cfg = history.cfg
-    qa = max_allowed / cfg.budget_norm
-    qh = hop_count / cfg.ttl_norm
-    out = []
-    for p in history.points(now_round):
-        da = p.max_allowed / cfg.budget_norm - qa
-        dh = p.hop_count / cfg.ttl_norm - qh
-        if math.hypot(da, dh) <= cfg.epsilon:
-            out.append(p)
-    return out
-
-
 def predict_bid(
     history: BidHistory,
     max_allowed: Money,
@@ -292,9 +365,22 @@ def predict_bid(
     if max_allowed < 1:
         raise ValueError("query max_allowed must be >= 1")
     cfg = history.cfg
-    nearby = neighborhood(history, max_allowed, hop_count, now_round)
-    if nearby:
-        raw = min(p.observed_bid for p in nearby) - 1
+    chains, live = history.live_chains(now_round)
+    budget_norm, ttl_norm, epsilon = cfg.budget_norm, cfg.ttl_norm, cfg.epsilon
+    qa = max_allowed / budget_norm
+    qh = hop_count / ttl_norm
+    low = None
+    for (ma, hop), chain in chains.items():
+        if math.hypot(ma / budget_norm - qa, hop / ttl_norm - qh) <= epsilon:
+            seq, bid = chain[0]
+            if seq < live:
+                bid = next((bid for seq, bid in chain if seq >= live), None)
+                if bid is None:
+                    continue
+            if low is None or bid < low:
+                low = bid
+    if low is not None:
+        raw = low - 1
     else:
         raw = int(max_allowed * cfg.fallback_fraction)
     return min(max_allowed, max(cfg.min_bid_floor, raw))

@@ -12,7 +12,9 @@ mask read per node closer than k, and nothing past the k-ball. After that,
 random draw per non-gateway pair, over a pair list built once per node
 count and gateway set; per removal, a common-neighbour test and, failing
 that, a mask search from one end that stops at the level where it meets
-the other; and new neighbour sets for the nodes it toggled.
+the other; and new neighbour sets for the nodes it toggled. Graphs from
+``generate`` and ``churn`` know whether they are connected, so churning a
+graph known to be connected never searches the whole graph.
 """
 
 from __future__ import annotations
@@ -36,9 +38,11 @@ class TopologyGraph:
     """Immutable simple graph plus its gateway set.
 
     Shortest-hop distances are BFS results cached per source node.
+    ``connected`` is whether the graph is connected, None until known:
+    ``generate`` and ``churn`` know it, and ``is_connected`` finds it out.
     """
 
-    __slots__ = ("n", "_adj", "_mask", "gateways", "_dist")
+    __slots__ = ("n", "_adj", "_mask", "gateways", "_dist", "connected")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]], gateways: Iterable[int]):
         if n < 2:
@@ -60,16 +64,21 @@ class TopologyGraph:
         if any(not (0 <= g < n) for g in self.gateways):
             raise TopologyError("gateway id out of range")
         self._dist: dict[int, list[int | None]] = {}
+        self.connected: bool | None = None
 
     @classmethod
     def _from_adjacency(
-        cls, adj: tuple[frozenset[int], ...], mask: tuple[int, ...], gateways: frozenset[int]
+        cls,
+        adj: tuple[frozenset[int], ...],
+        mask: tuple[int, ...],
+        gateways: frozenset[int],
+        connected: bool | None,
     ) -> "TopologyGraph":
         """A graph over ``adj`` and its masks as given: symmetric, loop-free and
         in agreement, not checked or copied."""
         graph = cls.__new__(cls)
         graph.n, graph._adj, graph._mask = len(adj), adj, mask
-        graph.gateways, graph._dist = gateways, {}
+        graph.gateways, graph._dist, graph.connected = gateways, {}, connected
         return graph
 
     def neighbors(self, u: NodeId) -> frozenset[int]:
@@ -97,7 +106,9 @@ class TopologyGraph:
         return self.distances_from(a)[b]
 
     def is_connected(self) -> bool:
-        return all(d is not None for d in self.distances_from(0))
+        if self.connected is None:
+            self.connected = _reach(self._mask, 0) == (1 << self.n) - 1
+        return self.connected
 
     def to_edge_list(self) -> str:
         lines = [f"n {self.n}"]
@@ -214,7 +225,7 @@ def generate(
         raise TopologyError("n must be >= 2")
     if kind == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-        return TopologyGraph(n, edges, gateways)
+        return _connected_graph(n, edges, gateways)
     if kind == "grid":
         c = cols if cols is not None else _default_cols(n)
         if c < 1 or n % c != 0:
@@ -228,7 +239,7 @@ def generate(
                     edges.append((node, node + 1))
                 if r + 1 < rows:
                     edges.append((node, node + c))
-        return TopologyGraph(n, edges, gateways)
+        return _connected_graph(n, edges, gateways)
     if kind == "geometric":
         if radius is None:
             raise TopologyError("geometric graphs need a connection radius")
@@ -241,14 +252,27 @@ def generate(
                 for v in range(u + 1, n)
                 if math.dist(points[u], points[v]) <= radius
             ]
-            graph = TopologyGraph(n, edges, gateways)
-            if graph.is_connected():
-                return graph
+            # Test the edge list before building a graph for an attempt that fails.
+            mask = [0] * n
+            for u, v in edges:
+                mask[u] |= 1 << v
+                mask[v] |= 1 << u
+            if _reach(mask, 0) == (1 << n) - 1:
+                return _connected_graph(n, edges, gateways)
         raise TopologyError(
             f"geometric: no connected graph with n={n}, radius={radius} "
             f"after {GEOMETRIC_MAX_ATTEMPTS} attempts"
         )
     raise TopologyError(f"unknown topology kind {kind!r}")
+
+
+def _connected_graph(
+    n: int, edges: list[tuple[int, int]], gateways: Iterable[int]
+) -> TopologyGraph:
+    """A graph over ``edges``, known to be connected."""
+    graph = TopologyGraph(n, edges, gateways)
+    graph.connected = True
+    return graph
 
 
 def _default_cols(n: int) -> int:
@@ -363,10 +387,12 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
 
     Pairs touching a gateway are left alone, and any toggle that would
     disconnect the graph is reverted; on a disconnected graph every removal
-    is, until additions connect it. Pairs are drawn in ``(u, v)`` order,
-    one random number each, so the result is deterministic for a given
-    seed. ``g`` is not changed; the result shares the neighbor sets of the
-    nodes no toggle touched, and is ``g`` itself when nothing was toggled.
+    is, until additions connect it. The result is connected when ``g`` is,
+    and knows so; otherwise it knows what the toggles tested. Pairs are
+    drawn in ``(u, v)`` order, one random number each, so the result is
+    deterministic for a given seed. ``g`` is not changed; the result shares
+    the neighbor sets of the nodes no toggle touched, and is ``g`` itself
+    when nothing was toggled.
     """
     if not 0.0 <= p <= 1.0:
         raise TopologyError("churn probability must be in [0, 1]")
@@ -378,7 +404,7 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     mask = list(g._mask)
     full = (1 << g.n) - 1
     flipped: dict[int, list[int]] = {}  # node -> the neighbours toggled at it
-    connected: bool | None = None  # whether mask is connected, tested when first needed
+    connected = g.connected  # whether mask is connected, tested when first needed
     for u, v in toggles:
         bu, bv = 1 << u, 1 << v
         if mask[u] & bv:
@@ -407,7 +433,7 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     adj = list(g._adj)
     for x, partners in flipped.items():
         adj[x] = adj[x].symmetric_difference(partners)
-    return TopologyGraph._from_adjacency(tuple(adj), tuple(mask), g.gateways)
+    return TopologyGraph._from_adjacency(tuple(adj), tuple(mask), g.gateways, connected)
 
 
 @lru_cache(maxsize=8)

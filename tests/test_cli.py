@@ -315,6 +315,7 @@ class TestConfigValueChecks:
         ("strategies.0.params", {"bogus": 1}, "strategies[0].params"),
         ("strategies.1.params.sabotage_enabled", "no", "strategies[1].params: sabotage_enabled"),
         ("strategies.1.params.prefer_unfair", 1, "strategies[1].params: prefer_unfair"),
+        ("predictor.epsilon", float("nan"), "predictor.epsilon"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -366,6 +367,10 @@ class TestConfigValueChecks:
         tree["game"]["forced_bid_mode"] = False
         tree["strategies"][2]["rest"] = True
         conf = write_config(tmp_path, tree)
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0
+
+    def test_infinite_epsilon_accepted(self, tmp_path):
+        conf = write_config(tmp_path, with_override("predictor.epsilon", float("inf")))
         assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0
 
 

@@ -10,7 +10,6 @@ from bidforward.predictor import (
     BidHistory,
     BidHistoryPoint,
     PredictorConfig,
-    neighborhood,
     predict_bid,
 )
 from bidforward.strategies import build_strategy
@@ -22,6 +21,32 @@ def history_from(points, cfg):
     for ma, hc, bid, rnd in points:
         h.record(BidHistoryPoint(ma, hc, bid, rnd))
     return h
+
+
+def neighborhood(history, max_allowed, hop_count, now_round=None):
+    """History points within epsilon of the query in normalized space, by a
+    scan of the whole window: the reference for ``predict_bid``'s chains."""
+    cfg = history.cfg
+    qa = max_allowed / cfg.budget_norm
+    qh = hop_count / cfg.ttl_norm
+    out = []
+    for p in history.points(now_round):
+        da = p.max_allowed / cfg.budget_norm - qa
+        dh = p.hop_count / cfg.ttl_norm - qh
+        if math.hypot(da, dh) <= cfg.epsilon:
+            out.append(p)
+    return out
+
+
+def reference_predict(history, max_allowed, hop_count, now_round=None):
+    """``predict_bid`` as a scan of ``neighborhood``."""
+    cfg = history.cfg
+    nearby = neighborhood(history, max_allowed, hop_count, now_round)
+    if nearby:
+        raw = min(p.observed_bid for p in nearby) - 1
+    else:
+        raw = int(max_allowed * cfg.fallback_fraction)
+    return min(max_allowed, max(cfg.min_bid_floor, raw))
 
 
 def oracle_predict(points, cfg, max_allowed, hop_count):
@@ -180,6 +205,82 @@ class TestSharedTape:
         history = history_from([(100, 3, 40, 5)], PredictorConfig())
         with pytest.raises(ValueError):
             history.record(BidHistoryPoint(100, 3, 40, 4))
+
+
+class TestChainsMatchTheScan:
+    """``predict_bid``'s per-key chains answer what a scan of the window does.
+
+    Tapes trim (small ``max_history``), points age out (small
+    ``max_age_rounds``), histories catch up after many records or after
+    none, and a query without ``now_round`` follows one with it. With
+    epsilon 0.125 and ``ttl_norm`` 8, a point one hop from the query at the
+    same ceiling lies exactly on the epsilon circle.
+    """
+
+    records = st.tuples(
+        st.just("record"),
+        st.integers(0, 2),  # the tape: shared, private with an owner, private without
+        st.sampled_from([None, 0, 1, 2, 3]),  # bidder
+        st.sampled_from([20, 50]),  # ceiling: few keys, so that chains grow
+        st.integers(1, 3),  # hop count
+        st.floats(0.0, 1.0),  # bid as a share of the ceiling
+        st.integers(0, 2),  # rounds since the previous record
+    )
+    queries = st.tuples(
+        st.just("query"),
+        st.integers(0, 5),  # the history
+        st.sampled_from([10, 20, 50]),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.integers(0, 3)),  # now_round, as a lag behind the tape
+        st.booleans(),  # follow with a query without now_round
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        steps=st.lists(st.one_of(records, queries), max_size=120),
+        max_history=st.integers(1, 8),
+        max_age=st.integers(0, 4),
+        epsilon=st.sampled_from([0.0, 0.125, 0.15, 0.3, math.inf]),
+    )
+    def test_every_answer_equals_the_scan(self, steps, max_history, max_age, epsilon):
+        cfg = PredictorConfig(
+            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
+            budget_norm=100, ttl_norm=8,
+        )
+        writer = BidHistory(cfg)
+        mine = BidHistory(cfg, 3)
+        alone = BidHistory(cfg)
+        histories = [writer, *(BidHistory(cfg, o, writer.tape) for o in (0, 1, 2)), mine, alone]
+        tapes = [writer, mine, alone]
+        rnd = now = 0
+        for step in steps:
+            if step[0] == "record":
+                _, tape, bidder, ceiling, hop, share, wait = step
+                rnd += wait
+                tapes[tape].record(BidHistoryPoint(ceiling, hop, int(ceiling * share), rnd), bidder)
+                continue
+            _, which, ceiling, hop, lag, then_none = step
+            history = histories[which]
+            if lag is not None:
+                now = max(now, rnd + lag)
+                expected = reference_predict(history, ceiling, hop, now)
+                assert predict_bid(history, ceiling, hop, now) == expected
+            if lag is None or then_none:
+                assert predict_bid(history, ceiling, hop) == reference_predict(history, ceiling, hop)
+
+    def test_window_start_drops_only_the_pairs_before_it(self):
+        # The first query folds (0, 20) in; the next record pushes it out of a
+        # one-point window, and the new pair, at the window start, stays.
+        h = history_from([(50, 2, 20, 0)], PredictorConfig(max_history=1))
+        assert predict_bid(h, 50, 2) == 19
+        h.record(BidHistoryPoint(50, 2, 30, 0))
+        assert predict_bid(h, 50, 2) == 29
+
+    def test_points_on_the_epsilon_circle_count(self):
+        cfg = PredictorConfig(epsilon=0.125, ttl_norm=8)
+        h = history_from([(50, 3, 20, 0), (50, 5, 10, 0)], cfg)
+        assert predict_bid(h, 50, 4) == 9
+        assert predict_bid(h, 50, 2) == 19
 
 
 def announcement(packet_id, ceiling, dist, rnd, seq=0):

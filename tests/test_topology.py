@@ -1,3 +1,4 @@
+import math
 import random
 from collections import deque
 
@@ -77,6 +78,65 @@ class TestGenerate:
     def test_gateways_required(self):
         with pytest.raises(TopologyError):
             TopologyGraph(3, [(0, 1), (1, 2)], gateways=())
+
+
+def reference_geometric(n, radius, seed):
+    """The edges ``generate("geometric")`` built by a whole graph per attempt,
+    tested by a BFS from node 0; None when every attempt was disconnected."""
+    rng = random.Random(seed)
+    for _ in range(topology.GEOMETRIC_MAX_ATTEMPTS):
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if math.dist(points[u], points[v]) <= radius
+        ]
+        if len(bfs_oracle(edges, n, 0)) == n:
+            return sorted(edges)
+    return None
+
+
+class TestGeometricAgainstReference:
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 40])
+    @pytest.mark.parametrize("radius", [0.15, 0.3, 0.5])
+    def test_same_edges_and_failures(self, n, radius):
+        for seed in range(12):
+            expected = reference_geometric(n, radius, seed)
+            if expected is None:
+                with pytest.raises(TopologyError):
+                    generate("geometric", n, radius=radius, seed=seed)
+            else:
+                assert generate("geometric", n, radius=radius, seed=seed).edges() == expected
+
+
+class TestKnownConnected:
+    def test_generated_graphs_know_they_are_connected(self):
+        graphs = [generate("ring", 5), generate("grid", 6), generate("geometric", 15, radius=0.5)]
+        assert all(g.connected is True for g in graphs)
+
+    def test_other_graphs_find_out_when_asked(self):
+        joined = TopologyGraph(3, [(0, 1), (1, 2)], gateways=(0,))
+        split = TopologyGraph.from_edge_list("n 3\n0 1\ngateways 0\n")
+        assert joined.connected is None and split.connected is None
+        assert joined.is_connected() and joined.connected is True
+        assert not split.is_connected() and split.connected is False
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(4, 12), seed=st.integers(0, 10_000), p=st.floats(0.01, 1.0),
+           data=st.data())
+    def test_churn_carries_what_it_knows(self, n, seed, p, data):
+        g = random_edge_list_graph(data, n)
+        for step in range(3):
+            known = g.connected
+            out = churn(g, p, seed=seed + step)
+            truth = nx.is_connected(nx_graph(out))
+            if known:
+                assert out.connected is True
+            elif out is not g:
+                assert out.connected in (None, truth)
+            g = out
+        assert g.is_connected() == truth
 
 
 class TestHopDistance:
