@@ -41,7 +41,7 @@ from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_
 from .predictor import BID_KINDS, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
-from .topology import NodeView, TopologyGraph, churn, view_of
+from .topology import TopologyGraph, churn, members, view_of
 
 FINE_MODES = ("path-split", "dropper-only")
 
@@ -232,9 +232,9 @@ class Simulation:
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
         self.contexts: dict[NodeId, StrategyContext] = {}
         # Each store and bid history that events feed, in ascending order of
-        # the first node using it: the context whose view scopes it, the
-        # kinds it acts on, and what the audience calls.
-        sinks: dict[object, tuple[StrategyContext, frozenset[EventKind], Sink]] = {}
+        # the first node using it: that node, its owner, hears for it; the
+        # kinds it acts on; and what the audience calls.
+        sinks: dict[object, tuple[NodeId, frozenset[EventKind], Sink]] = {}
         for node in range(graph.n):
             strat = self.strategies[node]
             observer = history = None
@@ -260,11 +260,16 @@ class Simulation:
             )
             if observer is not None:
                 kinds = frozenset(EventKind) if observer.retain_events else OBSERVED_KINDS
-                sinks.setdefault(observer, (ctx, kinds, observer.apply))
+                sinks.setdefault(observer, (node, kinds, observer.apply))
             if history is not None:
                 feed = history if shared_history is None else shared_history
-                sinks.setdefault(feed, (ctx, BID_KINDS, feed.observe))
+                sinks.setdefault(feed, (node, BID_KINDS, feed.observe))
         self._sinks = list(sinks.values())
+        # The sinks of each owner, store before history, and the mask of the owners.
+        self._owned: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
+        for owner, kinds, sink in self._sinks:
+            self._owned.setdefault(owner, []).append((kinds, sink))
+        self._sink_owners = sum(1 << owner for owner in self._owned)
         # Only pack members' stores retain events, and only under khop
         # scopes: under global scope every member shares the one store.
         self._packs: dict[str, list[ObserverStore]] = {}
@@ -285,21 +290,22 @@ class Simulation:
     # -- topology plumbing ------------------------------------------------
 
     def _rebuild_views(self) -> None:
-        """Views and event audiences for the current graph.
+        """Views for the current graph, and empty audience tables for them.
 
-        ``_heard`` maps a location to the sinks in scope of it, with the kinds
-        each acts on; ``_audience`` maps (location, kind) to those that act on
-        the kind.
+        ``_views[v]`` is node v's view: one shared view under global scope.
+        ``_heard`` maps a location to the sinks whose owners hear it, with
+        the kinds each acts on; ``_audience`` maps (location, kind) to those
+        that act on the kind. Both fill as events arrive.
         """
         self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
         self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
+        n = self.graph.n
         if self._scope.mode == "global":
-            shared = view_of(self.graph, 0, self._view_k)
-            for ctx in self.contexts.values():
-                ctx.view = shared
+            self._views = [view_of(self.graph, 0, self._view_k)] * n
         else:
-            for node, ctx in self.contexts.items():
-                ctx.view = view_of(self.graph, node, self._view_k)
+            self._views = [view_of(self.graph, node, self._view_k) for node in range(n)]
+        for node, ctx in self.contexts.items():
+            ctx.view = self._views[node]
 
     def _backbone_distance(self, node: NodeId) -> int | None:
         """Hops from the backbone (one past its gateways) to ``node``."""
@@ -327,9 +333,11 @@ class Simulation:
     ) -> None:
         """Log one event and feed it to every sink that hears it and acts on its kind.
 
-        The sinks in the audience of the event's (location, kind) are called
-        in the order of the sink table: ascending by the first node each
-        serves, a node's store before its bid history.
+        A location's audience is built once per graph, from the owners that
+        ``ObservationScope.hearers`` sets among the sinks' owners, walked bit
+        by bit, so its cost is that of the location's ball. The sinks are
+        called in the order of the sink table: ascending by the first node
+        each serves, a node's store before its bid history.
         """
         # Positional: a NamedTuple binds keyword arguments at about twice the cost.
         event = GameEvent(
@@ -342,10 +350,9 @@ class Simulation:
         if audience is None:
             heard = self._heard.get(location)
             if heard is None:
-                visible = self._scope.visible
+                hearers = self._scope.hearers(location, self._views) & self._sink_owners
                 heard = self._heard[location] = [
-                    (kinds, sink) for ctx, kinds, sink in self._sinks
-                    if visible(location, ctx.view)
+                    entry for owner in members(hearers) for entry in self._owned[owner]
                 ]
             audience = self._audience[(location, kind)] = [
                 sink for kinds, sink in heard if kind in kinds

@@ -1,5 +1,11 @@
 """Per-node observation: scoped event ingestion and profile estimates.
 
+Who hears an event is one rule, ``ObservationScope.hearers``: a mask of the
+nodes that hear an event at a location. Under ``global`` every node hears
+every event. Under ``khop:<k>`` the nodes within k hops of the location do,
+read off the location's own view, and for the backbone the nodes within k-1
+hops of a gateway do, read off the gateways' views.
+
 Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and
 custody/drop counters. ``ObserverStore.apply`` never reads its owner, so
@@ -17,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 
 from .model import (
     BACKBONE,
@@ -55,20 +63,21 @@ class ObservationScope:
         if self.mode == "khop" and self.k < 1:
             raise ValueError("khop scope needs k >= 1")
 
-    def visible(self, location: NodeId, view: NodeView) -> bool:
-        """Whether an event at ``location`` reaches the owner of ``view``; the engine's one rule.
+    def hearers(self, location: NodeId, views: list[NodeView]) -> int:
+        """The mask of the nodes that hear an event at ``location``; the engine's one rule.
 
-        ``view`` is the observer's k-hop view, so the audience check and the
-        view share one BFS bounded at k. A node location is heard
-        when the view knows it. The backbone sits one hop past every gateway,
-        so it is heard when the view covers some gateway's neighbourhood,
-        that is, when a gateway lies within k-1 hops.
+        ``views[v]`` is node v's k-hop view. Under ``global`` every node
+        hears every event (all bits set). Under ``khop`` a node hears an
+        event within k hops of it; hop distance is symmetric, so those nodes
+        are the ones the location's own view knows. The backbone sits one hop
+        past every gateway, so the nodes within k-1 hops of some gateway hear
+        it: the union of the gateways' views' inner masks.
         """
         if self.mode == "global":
-            return True
+            return -1
         if location == BACKBONE:
-            return any(view.covers_neighborhood(g) for g in view.graph.gateways)
-        return view.knows(location)
+            return reduce(or_, (views[g].inner() for g in views[0].graph.gateways), 0)
+        return views[location].known()
 
 
 def parse_scope_spec(spec: str) -> ObservationScope:
@@ -76,8 +85,15 @@ def parse_scope_spec(spec: str) -> ObservationScope:
     if spec == "global":
         return ObservationScope("global")
     if spec.startswith("khop:"):
-        return ObservationScope("khop", int(spec.split(":", 1)[1]))
-    raise ValueError(f"unknown observation spec {spec!r}")
+        try:
+            k = int(spec[len("khop:"):])
+        except ValueError:
+            k = 0
+        if k >= 1:
+            return ObservationScope("khop", k)
+    raise ValueError(
+        f"expected 'global' or 'khop:<k>' with an integer k >= 1, got {spec!r}"
+    )
 
 
 @dataclass

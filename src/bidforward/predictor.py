@@ -355,17 +355,20 @@ def predict_bid(
     max_allowed: Money,
     hop_count: int,
     now_round: int | None = None,
+    live_chains: tuple[dict[tuple[Money, int], deque[tuple[int, Money]]], int] | None = None,
 ) -> Money:
     """Smallest-undercut bid for the queried auction scenario.
 
     One below the minimum bid seen in the epsilon-neighborhood, clamped to
     [min_bid_floor, max_allowed]; with no neighbors, a fallback fraction of
-    the ceiling, clamped the same way.
+    the ceiling, clamped the same way. ``live_chains`` is what
+    ``history.live_chains(now_round)`` returned, for a caller that read it
+    already; the history is not read again.
     """
     if max_allowed < 1:
         raise ValueError("query max_allowed must be >= 1")
     cfg = history.cfg
-    chains, live = history.live_chains(now_round)
+    chains, live = live_chains or history.live_chains(now_round)
     budget_norm, ttl_norm, epsilon = cfg.budget_norm, cfg.ttl_norm, cfg.epsilon
     qa = max_allowed / budget_norm
     qh = hop_count / ttl_norm

@@ -78,9 +78,13 @@ def undercut_bid(ceiling: Money, hop: int, ctx: StrategyContext, small_cap: int)
     """Predictor undercut, or a small random bid while the history is empty."""
     if ceiling < 1:
         return 0
-    if ctx.history is None or len(ctx.history) == 0:
-        return min(ceiling, ctx.rng.randint(1, small_cap))
-    return predict_bid(ctx.history, ceiling, hop, ctx.round)
+    history = ctx.history
+    if history is not None:
+        # The window is empty exactly when its chains are: one window read serves both.
+        live = history.live_chains(ctx.round)
+        if live[0]:
+            return predict_bid(history, ceiling, hop, ctx.round, live)
+    return min(ceiling, ctx.rng.randint(1, small_cap))
 
 
 class Strategy:

@@ -8,13 +8,20 @@ set for each neighbour v.
 A k-hop view's first query grows its owner's balls, the masks of the nodes
 within 0, 1, ..., k hops, by ORing the masks of each frontier's nodes: one
 mask read per node closer than k, and nothing past the k-ball. After that,
-``knows`` and ``covers_neighborhood`` test one bit. A churn step costs one
-random draw per non-gateway pair, over a pair list built once per node
-count and gateway set; per removal, a common-neighbour test and, failing
-that, a mask search from one end that stops at the level where it meets
-the other; and new neighbour sets for the nodes it toggled. Graphs from
-``generate`` and ``churn`` know whether they are connected, so churning a
-graph known to be connected never searches the whole graph.
+``knows`` and ``covers_neighborhood`` test one bit, and the owner's
+distances are read off the balls. Every other hop distance, the graph's
+(``distances_from``) or a view's between two other nodes, comes from one
+level search over the masks per source, cached as a distance list: each
+level is the OR of its nodes' masks, and a view keeps only the bits of the
+edges it holds. Neither a graph nor a view builds an adjacency of its own
+beyond the neighbour sets and masks.
+
+A churn step costs one random draw per non-gateway pair, over a pair list
+built once per node count and gateway set; per removal, a common-neighbour
+test and, failing that, a mask search from one end that stops at the level
+where it meets the other; and new neighbour sets for the nodes it toggled.
+Graphs from ``generate`` and ``churn`` know whether they are connected, so
+churning a graph known to be connected never searches the whole graph.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ import math
 import random
 from functools import lru_cache, reduce
 from operator import or_
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .model import NodeId
 
@@ -37,7 +44,7 @@ class TopologyError(ValueError):
 class TopologyGraph:
     """Immutable simple graph plus its gateway set.
 
-    Shortest-hop distances are BFS results cached per source node.
+    Shortest-hop distances are mask level searches cached per source node.
     ``connected`` is whether the graph is connected, None until known:
     ``generate`` and ``churn`` know it, and ``is_connected`` finds it out.
     """
@@ -97,8 +104,7 @@ class TopologyGraph:
         """All-nodes hop distances from ``src`` (``None`` where unreachable)."""
         cached = self._dist.get(src)
         if cached is None:
-            cached = _bfs(self._adj.__getitem__, self.n, src)
-            self._dist[src] = cached
+            cached = self._dist[src] = _levels(self._mask, self.n, src)
         return cached
 
     def hop_distance(self, a: NodeId, b: NodeId) -> int | None:
@@ -143,24 +149,6 @@ class TopologyGraph:
         return cls(n, edges, gateways)
 
 
-def _bfs(neighbors: Callable[[int], Iterable[int]], n: int, src: int) -> list[int | None]:
-    """Hop distances from ``src`` over the edges ``neighbors`` gives."""
-    dist: list[int | None] = [None] * n
-    dist[src] = 0
-    frontier = [src]
-    d = 0
-    while frontier:
-        d += 1
-        reached = []
-        for u in frontier:
-            for v in neighbors(u):
-                if dist[v] is None:
-                    dist[v] = d
-                    reached.append(v)
-        frontier = reached
-    return dist
-
-
 def _balls(
     mask: Sequence[int], adj: Sequence[Iterable[int]], src: int, depth: int
 ) -> list[int]:
@@ -181,7 +169,29 @@ def _balls(
         if len(balls) > depth:
             return balls
         # The first frontier is src's neighbour set; later ones are read off their bits.
-        frontier = adj[src] if len(balls) == 2 else _members(new)
+        frontier = adj[src] if len(balls) == 2 else members(new)
+
+
+def _levels(mask: Sequence[int], n: int, src: int, inner: int = -1) -> list[int | None]:
+    """Hop distances from ``src`` over the edges with an end in ``inner``; None where unreached.
+
+    A level search over the masks: a node in ``inner`` expands by its whole
+    mask, any other by the part of its mask in ``inner``. With every bit of
+    ``inner`` set, the default, that is every edge of the graph.
+    """
+    dist: list[int | None] = [None] * n
+    ball = level = 1 << src
+    d = 0
+    while level:
+        core, rim = members(level & inner), members(level & ~inner)
+        for v in core + rim:
+            dist[v] = d
+        d += 1
+        reach = reduce(or_, map(mask.__getitem__, core), 0)
+        reach |= reduce(or_, map(mask.__getitem__, rim), 0) & inner
+        level = reach & ~ball
+        ball |= level
+    return dist
 
 
 def _reach(mask: Sequence[int], src: int, stop: int = 0) -> int:
@@ -189,18 +199,19 @@ def _reach(mask: Sequence[int], src: int, stop: int = 0) -> int:
     that meets a bit of ``stop``."""
     ball = new = 1 << src
     while new and not ball & stop:
-        new = reduce(or_, map(mask.__getitem__, _members(new)), ball) ^ ball
+        new = reduce(or_, map(mask.__getitem__, members(new)), ball) ^ ball
         ball |= new
     return ball
 
 
-def _members(mask: int) -> list[int]:
+def members(mask: int) -> list[int]:
     """The node ids whose bits are set in ``mask``, ascending."""
     out = []
     while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
@@ -243,6 +254,8 @@ def generate(
     if kind == "geometric":
         if radius is None:
             raise TopologyError("geometric graphs need a connection radius")
+        if not radius > 0:
+            raise TopologyError(f"geometric: radius must be > 0, got {radius}")
         rng = random.Random(seed)
         for _ in range(GEOMETRIC_MAX_ATTEMPTS):
             points = [(rng.random(), rng.random()) for _ in range(n)]
@@ -288,27 +301,27 @@ def _default_cols(n: int) -> int:
 class NodeView:
     """One node's restricted knowledge of a graph: a window onto ``g``, not a copy.
 
-    The view holds every edge with at least one endpoint within k-1 hops of
-    the owner, so it knows exactly the nodes within k hops; with k at least
-    the diameter this is the whole graph. Everything is answered from the
-    owner's balls, grown over ``g``'s neighbour masks up to depth k on the
-    first query; the graph's own BFS cache is not used. The owner's distance
-    to a known node is exact, because every shortest path of length at most
-    k lies inside the view. The view's adjacency is built once, on the first
-    ``neighbors`` query or distance from another source. It is symmetric, so
-    ``distance(a, b)`` reads ``a`` off one BFS over it from ``b``, cached per
-    destination: a chooser asks ``distance(bidder, dest)`` for many bidders
-    and one destination.
+    The view holds every edge with at least one end within k-1 hops of the
+    owner, its inner nodes, so it knows exactly the nodes within k hops; with
+    k at least the diameter this is the whole graph. Everything is answered
+    from ``g``'s neighbour masks and the owner's balls, grown up to depth k
+    on the first query; the view keeps no adjacency of its own and does not
+    use the graph's distance cache. An inner node's neighbours are all of
+    its neighbours; a node at the rim's are those among the inner nodes.
+    The owner's distance to a known node is read off the balls, and is exact
+    because every shortest path of length at most k lies inside the view.
+    The view's edges are symmetric, so ``distance(a, b)`` reads ``a`` off
+    one level search from ``b`` over them, cached per destination: a chooser
+    asks ``distance(bidder, dest)`` for many bidders and one destination.
     """
 
-    __slots__ = ("graph", "owner", "k", "_balls", "_adj", "_dist")
+    __slots__ = ("graph", "owner", "k", "_balls", "_dist")
 
     def __init__(self, g: TopologyGraph, owner: NodeId, k: int):
         self.graph = g
         self.owner = owner
         self.k = k
         self._balls: list[int] | None = None
-        self._adj: dict[int, frozenset[int]] | None = None
         self._dist: dict[int, list[int | None]] = {}
 
     def _grow(self) -> list[int]:
@@ -334,44 +347,43 @@ class NodeView:
             d += 1
         return d
 
-    def _adjacency(self) -> dict[int, frozenset[int]]:
-        """Known node -> its neighbors in the view."""
-        adj = self._adj
-        if adj is None:
-            nbrs = self.graph._adj
-            balls = self._balls or self._grow()
-            inner_mask = self._inner(balls)
-            inner = frozenset(_members(inner_mask))
-            # At the rim only the edges back to nodes within k-1 hops are in the view.
-            adj = self._adj = {
-                v: nbrs[v] if inner_mask >> v & 1 else nbrs[v] & inner
-                for v in _members(balls[-1])
-            }
-        return adj
+    def known(self) -> int:
+        """The mask of the nodes the view knows: those within k hops of the owner."""
+        return (self._balls or self._grow())[-1]
+
+    def inner(self) -> int:
+        """The mask of the nodes whose every edge the view holds: those within k-1 hops."""
+        return self._inner(self._balls or self._grow())
 
     def knows(self, node: NodeId) -> bool:
-        balls = self._balls or self._grow()
-        return node >= 0 and balls[-1] >> node & 1 == 1
+        return node >= 0 and self.known() >> node & 1 == 1
 
     def neighbors(self, node: NodeId) -> frozenset[int]:
         """Known neighbors of ``node``; empty when the node is unknown."""
-        return self._adjacency().get(node, frozenset())
+        balls = self._balls or self._grow()
+        if node < 0 or not balls[-1] >> node & 1:
+            return frozenset()
+        inner = self._inner(balls)
+        if inner >> node & 1:
+            return self.graph._adj[node]
+        return frozenset(members(self.graph._mask[node] & inner))
 
     def covers_neighborhood(self, node: NodeId) -> bool:
         """True when every edge incident to ``node`` is in the view."""
-        balls = self._balls or self._grow()
-        return node >= 0 and self._inner(balls) >> node & 1 == 1
+        return node >= 0 and self.inner() >> node & 1 == 1
 
     def distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-hop distance using known edges only; None when unknown."""
         if a == self.owner:
             return self._hops(b)
-        known = (self._balls or self._grow())[-1]
+        balls = self._balls or self._grow()
+        known = balls[-1]
         if a < 0 or b < 0 or not (known >> a & 1 and known >> b & 1):
             return None
         from_b = self._dist.get(b)
         if from_b is None:
-            from_b = self._dist[b] = _bfs(self._adjacency().__getitem__, self.graph.n, b)
+            g = self.graph
+            from_b = self._dist[b] = _levels(g._mask, g.n, b, self._inner(balls))
         return from_b[a]
 
 

@@ -316,6 +316,10 @@ class TestConfigValueChecks:
         ("strategies.1.params.sabotage_enabled", "no", "strategies[1].params: sabotage_enabled"),
         ("strategies.1.params.prefer_unfair", 1, "strategies[1].params: prefer_unfair"),
         ("predictor.epsilon", float("nan"), "predictor.epsilon"),
+        ("game.observation", "khop:x", "with an integer k >= 1, got 'khop:x'"),
+        ("game.observation", "khop:2.5", "with an integer k >= 1, got 'khop:2.5'"),
+        ("topology.radius", -0.3, "radius must be > 0, got -0.3"),
+        ("topology.radius", float("nan"), "radius must be > 0, got nan"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))

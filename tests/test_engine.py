@@ -512,9 +512,9 @@ class TestLazyViewWork:
     """Views are taken for every node after every churn step but grow no ball of their own."""
 
     def counting_searches(self, monkeypatch):
-        """Count the runs of every graph search: view balls, churn's reach, BFS."""
+        """Count the runs of every graph search: view balls, churn's reach, level searches."""
         calls = [0]
-        for name in ("_balls", "_reach", "_bfs"):
+        for name in ("_balls", "_reach", "_levels"):
             real = getattr(topology, name)
 
             def counting(*args, real=real, **kwargs):

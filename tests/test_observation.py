@@ -21,9 +21,14 @@ def ev(rnd, seq, kind, pid, node, amount, location=None, **fields):
                      node if location is None else location, **fields)
 
 
-def ingest(store, event, scope, view):
-    """Apply ``event`` iff the scope, with the owner's ``view``, hears it (the engine's rule)."""
-    return scope.visible(event.location, view) and store.apply(event)
+def views_of(g, k):
+    """Every node's k-hop view of ``g``, indexed by node."""
+    return [view_of(g, v, k) for v in range(g.n)]
+
+
+def ingest(store, event, scope, views):
+    """Apply ``event`` iff the scope lets the store's owner hear it (the engine's rule)."""
+    return scope.hearers(event.location, views) >> store.owner & 1 and store.apply(event)
 
 
 class TestIngest:
@@ -39,7 +44,7 @@ class TestIngest:
         g = generate("grid", 5, cols=1)  # path 0-1-2-3-4
         store = ObserverStore(owner=0)
         scope = ObservationScope("khop", k=1)
-        applied = ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 3, 99), scope, view_of(g, 0, 1))
+        applied = ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 3, 99), scope, views_of(g, 1))
         assert not applied
         assert store.profiles == {}
 
@@ -47,7 +52,7 @@ class TestIngest:
         g = generate("grid", 5, cols=1)
         store = ObserverStore(owner=0)
         scope = ObservationScope("khop", k=1)
-        assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, view_of(g, 0, 1))
+        assert ingest(store, ev(0, 0, EventKind.PAYMENT, 0, 1, 99), scope, views_of(g, 1))
         assert store.profiles[1].estimated_profit == 99
 
     def test_drop_updates_counters_and_profit(self):
@@ -86,9 +91,9 @@ class TestScope:
 
     def test_backbone_location_visible_near_gateway(self):
         g = generate("grid", 5, cols=1, gateways=(0,))
-        assert ObservationScope("khop", k=1).visible(-1, view_of(g, 0, 1))
-        assert not ObservationScope("khop", k=1).visible(-1, view_of(g, 2, 1))
-        assert ObservationScope("khop", k=3).visible(-1, view_of(g, 2, 3))
+        assert ObservationScope("khop", k=1).hearers(-1, views_of(g, 1)) >> 0 & 1
+        assert not ObservationScope("khop", k=1).hearers(-1, views_of(g, 1)) >> 2 & 1
+        assert ObservationScope("khop", k=3).hearers(-1, views_of(g, 3)) >> 2 & 1
 
 
 class TestFairness:
@@ -181,8 +186,8 @@ class TestMergePack:
         scope_b = ObservationScope("khop", k=1)
         for seq, node in enumerate(range(5)):
             event = ev(0, seq, EventKind.PAYMENT, seq, node, 10)
-            ingest(a, event, scope_a, view_of(g, 0, 1))
-            ingest(b, event, scope_b, view_of(g, 4, 1))
+            ingest(a, event, scope_a, views_of(g, 1))
+            ingest(b, event, scope_b, views_of(g, 1))
         covered_a = set(a.profiles)
         covered_b = set(b.profiles)
         merge_pack([a, b])

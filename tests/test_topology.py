@@ -307,18 +307,18 @@ class TestSymmetricViewDistances:
     def test_one_bfs_per_destination(self, monkeypatch):
         g = churn(generate("geometric", 50, radius=0.3, seed=1), 0.05, seed=3)
         sources = []
-        real_balls, real_bfs = topology._balls, topology._bfs
+        real_balls, real_levels = topology._balls, topology._levels
 
         def counting_balls(mask, adj, src, depth):
             sources.append(("ball", src))
             return real_balls(mask, adj, src, depth)
 
-        def counting_bfs(neighbors, n, src):
-            sources.append(("bfs", src))
-            return real_bfs(neighbors, n, src)
+        def counting_levels(mask, n, src, inner=-1):
+            sources.append(("search", src))
+            return real_levels(mask, n, src, inner)
 
         monkeypatch.setattr(topology, "_balls", counting_balls)
-        monkeypatch.setattr(topology, "_bfs", counting_bfs)
+        monkeypatch.setattr(topology, "_levels", counting_levels)
         full = nx_graph(g)
         for owner in (0, 7, 31):
             for k in (1, 2, 3, g.n):
@@ -328,8 +328,8 @@ class TestSymmetricViewDistances:
                     sources.clear()
                     for x in range(-1, g.n + 1):
                         view.distance(x, dest)
-                    # The owner's bounded ball, then one BFS over the view from dest.
-                    assert sources == [("ball", owner), ("bfs", dest)]
+                    # The owner's bounded ball, then one level search over the view from dest.
+                    assert sources == [("ball", owner), ("search", dest)]
                     if k == g.n:
                         expected = nx.single_source_shortest_path_length(full, dest)
                         assert [view.distance(x, dest) for x in known] == [
@@ -351,7 +351,8 @@ def bits(nodes):
 
 
 class TestMasksAgainstNetworkx:
-    """Neighbour masks, mask reachability and view balls after chains of churn steps."""
+    """Neighbour masks, mask reachability, view balls and the mask level searches
+    behind graph and view distances, after chains of churn steps."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -375,6 +376,11 @@ class TestMasksAgainstNetworkx:
                     if v != u:
                         reached = topology._reach(g._mask, u, 1 << v)
                         assert bool(reached >> v & 1) == (v in component)
+            # Across components a level search reaches nothing: None.
+            hops = dict(nx.all_pairs_shortest_path_length(full))
+            for u in range(n):
+                for v in range(n):
+                    assert g.hop_distance(u, v) == hops[u].get(v)
             for owner in range(n):
                 for k in (1, 2, 3, n):
                     view = view_of(g, owner, k)
@@ -384,6 +390,12 @@ class TestMasksAgainstNetworkx:
                         assert view._hops(x) == d
                         assert view.knows(x) == (d is not None)
                         assert view.covers_neighborhood(x) == (d is not None and d < k)
+                    sub, _ = oracle_view(g, owner, k)
+                    within = dict(nx.all_pairs_shortest_path_length(sub))
+                    for a in range(-1, n + 1):
+                        assert view.neighbors(a) == (frozenset(sub[a]) if a in sub else frozenset())
+                        for b in range(-1, n + 1):
+                            assert view.distance(a, b) == within.get(a, {}).get(b)
 
 
 def reference_churn(g, p, seed):

@@ -7,7 +7,10 @@ package makes ``Tracer.install()`` raise, and every traced benchmark
 operation fails; this test makes that a tier-1 failure. The traced run
 uses k-hop views on a churning graph, so a simulation that stops calling
 ``churn`` and ``view_of`` through the names the tracer wraps fails here
-too, instead of reading zero topology time per layer.
+too, instead of reading zero topology time per layer, and so does one
+whose graph and view distances stop going through ``hop_distance``,
+``distances_from`` and ``NodeView.distance``, instead of reading zero
+distance counts.
 """
 
 import os
@@ -38,6 +41,9 @@ assert tracer.counts["engine.events"] == len(result.events) > 0
 assert tracer.counts["predictor.record_calls"] > 0
 assert tracer.counts["observation.apply_calls"] > 0
 assert tracer.counts["engine.bids"] > 0
+assert tracer.counts["topology.hop_distance_calls"] > 0
+assert tracer.counts["topology.distances_from_misses"] > 0
+assert tracer.counts["topology.view_distance_calls"] > 0
 spans = {span[0] for span in tracer.spans}
 assert {"topology.churn", "topology.view_of"} <= spans, spans
 """
