@@ -2,8 +2,11 @@
 
 ``benches/golden.json`` holds the sha256 of each workload's outputs at the
 golden seed: ``events.csv`` and ``balances.csv`` of a run, ``ranktable.csv``
-of a tournament. A change that moves any of them changes output; this test
-makes that a tier-1 failure. The files under ``benches/`` are only read.
+of a tournament. ``tests/golden_khop.json`` holds the same digest for
+``khop-churn`` under overrides that move its bid histories: other scopes,
+tapes small enough to trim, forced bids. A change that moves any of them
+changes output; this test makes that a tier-1 failure. The files under
+``benches/`` are only read.
 """
 
 import hashlib
@@ -17,6 +20,12 @@ from bidforward.cli import main
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benches"
 GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text())
+GOLDEN_KHOP = json.loads(Path(__file__).with_name("golden_khop.json").read_text())
+
+
+def run_digest(args, out, names=("events.csv", "balances.csv")):
+    assert main([*args, "--out", str(out)]) == 0
+    return hashlib.sha256(b"".join((out / n).read_bytes() for n in names)).hexdigest()
 
 
 @pytest.mark.parametrize("workload", sorted(GOLDEN["sha256"]))
@@ -24,8 +33,16 @@ def test_workload_outputs_match_the_golden_digest(workload, tmp_path, capsys):
     config = BENCH_DIR / "workloads" / f"{workload}.yaml"
     tournament = "tournament" in yaml.safe_load(config.read_text())
     command = "tournament" if tournament else "run"
-    assert main([command, "--config", str(config), "--seed", str(GOLDEN["seed"]),
-                 "--out", str(tmp_path)]) == 0
     names = ["ranktable.csv"] if tournament else ["events.csv", "balances.csv"]
-    digest = hashlib.sha256(b"".join((tmp_path / n).read_bytes() for n in names)).hexdigest()
-    assert digest == GOLDEN["sha256"][workload]
+    args = [command, "--config", str(config), "--seed", str(GOLDEN["seed"])]
+    assert run_digest(args, tmp_path, names) == GOLDEN["sha256"][workload]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_KHOP["sha256"]))
+def test_khop_histories_match_the_golden_digest(case, tmp_path):
+    config = BENCH_DIR / "workloads" / f"{GOLDEN_KHOP['workload']}.yaml"
+    expected = GOLDEN_KHOP["sha256"][case]
+    args = ["run", "--config", str(config), "--seed", str(GOLDEN_KHOP["seed"])]
+    for override in expected["overrides"]:
+        args += ["--override", override]
+    assert run_digest(args, tmp_path) == expected["digest"]
