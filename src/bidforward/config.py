@@ -16,7 +16,7 @@ import yaml
 from .engine import EngineError, GameConfig
 from .predictor import PredictorConfig
 from .strategies import STRATEGY_REGISTRY, build_strategy
-from .topology import TopologyError, TopologyGraph
+from .topology import TopologyError, TopologyGraph, check_generate
 from .tournament import (
     SWEEP_AXES,
     SWEEP_FIELDS,
@@ -134,7 +134,8 @@ def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfi
 
 
 def build_topology_spec(tree: dict) -> TopologySpec:
-    """The spec of a generated graph; tournaments build one graph per run from it."""
+    """The spec of a generated graph, checked for every error no seed can avoid;
+    tournaments build one graph per run from it."""
     topo = _section(tree, "topology")
     if "file" in topo:
         raise ConfigError(
@@ -148,7 +149,7 @@ def build_topology_spec(tree: dict) -> TopologySpec:
     gateways = topo.get("gateways", [0])
     if not isinstance(gateways, (list, tuple)) or not gateways:
         raise ConfigError("topology.gateways: need a non-empty list of node ids")
-    return TopologySpec(
+    spec = TopologySpec(
         kind=str(topo.get("kind", "geometric")),
         n=_take(topo, "topology", "n", int, 20),
         radius=_take(topo, "topology", "radius", float, 0.35),
@@ -156,6 +157,13 @@ def build_topology_spec(tree: dict) -> TopologySpec:
         gateways=tuple(_number(g, "topology.gateways") for g in gateways),
         seed=_take(topo, "topology", "seed", int, None),
     )
+    try:
+        check_generate(
+            spec.kind, spec.n, radius=spec.radius, cols=spec.cols, gateways=spec.gateways
+        )
+    except TopologyError as exc:
+        raise ConfigError(f"topology.{exc.field}: {exc}") from None
+    return spec
 
 
 def build_graph(tree: dict, run_seed: int) -> TopologyGraph:

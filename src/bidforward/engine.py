@@ -8,11 +8,14 @@ becomes the ceiling bound for the next hop. Adjacent destinations are
 delivered directly with no auction. Custody transfers consume TTL; running
 out, finding no bidder, or a deliberate drop ends the packet with a fine.
 
-Every event goes to the observer stores and bid histories that hear it and
-act on its kind. The scope decides which those are: under ``global`` all
-subscribers share one store and one bid history, so each event is folded in
-at most twice; under ``khop:<k>`` every subscriber keeps its own and hears
-the events within k hops of it.
+Every event goes to the observer stores that hear it and act on its kind,
+and the bid kinds go to the run's one ``BidFeed`` as well. The scope decides
+who hears: under ``global`` all subscribers share one store, and every bid
+history windows the feed's own tape, so each event is folded in at most
+twice. Under ``khop:<k>`` every subscriber keeps its own store and tape and
+hears the events within k hops of it; the feed is told the mask of the
+history owners that hear each event, and records a bid once per group of
+hearers that heard the same latest announcement, with one point per group.
 
 A run is strictly sequential and deterministic for a given config, graph,
 assignment and master seed.
@@ -22,6 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .model import (
@@ -38,14 +42,15 @@ from .model import (
     validate_bid,
 )
 from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
-from .predictor import BID_KINDS, BidHistory, PredictorConfig
+from .predictor import BID_KINDS, BidFeed, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import TopologyGraph, churn, members, view_of
 
 FINE_MODES = ("path-split", "dropper-only")
 
-#: What an event's audience calls: a bound ``ObserverStore.apply`` or ``BidHistory.observe``.
+#: What an event's audience calls: a bound ``ObserverStore.apply``, or the run's
+#: ``BidFeed.observe``, bound under ``khop`` scopes to the location's hearers.
 Sink = Callable[[GameEvent], object]
 
 
@@ -223,18 +228,17 @@ class Simulation:
             raise EngineError("every node is a gateway; no valid destinations exist")
 
         # Under global scope every subscriber hears every event in the same
-        # order, so all observers share one store, and one owner-less history
-        # writes the tape that every node's history windows.
+        # order, so all observers share one store, and every node's history
+        # windows the feed's tape.
         shared_store = ObserverStore() if shared else None
-        shared_history = BidHistory(self.predictor_cfg) if shared else None
+        self._feed = BidFeed(self.predictor_cfg)
 
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
         self.contexts: dict[NodeId, StrategyContext] = {}
-        # Each store and bid history that events feed, in ascending order of
-        # the first node using it: that node, its owner, hears for it; the
-        # kinds it acts on; and what the audience calls.
-        sinks: dict[object, tuple[NodeId, frozenset[EventKind], Sink]] = {}
+        # Each store, with its owner: the first node using it, which hears for it.
+        stores: dict[ObserverStore, NodeId] = {}
+        self._history_owners = 0
         for node in range(graph.n):
             strat = self.strategies[node]
             observer = history = None
@@ -243,8 +247,9 @@ class Simulation:
                     node, retain_events=strat.pack is not None
                 )
             if strat.uses_bid_history:
-                tape = None if shared_history is None else shared_history.tape
-                history = BidHistory(self.predictor_cfg, node, tape)
+                history = BidHistory(self.predictor_cfg, node, self._feed.tape if shared else None)
+                self._feed.tapes[node] = history.tape
+                self._history_owners |= 1 << node
             ctx = self.contexts[node] = StrategyContext(
                 node=node,
                 view=None,  # type: ignore[arg-type]  # set by _rebuild_views
@@ -259,17 +264,13 @@ class Simulation:
                 history=history,
             )
             if observer is not None:
-                kinds = frozenset(EventKind) if observer.retain_events else OBSERVED_KINDS
-                sinks.setdefault(observer, (node, kinds, observer.apply))
-            if history is not None:
-                feed = history if shared_history is None else shared_history
-                sinks.setdefault(feed, (node, BID_KINDS, feed.observe))
-        self._sinks = list(sinks.values())
-        # The sinks of each owner, store before history, and the mask of the owners.
-        self._owned: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
-        for owner, kinds, sink in self._sinks:
-            self._owned.setdefault(owner, []).append((kinds, sink))
-        self._sink_owners = sum(1 << owner for owner in self._owned)
+                stores.setdefault(observer, node)
+        # The store of each owner, as the kinds it acts on and what the audience calls.
+        self._owned: dict[NodeId, tuple[frozenset[EventKind], Sink]] = {
+            owner: (frozenset(EventKind) if store.retain_events else OBSERVED_KINDS, store.apply)
+            for store, owner in stores.items()
+        }
+        self._store_owners = sum(1 << owner for owner in self._owned)
         # Only pack members' stores retain events, and only under khop
         # scopes: under global scope every member shares the one store.
         self._packs: dict[str, list[ObserverStore]] = {}
@@ -293,9 +294,9 @@ class Simulation:
         """Views for the current graph, and empty audience tables for them.
 
         ``_views[v]`` is node v's view: one shared view under global scope.
-        ``_heard`` maps a location to the sinks whose owners hear it, with
-        the kinds each acts on; ``_audience`` maps (location, kind) to those
-        that act on the kind. Both fill as events arrive.
+        ``_heard`` maps a location to the sinks that hear it, with the kinds
+        each acts on; ``_audience`` maps (location, kind) to those that act
+        on the kind. Both fill as events arrive.
         """
         self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
         self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
@@ -333,11 +334,12 @@ class Simulation:
     ) -> None:
         """Log one event and feed it to every sink that hears it and acts on its kind.
 
-        A location's audience is built once per graph, from the owners that
-        ``ObservationScope.hearers`` sets among the sinks' owners, walked bit
-        by bit, so its cost is that of the location's ball. The sinks are
-        called in the order of the sink table: ascending by the first node
-        each serves, a node's store before its bid history.
+        A location's audience is built once per graph from the mask that
+        ``ObservationScope.hearers`` sets: the stores of the store owners in
+        it, walked bit by bit in ascending order, then the bid feed if any
+        history owner is in it. Under ``khop`` scopes the feed is bound to
+        the mask of those history owners; under ``global`` every history
+        hears, and the feed is called as it is.
         """
         # Positional: a NamedTuple binds keyword arguments at about twice the cost.
         event = GameEvent(
@@ -350,10 +352,16 @@ class Simulation:
         if audience is None:
             heard = self._heard.get(location)
             if heard is None:
-                hearers = self._scope.hearers(location, self._views) & self._sink_owners
+                hearers = self._scope.hearers(location, self._views)
                 heard = self._heard[location] = [
-                    entry for owner in members(hearers) for entry in self._owned[owner]
+                    self._owned[owner] for owner in members(hearers & self._store_owners)
                 ]
+                listening = hearers & self._history_owners
+                if listening:
+                    feed = self._feed.observe
+                    if self._scope.mode != "global":
+                        feed = partial(feed, hearers=listening)
+                    heard.append((BID_KINDS, feed))
             audience = self._audience[(location, kind)] = [
                 sink for kinds, sink in heard if kind in kinds
             ]
@@ -369,9 +377,8 @@ class Simulation:
         self._seq = 0
         for ctx in self.contexts.values():
             ctx.round = self.round
-            if ctx.history is not None:
-                # Every packet is resolved within the round that injects it.
-                ctx.history.pending.clear()
+        # Every packet is resolved within the round that injects it.
+        self._feed.pending.clear()
         for _ in range(self.config.injection_rate):
             if self._injected >= self.config.packets_total:
                 break

@@ -38,7 +38,12 @@ GEOMETRIC_MAX_ATTEMPTS = 50
 
 
 class TopologyError(ValueError):
-    """Raised for invalid graph parameters or failed generation."""
+    """Raised for invalid graph parameters or failed generation; ``field`` names
+    the ``generate`` parameter at fault when no seed could build the graph."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 class TopologyGraph:
@@ -215,6 +220,37 @@ def members(mask: int) -> list[int]:
     return out
 
 
+def check_generate(
+    kind: str,
+    n: int,
+    *,
+    radius: float | None = None,
+    cols: int | None = None,
+    gateways: Iterable[int] = (0,),
+) -> None:
+    """Raise the ``TopologyError`` that ``generate`` would raise for these
+    parameters whatever its seed, naming the parameter at fault."""
+    if kind not in ("ring", "grid", "geometric"):
+        raise TopologyError(f"unknown topology kind {kind!r}", "kind")
+    if n < 2:
+        raise TopologyError("n must be >= 2", "n")
+    if kind == "grid":
+        c = cols if cols is not None else _default_cols(n)
+        if c < 1 or n % c != 0:
+            raise TopologyError(f"grid: {n} nodes do not factor into columns of {c}", "cols")
+    if kind == "geometric":
+        if radius is None:
+            raise TopologyError("geometric graphs need a connection radius", "radius")
+        if not radius > 0:
+            raise TopologyError(f"geometric: radius must be > 0, got {radius}", "radius")
+    gateways = list(gateways)
+    if not gateways:
+        raise TopologyError("gateway set must be non-empty", "gateways")
+    for g in gateways:
+        if not 0 <= g < n:
+            raise TopologyError(f"gateway {g} is not a node of a {n}-node graph", "gateways")
+
+
 def generate(
     kind: str,
     n: int,
@@ -230,17 +266,16 @@ def generate(
     smallest divisor of n at least sqrt(n); pass cols=1 for a path), and
     ``geometric`` places points uniformly in the unit square, connecting
     pairs within ``radius``, redrawing up to a bounded attempt count until
-    connected.
+    connected. Only that last failure depends on the seed; ``check_generate``
+    raises every other.
     """
-    if n < 2:
-        raise TopologyError("n must be >= 2")
+    gateways = tuple(gateways)
+    check_generate(kind, n, radius=radius, cols=cols, gateways=gateways)
     if kind == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
         return _connected_graph(n, edges, gateways)
     if kind == "grid":
         c = cols if cols is not None else _default_cols(n)
-        if c < 1 or n % c != 0:
-            raise TopologyError(f"grid: {n} nodes do not factor into columns of {c}")
         rows = n // c
         edges = []
         for r in range(rows):
@@ -251,32 +286,26 @@ def generate(
                 if r + 1 < rows:
                     edges.append((node, node + c))
         return _connected_graph(n, edges, gateways)
-    if kind == "geometric":
-        if radius is None:
-            raise TopologyError("geometric graphs need a connection radius")
-        if not radius > 0:
-            raise TopologyError(f"geometric: radius must be > 0, got {radius}")
-        rng = random.Random(seed)
-        for _ in range(GEOMETRIC_MAX_ATTEMPTS):
-            points = [(rng.random(), rng.random()) for _ in range(n)]
-            edges = [
-                (u, v)
-                for u in range(n)
-                for v in range(u + 1, n)
-                if math.dist(points[u], points[v]) <= radius
-            ]
-            # Test the edge list before building a graph for an attempt that fails.
-            mask = [0] * n
-            for u, v in edges:
-                mask[u] |= 1 << v
-                mask[v] |= 1 << u
-            if _reach(mask, 0) == (1 << n) - 1:
-                return _connected_graph(n, edges, gateways)
-        raise TopologyError(
-            f"geometric: no connected graph with n={n}, radius={radius} "
-            f"after {GEOMETRIC_MAX_ATTEMPTS} attempts"
-        )
-    raise TopologyError(f"unknown topology kind {kind!r}")
+    rng = random.Random(seed)
+    for _ in range(GEOMETRIC_MAX_ATTEMPTS):
+        points = [(rng.random(), rng.random()) for _ in range(n)]
+        edges = [
+            (u, v)
+            for u in range(n)
+            for v in range(u + 1, n)
+            if math.dist(points[u], points[v]) <= radius
+        ]
+        # Test the edge list before building a graph for an attempt that fails.
+        mask = [0] * n
+        for u, v in edges:
+            mask[u] |= 1 << v
+            mask[v] |= 1 << u
+        if _reach(mask, 0) == (1 << n) - 1:
+            return _connected_graph(n, edges, gateways)
+    raise TopologyError(
+        f"geometric: no connected graph with n={n}, radius={radius} "
+        f"after {GEOMETRIC_MAX_ATTEMPTS} attempts"
+    )
 
 
 def _connected_graph(

@@ -417,6 +417,34 @@ class TestChecksBeforeAnyRun:
         assert f"tournament.sweep.{field}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t")
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"topology.radius": -0.3}, "topology.radius: geometric: radius must be > 0, got -0.3"),
+        ({"topology.radius": float("nan")}, "topology.radius: geometric: radius must be > 0"),
+        ({"topology.kind": "hexagon"}, "topology.kind: unknown topology kind 'hexagon'"),
+        ({"topology.n": 1}, "topology.n: n must be >= 2"),
+        ({"topology.kind": "grid", "topology.cols": 0}, "topology.cols: grid: 10 nodes"),
+        ({"topology.gateways": [99]}, "topology.gateways: gateway 99 is not a node"),
+    ], ids=["negative-radius", "nan-radius", "unknown-kind", "one-node", "grid-cols-0",
+            "unknown-gateway"])
+    def test_topology_no_seed_can_build_rejected(self, tmp_path, capsys, overrides, field):
+        # In the base config, the run and the tournament both fail on it.
+        tree = with_override("tournament.seeds", 2)
+        for dotted, value in overrides.items():
+            _, key = dotted.split(".")
+            tree["topology"][key] = value
+        conf = write_config(tmp_path, tree)
+        for command in ("run", "tournament"):
+            assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 2
+            assert f"config error: {field}" in capsys.readouterr().err
+        # As a cell's override, the error names the cell.
+        tree = with_override("tournament.cells", [
+            {"name": "a"}, {"name": "b", "overrides": overrides},
+        ])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        assert f"config error: tournament.cells[1]: {field}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_cell_override_error_names_the_cell(self, tmp_path, capsys):
         tree = with_override("tournament.cells", [
             {"name": "a"}, {"name": "b", "overrides": {"game.ttl": 0}},

@@ -26,7 +26,7 @@ from bidforward.model import (
     parse_extra,
 )
 from bidforward.observation import ObserverStore
-from bidforward.predictor import BidHistory
+from bidforward.predictor import BidFeed
 from bidforward.strategies import Strategy, build_strategy
 from bidforward.topology import generate, view_of
 
@@ -439,9 +439,10 @@ class TestNoStringFieldsOnHotPaths:
 
 
 class TestAudienceUnderChurn:
-    """Each event reaches exactly the stores and bid histories in scope on that
-    round's graph that act on its kind, each once. Under global scope those are
-    the shared store and the shared, owner-less bid history."""
+    """Each event reaches exactly the stores in scope on that round's graph that
+    act on its kind, each once, and a bid kind reaches the run's bid feed once,
+    told the mask of the history owners in scope. Under global scope the store
+    is the shared one and the feed is told nothing: every history hears."""
 
     @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
     def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation, monkeypatch):
@@ -456,31 +457,33 @@ class TestAudienceUnderChurn:
         store_kinds = set(EventKind) - {EventKind.BID_PLACED, EventKind.DELIVERED}
         # A sniper keeps a bid history only; a wolfpack in no pack keeps a
         # store, which ignores bids and deliveries, and a history.
-        acts_on = {
-            "sniper": [("observe", bid_kinds)],
-            "wolfpack": [("apply", store_kinds), ("observe", bid_kinds)],
-        }
         fed: dict[tuple[int, int], list[tuple[str, int | None]]] = {}
 
-        def spy(name, real):
-            def wrapper(target, event):
-                fed.setdefault(event.event_id, []).append((name, target.owner))
-                return real(target, event)
+        def apply(real):
+            def wrapper(store, event):
+                fed.setdefault(event.event_id, []).append(("apply", store.owner))
+                return real(store, event)
             return wrapper
 
-        monkeypatch.setattr(ObserverStore, "apply", spy("apply", ObserverStore.apply))
-        monkeypatch.setattr(BidHistory, "observe", spy("observe", BidHistory.observe))
+        def observe(real):
+            def wrapper(feed, event, hearers=None):
+                fed.setdefault(event.event_id, []).append(("observe", hearers))
+                return real(feed, event, hearers)
+            return wrapper
+
+        monkeypatch.setattr(ObserverStore, "apply", apply(ObserverStore.apply))
+        monkeypatch.setattr(BidFeed, "observe", observe(BidFeed.observe))
         subscribers = sorted(node for node in range(n) if names[node % 4] != "fair")
+        owners = [s for s in subscribers if names[s % 4] == "wolfpack"]
         shared = observation == "global"
         config = GameConfig(
             packets_total=80, injection_rate=2, observation=observation,
             churn_rate=0.05, master_seed=7,
         )
         sim = Simulation(config, g, assignment)
-        # Sinks are deduplicated before any visibility test: under global
-        # scope an audience build scans the two shared ones only.
-        own_sinks = sum(len(acts_on[names[s % 4]]) for s in subscribers)
-        assert len(sim._sinks) == (2 if shared else own_sinks)
+        # Stores are deduplicated before any visibility test: under global
+        # scope an audience build scans the one shared store only.
+        assert len(sim._owned) == (1 if shared else len(owners))
         k = n if shared else int(observation.split(":")[1])
         backbone_events = 0
         graphs = set()
@@ -497,12 +500,14 @@ class TestAudienceUnderChurn:
                     reach = {s: 1 + min(hops[s][gw] for gw in graph.gateways) for s in subscribers}
                 else:
                     reach = {s: hops[s][event.location] for s in subscribers}
+                hearing = [s for s in subscribers if reach[s] <= k]
                 expected = []
-                for s in subscribers:
-                    for name, kinds in acts_on[names[s % 4]]:
-                        target = (name, None if shared else s)
-                        if reach[s] <= k and event.kind in kinds and target not in expected:
-                            expected.append(target)
+                if event.kind in store_kinds:
+                    stores = [None] if shared else [s for s in owners if s in hearing]
+                    expected += [("apply", owner) for owner in stores]
+                hearers = sum(1 << s for s in hearing)
+                if event.kind in bid_kinds and hearers:
+                    expected.append(("observe", None if shared else hearers))
                 assert fed.pop(event.event_id, []) == expected, event
         assert not fed
         assert backbone_events > 0 and len(graphs) > 10
@@ -550,7 +555,7 @@ class TestLazyViewWork:
 
 
 class TestPendingAuctions:
-    """A node's pending announcements never outlive the round that made them."""
+    """The run's pending announcements never outlive the round that made them."""
 
     def test_entries_are_dropped_each_round(self):
         n = 50
@@ -563,12 +568,10 @@ class TestPendingAuctions:
             churn_rate=0.01, master_seed=1401,
         )
         sim = Simulation(config, g, assignment)
-        snipers = [sim.contexts[node] for node in range(1, 11)]
         # Under khop scopes a sniper can hear an announcement but not the
         # packet's end; every packet still ends within its own round.
         while sim.step_round():
-            for ctx in snipers:
-                assert len(ctx.history.pending) <= config.injection_rate
+            assert len(sim._feed.pending) <= config.injection_rate
 
 
 class TestScopedObservation:

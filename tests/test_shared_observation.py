@@ -1,10 +1,16 @@
-"""Shared observer state under global scope equals per-subscriber state.
+"""Shared observer state equals per-subscriber state, under every scope.
 
 Under ``global`` scope the engine keeps one ``ObserverStore`` and one bid
-tape for all subscribers. The reference here is the per-subscriber model
-kept in the tests: every subscriber folds every event it can hear into a
-private store (a pack member's retains events and merges at the end of each
-round) and a private deque-based history that skips its own bids.
+tape for all subscribers. Under ``khop`` scopes each subscriber keeps its own
+store and tape, and one bid feed per run writes every tape: told the mask of
+the history owners that hear each event, it records a bid once per group of
+hearers with the same latest announcement, one point per group. The
+reference here is the per-subscriber model kept in the tests: every
+subscriber folds every event it can hear into a private store (a pack
+member's retains events and merges at the end of each round) and a private
+deque-based history that tracks the announcements it heard and skips its own
+bids. The work tests count feed calls and points per event; the long run
+bounds the tapes and the feed's pending table.
 """
 
 import math
@@ -17,7 +23,7 @@ from hypothesis import strategies as st
 from bidforward.engine import GameConfig, Simulation
 from bidforward.model import BACKBONE, EventKind
 from bidforward.observation import ObserverStore, merge_pack
-from bidforward.predictor import BidHistory, BidHistoryPoint, PredictorConfig
+from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
 
@@ -146,12 +152,12 @@ class TestSharedStateMatchesPerSubscriberReference:
                     reference.pending.clear()  # every packet ends within its round
 
 
-def mixed_global_run(n, packets=150, seed=1):
+def mixed_global_run(n, packets=150, seed=1, observation="global"):
     graph = generate("geometric", n, radius=0.3 * math.sqrt(40 / n), seed=seed)
     names = ["sniper", "always_one", "random", "fair", "fair"]
     assignment = {node: build_strategy(names[node % 5]) for node in range(n)}
     assignment[0] = build_strategy("fair")
-    config = GameConfig(packets_total=packets, observation="global", master_seed=seed)
+    config = GameConfig(packets_total=packets, observation=observation, master_seed=seed)
     return Simulation(config, graph, assignment)
 
 
@@ -195,3 +201,66 @@ class TestSharedStateWork:
         # recorded; over all 2,000 the tape stays within the same bound.
         assert recorded > 4 * bound
         assert max(lengths[:250]) <= bound and max(lengths) <= bound
+
+
+class TestFeedWorkUnderKhop:
+    """Per-event feed work under ``khop:2`` does not grow with hearers."""
+
+    def test_one_feed_call_per_event_and_one_point_per_group(self, monkeypatch):
+        counts = {"observe": 0, "built": 0, "record": 0, "appends": 0}
+        real_post_init = BidHistoryPoint.__post_init__
+        real_record, real_observe = BidHistory.record, BidFeed.observe
+
+        def counting_post_init(point):
+            counts["built"] += 1
+            real_post_init(point)
+
+        def counting_record(history, point, bidder=None, tapes=None):
+            counts["record"] += 1
+            counts["appends"] += len(tapes)
+            real_record(history, point, bidder, tapes)
+
+        def counting_observe(feed, event, hearers=None):
+            counts["observe"] += 1
+            announcements = len(feed.pending.get(event.packet_id, ()))
+            before = counts["record"]
+            real_observe(feed, event, hearers)
+            # Each group of hearers has a latest announcement of its own.
+            assert counts["record"] - before <= announcements
+
+        monkeypatch.setattr(BidHistoryPoint, "__post_init__", counting_post_init)
+        monkeypatch.setattr(BidHistory, "record", counting_record)
+        monkeypatch.setattr(BidFeed, "observe", counting_observe)
+        for n in (40, 160):
+            counts.update(dict.fromkeys(counts, 0))
+            result = mixed_global_run(n, observation="khop:2").run()
+            assert counts["observe"] <= len(result.events), n
+            # One point per record call, shared by the whole group it goes to.
+            assert counts["built"] == counts["record"] > 0, n
+            assert counts["appends"] > counts["record"], n
+
+
+class TestFeedBoundsUnderKhop:
+    """Over a long churning run the private tapes and the pending table stay bounded."""
+
+    def test_tapes_and_pending_stay_bounded_over_long_runs(self):
+        graph = generate("geometric", 20, radius=0.35, seed=11)
+        assignment = {
+            node: build_strategy("sniper" if 1 <= node <= 8 else "fair") for node in range(20)
+        }
+        config = GameConfig(
+            packets_total=2000, injection_rate=2, observation="khop:2",
+            churn_rate=0.01, master_seed=5,
+        )
+        sim = Simulation(config, graph, assignment)
+        tapes = [sim.contexts[node].history.tape for node in range(1, 9)]
+        assert len({id(tape) for tape in tapes}) == len(tapes)
+        bound = 4 * sim.predictor_cfg.max_history
+        recorded = [0] * len(tapes)
+        while sim.step_round():
+            assert len(sim._feed.pending) <= config.injection_rate
+            for i, tape in enumerate(tapes):
+                assert len(tape.points) <= bound
+                recorded[i] = tape.seqs[-1] + 1 if tape.seqs else 0
+        # Far more bids than the bound reached each tape over the run.
+        assert min(recorded) > 4 * bound

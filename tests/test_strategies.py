@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bidforward.model import AuctionRequest, Bid, EventKind, GameEvent, Packet, PathLedger
 from bidforward.observation import ObserverStore
-from bidforward.predictor import BidHistory, BidHistoryPoint, PredictorConfig
+from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import (
     AlwaysOne,
     BidderMetrics,
@@ -342,19 +342,28 @@ class TestZeroValuedEventFields:
         # fair share of 0 is 0; the deviation is 5 over max(0, 1)
         assert store.profile(3).fairness_deviation == Fraction(5)
 
+    def heard(self, shared, *events):
+        """Node 0's history after the run's feed hears ``events``: on the feed's
+        own tape (global scope), or on a private tape, told node 0 hears."""
+        feed = BidFeed(PredictorConfig())
+        ctx = make_ctx(0, generate("ring", 8),
+                       history=BidHistory(feed.cfg, 0, feed.tape if shared else None))
+        feed.tapes[0] = ctx.history.tape
+        for event in events:
+            feed.observe(event, None if shared else 1)
+        return ctx.history
+
     def test_zero_distance_bid_is_recorded(self):
-        g = generate("ring", 8)
-        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
-        ctx.history.observe(self.announcement(40, dist=0, prev=90))
-        ctx.history.observe(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
-        assert ctx.history.points() == [BidHistoryPoint(40, 0, 30, 0)]
+        for shared in (True, False):
+            history = self.heard(shared, self.announcement(40, dist=0, prev=90),
+                                 GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
+            assert history.points() == [BidHistoryPoint(40, 0, 30, 0)], shared
 
     def test_missing_distance_records_nothing(self):
-        g = generate("ring", 8)
-        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
-        ctx.history.observe(self.announcement(40, dist=None, prev=90))
-        ctx.history.observe(GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
-        assert ctx.history.points() == []
+        for shared in (True, False):
+            history = self.heard(shared, self.announcement(40, dist=None, prev=90),
+                                 GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
+            assert history.points() == [], shared
 
 
 class TestBidValidityFuzz:
