@@ -226,7 +226,7 @@ def check_generate(
     *,
     radius: float | None = None,
     cols: int | None = None,
-    gateways: Iterable[int] = (0,),
+    gateways: Sequence[int] = (0,),
 ) -> None:
     """Raise the ``TopologyError`` that ``generate`` would raise for these
     parameters whatever its seed, naming the parameter at fault."""
@@ -243,7 +243,6 @@ def check_generate(
             raise TopologyError("geometric graphs need a connection radius", "radius")
         if not radius > 0:
             raise TopologyError(f"geometric: radius must be > 0, got {radius}", "radius")
-    gateways = list(gateways)
     if not gateways:
         raise TopologyError("gateway set must be non-empty", "gateways")
     for g in gateways:
