@@ -8,6 +8,13 @@ becomes the ceiling bound for the next hop. Adjacent destinations are
 delivered directly with no auction. Custody transfers consume TTL; running
 out, finding no bidder, or a deliberate drop ends the packet with a fine.
 
+An auction invites the holder's bidders in ascending order from a per-graph
+table: a sorted tuple per holder (the gateways for the backbone), built on
+the holder's first auction and dropped with the views whenever the graph
+changes. A packet carries the set of the nodes on its path, grown by each
+winner, and its auctions skip those nodes. Each bid is still checked against
+the graph's own neighbour set.
+
 Every event goes to the observer stores that hear it and act on its kind,
 and the bid kinds go to the run's one ``BidFeed`` as well. The scope decides
 who hears: under ``global`` all subscribers share one store, and every bid
@@ -46,6 +53,16 @@ from .predictor import BID_KINDS, BidFeed, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import TopologyGraph, churn, members, view_of
+
+# Reading a member off an Enum class goes through EnumType.__getattr__; the
+# loop below emits once per event, so it names the kinds at module level.
+_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
+_BID_PLACED = EventKind.BID_PLACED
+_BID_WON = EventKind.BID_WON
+_DELIVERED = EventKind.DELIVERED
+_DROPPED = EventKind.DROPPED
+_FINE = EventKind.FINE_ASSESSED
+_PAYMENT = EventKind.PAYMENT
 
 FINE_MODES = ("path-split", "dropper-only")
 
@@ -296,10 +313,13 @@ class Simulation:
         ``_views[v]`` is node v's view: one shared view under global scope.
         ``_heard`` maps a location to the sinks that hear it, with the kinds
         each acts on; ``_audience`` maps (location, kind) to those that act
-        on the kind. Both fill as events arrive.
+        on the kind. ``_bidders`` maps a holder to the nodes its auctions
+        invite, in ascending order: its neighbours, or the gateways for
+        ``BACKBONE``. All three fill as auctions and events arrive.
         """
         self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
         self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
+        self._bidders: dict[NodeId, tuple[NodeId, ...]] = {}
         n = self.graph.n
         if self._scope.mode == "global":
             self._views = [view_of(self.graph, 0, self._view_k)] * n
@@ -416,6 +436,7 @@ class Simulation:
 
     def _process_packet(self, packet: Packet) -> None:
         ledger = PathLedger(packet.packet_id)
+        on_path: set[NodeId] = set()  # the ledger's nodes, grown with it
         holder = BACKBONE
         promise_in = packet.budget
         ttl_remaining = packet.ttl
@@ -428,27 +449,24 @@ class Simulation:
             if ttl_remaining < 1:
                 self._drop(packet, ledger, "ttl")
                 return
-            if holder != BACKBONE:
-                strat = self.strategies[holder]
-                if strat.on_hold(packet, ledger, self.contexts[holder]):
-                    self._drop(packet, ledger, "deliberate")
-                    return
-            request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
-            bids = self._collect_bids(request, ledger)
             chooser = None
             if holder != BACKBONE:
                 holder_strategy = self.strategies[holder]
                 holder_ctx = self.contexts[holder]
+                if holder_strategy.on_hold(packet, ledger, holder_ctx):
+                    self._drop(packet, ledger, "deliberate")
+                    return
                 chooser = lambda req, bs: holder_strategy.choose_winner(req, bs, holder_ctx)
+            request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
+            bids = self._collect_bids(request, on_path)
             winner = run_auction(request, bids, chooser)
             if winner is None:
                 self._drop(packet, ledger, "no-winner" if ledger.entries else "cancelled")
                 return
             ledger = ledger.extended(winner.bidder, winner.amount)
+            on_path.add(winner.bidder)
             ttl_remaining -= 1
-            self._emit(
-                EventKind.BID_WON, packet.packet_id, winner.bidder, winner.amount, holder
-            )
+            self._emit(_BID_WON, packet.packet_id, winner.bidder, winner.amount, holder)
             promise_in = winner.amount
             prev_advertised = request.hop_distance
             holder = winner.bidder
@@ -481,7 +499,7 @@ class Simulation:
             hop_distance=advertised,
         )
         self._emit(
-            EventKind.AUCTION_ANNOUNCED,
+            _ANNOUNCED,
             packet.packet_id,
             holder,
             ceiling,
@@ -492,31 +510,42 @@ class Simulation:
         )
         return request
 
-    def _collect_bids(self, request: AuctionRequest, ledger: PathLedger) -> list[Bid]:
+    def _collect_bids(self, request: AuctionRequest, on_path: set[NodeId]) -> list[Bid]:
+        """Ask the holder's bidders not in ``on_path`` to bid, in ascending order.
+
+        The bidders come from the per-graph ``_bidders`` table, built on a
+        holder's first auction; ``on_path`` is the set of the path's nodes
+        that ``_process_packet`` grows with each winner. Every bid is still
+        checked against the graph's own neighbour set, so a table gone stale
+        raises ``EngineError`` instead of inviting the wrong nodes.
+        """
         holder = request.holder
-        neighbors = self.graph.gateways if holder == BACKBONE else self.graph.neighbors(holder)
-        path_nodes = set(ledger.nodes)
+        graph = self.graph
+        neighbors = graph.gateways if holder == BACKBONE else graph.neighbors(holder)
+        bidders = self._bidders.get(holder)
+        if bidders is None:
+            bidders = self._bidders[holder] = tuple(sorted(neighbors))
+        strategies, contexts = self.strategies, self.contexts
         bids: list[Bid] = []
-        for node in sorted(neighbors):
-            if node in path_nodes:
+        for node in bidders:
+            if node in on_path:
                 continue
-            amount = self.strategies[node].on_auction(request, self.contexts[node])
+            amount = strategies[node].on_auction(request, contexts[node])
             if amount is None:
                 if self.config.forced_bid_mode:
                     raise EngineError(
-                        f"node {node} ({self.strategies[node].name}) abstained "
-                        "under forced-bid mode"
+                        f"node {node} ({strategies[node].name}) abstained under forced-bid mode"
                     )
                 continue
             bid = Bid(node, int(amount))
-            rejected = validate_bid(request, bid, path_nodes, neighbors)
+            rejected = validate_bid(request, bid, on_path, neighbors)
             if rejected is not None:
                 raise EngineError(
-                    f"node {node} ({self.strategies[node].name}) placed an invalid bid "
+                    f"node {node} ({strategies[node].name}) placed an invalid bid "
                     f"of {bid.amount} on packet {request.packet_id}: {rejected}"
                 )
             bids.append(bid)
-            self._emit(EventKind.BID_PLACED, request.packet_id, node, bid.amount, node)
+            self._emit(_BID_PLACED, request.packet_id, node, bid.amount, node)
         return bids
 
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:
@@ -524,7 +553,7 @@ class Simulation:
         result = settle_delivery(ledger)
         self.settlements.append(result)
         self._emit(
-            EventKind.DELIVERED,
+            _DELIVERED,
             packet.packet_id,
             holder,
             ledger.promises[0],
@@ -534,7 +563,7 @@ class Simulation:
         for node, _ in ledger.entries:
             delta = result.deltas[node]
             if delta != 0:
-                self._emit(EventKind.PAYMENT, packet.packet_id, node, delta, node)
+                self._emit(_PAYMENT, packet.packet_id, node, delta, node)
             self.balances[node] += delta
             self.stats[node].delivered += 1
         self.backbone_balance += result.backbone_delta
@@ -547,20 +576,20 @@ class Simulation:
                 SettlementResult(packet.packet_id, LedgerStatus.DROPPED, {}, 0, {})
             )
             self._emit(
-                EventKind.DROPPED, packet.packet_id, BACKBONE, 0, BACKBONE, reason="cancelled"
+                _DROPPED, packet.packet_id, BACKBONE, 0, BACKBONE, reason="cancelled"
             )
             return
         result = settle_drop(ledger, packet.fine, self.config.fine_mode)
         self.settlements.append(result)
         dropper = ledger.last_node
         self._emit(
-            EventKind.DROPPED, packet.packet_id, dropper, packet.fine, dropper, reason=reason
+            _DROPPED, packet.packet_id, dropper, packet.fine, dropper, reason=reason
         )
         self.stats[dropper].dropped += 1
         for node in ledger.nodes:
             share = result.fine_shares.get(node, 0)
             if share:
-                self._emit(EventKind.FINE_ASSESSED, packet.packet_id, node, share, node)
+                self._emit(_FINE, packet.packet_id, node, share, node)
                 self.balances[node] -= share
                 self.stats[node].fines_paid += share
         self.backbone_balance += result.backbone_delta

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 Money = int
@@ -101,6 +102,10 @@ class LedgerStatus(str, Enum):
     DROPPED = "dropped"
 
 
+_NODE = itemgetter(0)
+_PROMISE = itemgetter(1)
+
+
 @dataclass(slots=True)
 class PathLedger:
     """Chain of (node, promised amount) pairs a packet accumulated so far.
@@ -118,11 +123,11 @@ class PathLedger:
 
     @property
     def nodes(self) -> tuple[NodeId, ...]:
-        return tuple(node for node, _ in self.entries)
+        return tuple(map(_NODE, self.entries))
 
     @property
     def promises(self) -> tuple[Money, ...]:
-        return tuple(promise for _, promise in self.entries)
+        return tuple(map(_PROMISE, self.entries))
 
     @property
     def last_node(self) -> NodeId | None:

@@ -35,6 +35,15 @@ window start on, drops chain heads that fell out of the window and, for an
 age cutoff at ``now_round``, reads each chain from the first pair at or past
 it. It then tests each key once against epsilon. A query thus costs the
 records new to the history plus its live keys, not its window.
+
+Under ``khop:1`` no history ever records a point, so ``sniper`` and
+``wolfpack`` always fall back to ``fallback_fraction`` of the ceiling. A
+holder's 1-hop view knows no destination beyond its neighbours, and a
+neighbour destination is delivered without an auction, so no announcement a
+node makes carries a distance. The backbone's announcements do, but under
+``khop:1`` only the gateways hear them. Over ``khop-churn`` seeds 1-10 with
+``game.observation=khop:1``, 6,382 bids reached a hearer other than their
+bidder, and none was recorded.
 """
 
 from __future__ import annotations

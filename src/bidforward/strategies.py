@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -200,6 +201,7 @@ class LastHopSniper(Strategy):
     uses_bid_history = True
 
     def __init__(self, small_cap: int = 5):
+        small_cap = _param_number("small_cap", small_cap)
         if small_cap < 1:
             raise ValueError("small_cap must be >= 1")
         self.small_cap = small_cap
@@ -219,6 +221,30 @@ class RandomBaseline(Strategy):
         if request.ceiling < 1:
             return 0 if ctx.forced_bid else None
         return ctx.rng.randint(1, request.ceiling)
+
+
+def _param_number(name: str, value, kind: type = int):
+    """A strategy parameter checked by the config's rules for numbers.
+
+    A bool is no number and a fraction is no int; a whole float such as
+    ``3.0`` becomes ``3`` where an int is due. A number where a float is due
+    is returned as it is.
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if kind is float:
+            return value
+        if isinstance(value, int) or value.is_integer():
+            return int(value)
+    due = "an integer" if kind is int else "a number"
+    raise ValueError(f"{name} must be {due}, got {value!r}")
+
+
+#: The numeric fields of ``WolfPackParams`` and the kind of number each takes.
+_PARAM_KINDS = {
+    "w_rich": float, "w_topo": float, "w_bid": float, "w_fair": float,
+    "drop_rate_cap": float, "rich_threshold": float,
+    "sabotage_budget": int, "greed_margin": int, "small_cap": int,
+}
 
 
 @dataclass(frozen=True)
@@ -245,6 +271,8 @@ class WolfPackParams:
     small_cap: int = 5
 
     def __post_init__(self) -> None:
+        for name, kind in _PARAM_KINDS.items():
+            object.__setattr__(self, name, _param_number(name, getattr(self, name), kind))
         weights = (self.w_rich, self.w_topo, self.w_bid, self.w_fair)
         if any(w < 0 for w in weights):
             raise ValueError("rank weights must be non-negative")
@@ -272,9 +300,22 @@ class BidderMetrics:
     drop_rate: float
 
 
-def competition_ranks(values: Sequence) -> list[int]:
-    """Ascending competition ranks: ties share the minimum position."""
-    return [sum(1 for other in values if other < v) for v in values]
+#: The fairness of a bidder the chooser has no profile of; Fractions are immutable.
+_ZERO = Fraction(0)
+
+
+def competition_ranks(values: Sequence, descending: bool = False) -> list[int]:
+    """Competition ranks: each value's count of values strictly before it.
+
+    Ascending, that is the count of values strictly below, which
+    ``bisect_left`` reads off one sorted copy; descending, the count strictly
+    above, ``len - bisect_right``. Ties share the lowest position either way.
+    """
+    ordered = sorted(values)
+    if descending:
+        size = len(ordered)
+        return [size - bisect_right(ordered, v) for v in values]
+    return [bisect_left(ordered, v) for v in values]
 
 
 def weighted_rank_choice(
@@ -294,12 +335,7 @@ def weighted_rank_choice(
     rich_rank = competition_ranks([metrics[i].richness for i in indices])
     topo_rank = competition_ranks([metrics[i].distance for i in indices])
     bid_rank = competition_ranks([metrics[i].amount for i in indices])
-    fairness = [metrics[i].fairness for i in indices]
-    fair_rank = (
-        competition_ranks([-f for f in fairness])
-        if params.prefer_unfair
-        else competition_ranks(fairness)
-    )
+    fair_rank = competition_ranks([metrics[i].fairness for i in indices], params.prefer_unfair)
     best_i = None
     best_key = None
     for pos, i in enumerate(indices):
@@ -329,7 +365,7 @@ def bidder_metrics(
                 richness=prof.estimated_profit if prof else 0,
                 distance=math.inf if via is None else via,
                 amount=bid.amount,
-                fairness=prof.fairness_deviation if prof else Fraction(0),
+                fairness=prof.fairness_deviation if prof else _ZERO,
                 drop_rate=prof.drop_rate if prof else 0.0,
             )
         )

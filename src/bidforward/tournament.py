@@ -10,7 +10,6 @@ always reduces in canonical cell order.
 from __future__ import annotations
 
 import dataclasses
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .engine import GameConfig, run_simulation
@@ -284,7 +283,11 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
         for si in range(spec.seeds_per_cell)
     ]
     outcomes: list[dict | Exception] = []
+    workers = min(workers, len(tasks))  # no idle worker is forked
     if workers > 1:
+        # Imported here: a run or a one-worker tournament never pays for the pool.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_run_cell_seed_task, t) for t in tasks]
             for fut in futures:

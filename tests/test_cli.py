@@ -1,6 +1,8 @@
 import copy
 import hashlib
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
@@ -118,6 +120,31 @@ class TestRunCommand:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.yaml")]) == 2
         assert "not found" in capsys.readouterr().err
+
+
+RUN_IMPORTS = """
+import sys
+from bidforward.cli import main
+
+assert main(["run", "--config", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "concurrent.futures" not in sys.modules
+"""
+
+
+class TestRunImports:
+    def test_run_does_not_import_the_process_pool(self, tmp_path):
+        """Only a tournament with more than one worker needs the pool; a run
+        in a fresh interpreter leaves it unimported."""
+        conf = write_config(tmp_path, DEMO)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        proc = subprocess.run(
+            [sys.executable, "-c", RUN_IMPORTS, conf, str(tmp_path / "o")],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "o" / "events.csv").exists()
 
 
 class TestTopoCommand:
@@ -285,6 +312,42 @@ class TestConfigHelpers:
         assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert "wolfpack" in err and "strategies[0].params" in err
+
+    @pytest.mark.parametrize("strategy, name, value, message", [
+        ("sniper", "small_cap", 2.5, "small_cap must be an integer, got 2.5"),
+        ("wolfpack", "small_cap", 2.5, "small_cap must be an integer, got 2.5"),
+        ("wolfpack", "small_cap", True, "small_cap must be an integer, got True"),
+        ("wolfpack", "greed_margin", 0.5, "greed_margin must be an integer, got 0.5"),
+        ("wolfpack", "sabotage_budget", "50", "sabotage_budget must be an integer, got '50'"),
+        ("wolfpack", "w_rich", "1", "w_rich must be a number, got '1'"),
+        ("always_one", "w_fair", False, "w_fair must be a number, got False"),
+        ("wolfpack", "drop_rate_cap", None, "drop_rate_cap must be a number, got None"),
+    ])
+    def test_strategy_param_types_checked(self, tmp_path, capsys, strategy, name, value, message):
+        tree = dict(DEMO, tournament={"seeds": 1}, strategies=[
+            {"rest": True, "strategy": strategy, "params": {name: value}},
+        ])
+        conf = write_config(tmp_path, tree)
+        out = tmp_path / "o"
+        for command in ("run", "tournament"):
+            assert main([command, "--config", conf, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert f"strategies[0].params: {message}" in err, err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["sniper", "wolfpack"])
+    def test_whole_float_param_runs_as_its_int(self, tmp_path, strategy):
+        outputs = []
+        for cap in (3, 3.0):
+            tree = dict(DEMO, strategies=[
+                {"nodes": "0", "strategy": "fair"},
+                {"rest": True, "strategy": strategy, "params": {"small_cap": cap}},
+            ])
+            conf = write_config(tmp_path, tree, name=f"config-{cap}.yaml")
+            out = tmp_path / f"o-{cap}"
+            assert main(["run", "--config", conf, "--out", str(out)]) == 0
+            outputs.append([read(out / name) for name in ("events.csv", "balances.csv")])
+        assert outputs[0] == outputs[1]
 
 
 def with_override(path, value):

@@ -513,6 +513,59 @@ class TestAudienceUnderChurn:
         assert backbone_events > 0 and len(graphs) > 10
 
 
+class TestAuctionInvitations:
+    """Every auction asks exactly the holder's bidders on that round's graph, in
+    ascending order: its neighbours, or the gateways for the backbone, minus
+    the nodes already on the packet's path. The graph churns every round, so
+    a bidder table kept past a graph change fails here."""
+
+    def test_bidders_are_the_graph_neighbours_off_the_path(self, monkeypatch):
+        n = 16
+        g = generate("ring", n, gateways=(0, 5))
+        names = ["fair", "sniper", "wolfpack", "random"]
+        assignment = {node: build_strategy(names[node % 4]) for node in range(n)}
+        asked: dict[tuple[int, int, int], list[int]] = {}
+
+        def spy(real):
+            def on_auction(strategy, request, ctx):
+                key = (ctx.round, request.packet_id, request.holder)
+                asked.setdefault(key, []).append(ctx.node)
+                return real(strategy, request, ctx)
+            return on_auction
+
+        for cls in {type(s) for s in assignment.values()}:
+            monkeypatch.setattr(cls, "on_auction", spy(cls.on_auction))
+        config = GameConfig(
+            packets_total=80, injection_rate=2, observation="khop:2",
+            churn_rate=0.02, master_seed=7,
+        )
+        sim = Simulation(config, g, assignment)
+        auctions = 0
+        graphs = set()
+        while True:
+            graph = sim.graph
+            graphs.add(tuple(graph.edges()))
+            first = len(sim.events)
+            if not sim.step_round():
+                break
+            oracle = nx.Graph(graph.edges())
+            oracle.add_nodes_from(range(n))
+            paths: dict[int, list[int]] = {}
+            for event in sim.events[first:]:
+                path = paths.setdefault(event.packet_id, [])
+                if event.kind is EventKind.BID_WON:
+                    path.append(event.node)
+                elif event.kind is EventKind.AUCTION_ANNOUNCED:
+                    auctions += 1
+                    holder = event.node
+                    near = graph.gateways if holder == BACKBONE else set(oracle[holder])
+                    expected = sorted(near - set(path))
+                    key = (event.round, event.packet_id, holder)
+                    assert asked.pop(key, []) == expected, event
+        assert not asked
+        assert auctions > 100 and len(graphs) > 10
+
+
 class TestLazyViewWork:
     """Views are taken for every node after every churn step but grow no ball of their own."""
 

@@ -219,6 +219,85 @@ class TestWeightedRankChoice:
         )
 
 
+def reference_ranks(values):
+    """The O(b²) definition: each value's count of values strictly below it."""
+    return [sum(1 for other in values if other < v) for v in values]
+
+
+def reference_choice(bids, metrics, params):
+    """``weighted_rank_choice`` as it read with O(b²) ranks and negated fairness."""
+    indices = [i for i, m in enumerate(metrics) if m.drop_rate <= params.drop_rate_cap]
+    if not indices:
+        indices = list(range(len(bids)))
+    rich_rank = reference_ranks([metrics[i].richness for i in indices])
+    topo_rank = reference_ranks([metrics[i].distance for i in indices])
+    bid_rank = reference_ranks([metrics[i].amount for i in indices])
+    fairness = [metrics[i].fairness for i in indices]
+    fair_rank = (
+        reference_ranks([-f for f in fairness]) if params.prefer_unfair
+        else reference_ranks(fairness)
+    )
+    best_i = best_key = None
+    for pos, i in enumerate(indices):
+        score = (
+            params.w_rich * rich_rank[pos] + params.w_topo * topo_rank[pos]
+            + params.w_bid * bid_rank[pos] + params.w_fair * fair_rank[pos]
+        )
+        key = (score, bids[i].amount, bids[i].bidder)
+        if best_key is None or key < best_key:
+            best_key, best_i = key, i
+    return bids[best_i]
+
+
+# Few distinct values, so that ties are common; ints, Fractions and inf mix.
+rank_values = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    st.just(math.inf),
+)
+
+
+class TestRankHelpers:
+    """Ranks by sorting agree with the O(b²) definitions they replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(rank_values, min_size=1, max_size=12))
+    def test_competition_ranks_match_the_definition(self, values):
+        assert competition_ranks(values) == reference_ranks(values)
+        negated = [-v for v in values]
+        assert competition_ranks(values, descending=True) == reference_ranks(negated)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 40),  # bidder
+                st.integers(0, 6),  # amount
+                st.integers(-5, 5),  # richness
+                st.one_of(st.integers(1, 4), st.just(math.inf)),  # distance
+                st.fractions(-2, 2, max_denominator=3),  # fairness
+                st.sampled_from([0.0, 0.25, 0.5, 1.0]),  # drop rate
+            ),
+            min_size=1, max_size=12, unique_by=lambda row: row[0],
+        ),
+        prefer_unfair=st.booleans(),
+        weights=st.tuples(*[st.sampled_from([0, 0.25, 1, 2.5])] * 4).filter(any),
+        cap=st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+    )
+    def test_choice_matches_the_old_code(self, rows, prefer_unfair, weights, cap):
+        bids = [Bid(bidder, amount) for bidder, amount, *_ in rows]
+        metrics = [BidderMetrics(rich, dist, amount, fair, drop)
+                   for _, amount, rich, dist, fair, drop in rows]
+        w_rich, w_topo, w_bid, w_fair = weights
+        params = WolfPackParams(
+            w_rich=w_rich, w_topo=w_topo, w_bid=w_bid, w_fair=w_fair,
+            drop_rate_cap=cap, prefer_unfair=prefer_unfair,
+        )
+        assert weighted_rank_choice(bids, metrics, params) == reference_choice(
+            bids, metrics, params
+        )
+
+
 class TestWolfPack:
     def line(self):
         return generate("grid", 5, cols=1, gateways=(0,))  # 0-1-2-3-4

@@ -10,7 +10,10 @@ uses k-hop views on a churning graph, so a simulation that stops calling
 too, instead of reading zero topology time per layer, and so does one
 whose graph and view distances stop going through ``hop_distance``,
 ``distances_from`` and ``NodeView.distance``, instead of reading zero
-distance counts.
+distance counts. The auction and bid counts must equal the announcements
+and bids in the log, and both strategy methods must be seen, so a loop that
+routes around ``run_auction``, ``validate_bid``, ``on_auction`` or
+``choose_winner`` fails here instead of reading zero.
 """
 
 import os
@@ -21,9 +24,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
+from collections import Counter
+
 from spans import Tracer
 
 from bidforward.engine import GameConfig, Simulation
+from bidforward.model import EventKind
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
 
@@ -37,7 +43,10 @@ config = GameConfig(
     packets_total=10, injection_rate=2, observation="khop:2", churn_rate=0.05, master_seed=1
 )
 result = Simulation(config, graph, assignment).run()
+kinds = Counter(event.kind for event in result.events)
 assert tracer.counts["engine.events"] == len(result.events) > 0
+assert tracer.counts["engine.auctions"] == kinds[EventKind.AUCTION_ANNOUNCED] > 0
+assert tracer.counts["engine.bids"] == kinds[EventKind.BID_PLACED] > 0
 assert tracer.counts["predictor.record_calls"] > 0
 assert tracer.counts["observation.apply_calls"] > 0
 assert tracer.counts["engine.bids"] > 0
@@ -46,6 +55,7 @@ assert tracer.counts["topology.distances_from_misses"] > 0
 assert tracer.counts["topology.view_distance_calls"] > 0
 spans = {span[0] for span in tracer.spans}
 assert {"topology.churn", "topology.view_of"} <= spans, spans
+assert {"strategies.on_auction", "strategies.choose_winner"} <= spans, spans
 """
 
 
