@@ -161,6 +161,10 @@ class EventKind(str, Enum):
     PAYMENT = "payment"
 
 
+#: Each kind's log name; reading ``.value`` off an Enum member goes through a descriptor.
+_KIND_VALUES = {kind: kind.value for kind in EventKind}
+
+
 class GameEvent(NamedTuple):
     """One observable game occurrence.
 
@@ -195,10 +199,13 @@ class GameEvent(NamedTuple):
         return format_extra(dest=self.dest, dist=self.dist, prev=self.prev, reason=self.reason)
 
     def to_line(self) -> str:
-        return (
-            f"{self.round},{self.kind.value},{self.packet_id},"
-            f"{self.node},{self.amount},{self.extra}"
-        )
+        round_, _, kind, packet_id, node, amount, _, dest, dist, prev, reason = self
+        # Most kinds carry no typed field: their extra column is empty.
+        if dest is None and dist is None and prev is None and reason is None:
+            extra = ""
+        else:
+            extra = format_extra(dest=dest, dist=dist, prev=prev, reason=reason)
+        return f"{round_},{_KIND_VALUES[kind]},{packet_id},{node},{amount},{extra}"
 
 
 #: Header for the line-delimited event log.
@@ -208,7 +215,7 @@ EVENT_LOG_HEADER = "round,kind,packet_id,node,amount,extra"
 def events_to_log(events: Iterable[GameEvent]) -> str:
     """Render events as the line-delimited log format, header included."""
     lines = [EVENT_LOG_HEADER]
-    lines.extend(e.to_line() for e in events)
+    lines.extend(map(GameEvent.to_line, events))
     return "\n".join(lines) + "\n"
 
 

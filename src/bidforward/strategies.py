@@ -274,8 +274,10 @@ class WolfPackParams:
         for name, kind in _PARAM_KINDS.items():
             object.__setattr__(self, name, _param_number(name, getattr(self, name), kind))
         weights = (self.w_rich, self.w_topo, self.w_bid, self.w_fair)
-        if any(w < 0 for w in weights):
-            raise ValueError("rank weights must be non-negative")
+        if not all(0 <= w < math.inf for w in weights):
+            # A NaN or infinite weight makes every score NaN or infinite, and
+            # the chooser would silently take the first bid.
+            raise ValueError(f"rank weights must be finite and non-negative, got {weights}")
         if not any(w > 0 for w in weights):
             raise ValueError("at least one rank weight must be positive")
         if not 0 < self.rich_threshold <= 1:
@@ -356,10 +358,12 @@ def bidder_metrics(
     request: AuctionRequest, bids: Sequence[Bid], ctx: StrategyContext
 ) -> list[BidderMetrics]:
     """Metrics for each bid from the chooser's own profiles and view."""
+    profiles = ctx.observer.profiles if ctx.observer else {}
+    distance, dest = ctx.view.distance, request.destination
     out = []
     for bid in bids:
-        prof = ctx.observer.profiles.get(bid.bidder) if ctx.observer else None
-        via = ctx.view.distance(bid.bidder, request.destination)
+        prof = profiles.get(bid.bidder)
+        via = distance(bid.bidder, dest)
         out.append(
             BidderMetrics(
                 richness=prof.estimated_profit if prof else 0,

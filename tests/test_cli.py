@@ -322,6 +322,8 @@ class TestConfigHelpers:
         ("wolfpack", "w_rich", "1", "w_rich must be a number, got '1'"),
         ("always_one", "w_fair", False, "w_fair must be a number, got False"),
         ("wolfpack", "drop_rate_cap", None, "drop_rate_cap must be a number, got None"),
+        ("wolfpack", "w_rich", float("nan"), "rank weights must be finite and non-negative"),
+        ("always_one", "w_bid", float("inf"), "rank weights must be finite and non-negative"),
     ])
     def test_strategy_param_types_checked(self, tmp_path, capsys, strategy, name, value, message):
         tree = dict(DEMO, tournament={"seeds": 1}, strategies=[

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bidforward.engine import GameConfig, Simulation
 from bidforward.model import (
@@ -106,6 +107,26 @@ class TestEventLog:
         lines = text.splitlines()
         assert lines[0] == "round,kind,packet_id,node,amount,extra"
         assert lines[1] == "0,dropped,1,2,200,reason=ttl"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(list(EventKind)),
+        numbers=st.tuples(*[st.integers(-1, 300)] * 5),
+        typed=st.tuples(*[st.none() | st.integers(0, 9)] * 3),
+        reason=st.none() | st.sampled_from(["ttl", "no-winner", "deliberate"]),
+    )
+    def test_line_matches_the_fields(self, kind, numbers, typed, reason):
+        """Zero-valued typed fields are rendered; only absent ones are left out."""
+        round_, packet_id, node, amount, location = numbers
+        dest, dist, prev = typed
+        e = GameEvent(round_, 0, kind, packet_id, node, amount, location, dest, dist, prev, reason)
+        extra = ";".join(
+            f"{key}={value}"
+            for key, value in (("dest", dest), ("dist", dist), ("prev", prev), ("reason", reason))
+            if value is not None
+        )
+        assert e.to_line() == f"{round_},{kind.value},{packet_id},{node},{amount},{extra}"
+        assert events_to_log([e, e]).splitlines()[1:] == [e.to_line()] * 2
 
     def test_extra_round_trip(self):
         extra = format_extra(dest=5, dist=None, prev=90)
