@@ -289,6 +289,8 @@ class WolfPackParams:
         for name in ("prefer_unfair", "sabotage_enabled"):
             if not isinstance(getattr(self, name), bool):
                 raise ValueError(f"{name} must be true or false")
+        if self.pack is not None and not isinstance(self.pack, str):
+            raise ValueError(f"pack must be a string, got {self.pack!r}")
 
 
 @dataclass(slots=True)

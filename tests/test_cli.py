@@ -324,6 +324,7 @@ class TestConfigHelpers:
         ("wolfpack", "drop_rate_cap", None, "drop_rate_cap must be a number, got None"),
         ("wolfpack", "w_rich", float("nan"), "rank weights must be finite and non-negative"),
         ("always_one", "w_bid", float("inf"), "rank weights must be finite and non-negative"),
+        ("wolfpack", "pack", 1, "pack must be a string, got 1"),
     ])
     def test_strategy_param_types_checked(self, tmp_path, capsys, strategy, name, value, message):
         tree = dict(DEMO, tournament={"seeds": 1}, strategies=[
