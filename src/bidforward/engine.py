@@ -18,11 +18,13 @@ the graph's own neighbour set.
 Every event goes to the observer stores that hear it and act on its kind,
 and the bid kinds go to the run's one ``BidFeed`` as well. The scope decides
 who hears: under ``global`` all subscribers share one store, and every bid
-history windows the feed's own tape, so each event is folded in at most
-twice. Under ``khop:<k>`` every subscriber keeps its own store and tape and
-hears the events within k hops of it; the feed is told the mask of the
-history owners that hear each event, and records a bid once per group of
-hearers that heard the same latest announcement, with one point per group.
+history windows the feed's own tape, so each event reaches at most two
+sinks, and each recorded bid is folded into the tape's chains once, by the
+first history to query after it. Under ``khop:<k>`` every subscriber keeps
+its own store and tape and hears the events within k hops of it; the feed
+is told the mask of the history owners that hear each event, and records a
+bid once per group of hearers that heard the same latest announcement, with
+one point per group.
 
 A run is strictly sequential and deterministic for a given config, graph,
 assignment and master seed.

@@ -25,16 +25,30 @@ whose announcement carried a distance gets one point, appended by one
 ``record`` call to the tape of every member.
 
 A query reads no window. Every point with the same ``(max_allowed,
-hop_count)`` key is at the same distance from any query, so a history keeps,
-per key, the ascending minima of its window's bids: ``(seq, bid)`` pairs
-rising in both fields, whose head is the key's least bid from any sequence
-number on (Lemire, "Streaming maximum-minimum filter using no more than
-three comparisons per element", 2006). Recording costs a history nothing;
-a query first folds in the records appended since its last one, from its
-window start on, drops chain heads that fell out of the window and, for an
-age cutoff at ``now_round``, reads each chain from the first pair at or past
-it. It then tests each key once against epsilon. A query thus costs the
-records new to the history plus its live keys, not its window.
+hop_count)`` key is at the same distance from any query, so a tape keeps,
+per key, a chain of entries ``(seq, bid, bidder, mark)`` in sequence order,
+a streaming minimum filter (Lemire, "Streaming maximum-minimum filter using
+no more than three comparisons per element", 2006) shared by every window
+that skips one owner. An entry is dropped when a newer record under its key
+bids no more than it does and either comes from the entry's own bidder, or
+is the second such record from a bidder other than the entry's (``mark``
+names the first). For any window, the least bid under a key is then held
+by a kept entry, the newest record in the window that holds it. A window
+is a suffix of the tape without its owner's records, so whatever dropped
+that record would include a newer record in the window bidding as little:
+its own bidder is not the owner, and of two distinct bidders at most one
+is. No such record exists, so the record was kept.
+
+The tape is folded once, in one batch, by whichever history queries first
+after new records came: newest first, each key tracks the least newer bid,
+its bidder, and the least newer bid from any other bidder, which decide
+each record and, merged with the marks, each older entry. A tape with a
+single owner, the private tapes under ``khop``, folds from that owner's
+window start and skips the owner's records. A query reads each key's chain
+from its first live sequence number, skipping the owner's entries, and
+tests each key once against epsilon; it costs the live keys and their
+entries, not the window. Entries older than the tape's first record go at
+its trims.
 
 Under ``khop:1`` no history ever records a point, so ``sniper`` and
 ``wolfpack`` always fall back to ``fallback_fraction`` of the ceiling. A
@@ -50,9 +64,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
-from itertools import count
 from operator import attrgetter
 
 from .model import EventKind, GameEvent, Money, NodeId
@@ -69,6 +81,9 @@ _ROUND = attrgetter("round")
 
 # A bidder no history is owned by, skipped in place of the owner by owner-less ones.
 _NOBODY = object()
+
+# The mark of a chain entry that no newer record from another bidder bid as low as.
+_UNMARKED = object()
 
 #: The kinds ``BidFeed.observe`` acts on.
 BID_KINDS = frozenset({_ANNOUNCED, _BID_PLACED, _DELIVERED, _DROPPED})
@@ -134,13 +149,23 @@ class BidTape:
     """Append-only log of observed bids and their bidders, windowed by histories.
 
     Records are appended in round order; ``seqs`` numbers them from 0 in
-    that order, and a record keeps its number through trims. Every history
-    that windows the tape registers its owner in ``owners``. Once the tape
-    holds more than ``limit`` records it drops every record that no owner's
-    window can reach again. That leaves at most two windows' worth, and
-    ``limit`` becomes twice what is left, but at least two windows' worth:
-    the tape never holds more than four windows' worth, and a trim comes at
-    most once per window's worth of records.
+    that order, and a record keeps its number through trims, which count
+    the records they drop in ``dropped``. Every history that windows the
+    tape registers its owner in ``owners``, and ``own`` lists the sequence
+    numbers of each owner's records (not the owner-less one's), compacted
+    ones included, from the tape's first record on; window starts are
+    solved from them in sequence space.
+
+    ``chains`` maps each key ``(max_allowed, hop_count)`` to its normalised
+    ``(max_allowed / budget_norm, hop_count / ttl_norm)`` and its chain of
+    entries ``(seq, bid, bidder, mark)``, folded in up to sequence number
+    ``folded`` (see the module docstring).
+
+    Once the tape holds more than ``limit`` records it drops every record
+    that no owner's window can reach again. That leaves at most two
+    windows' worth, and ``limit`` becomes twice what is left, but at least
+    two windows' worth: the tape never holds more than four windows' worth,
+    and a trim comes at most once per window's worth of records.
     """
 
     def __init__(self, cfg: PredictorConfig):
@@ -148,13 +173,27 @@ class BidTape:
         self.points: list[BidHistoryPoint] = []
         self.bidders: list[NodeId | None] = []
         self.seqs: list[int] = []
-        self.next_seq = count().__next__
+        self.dropped = 0
         self.owners: set[NodeId | None] = set()
+        self.own: dict[NodeId, list[int]] = {}
         self.limit = 2 * cfg.max_history
+        self.chains: dict[tuple[Money, int], list] = {}
+        self.folded = 0
+
+    def register(self, owner: NodeId | None) -> None:
+        """Add ``owner``'s window to the tape, which holds no record yet."""
+        if self.points or self.dropped:
+            raise ValueError("windows register before the tape holds records")
+        self.owners.add(owner)
+        if owner is not None:
+            self.own.setdefault(owner, [])
 
     def first_live(self, cutoff: int, start: int) -> int:
         """Index of the first record at or after ``start`` from round ``cutoff`` on."""
-        return bisect_left(self.points, cutoff, start, key=_ROUND)
+        points = self.points
+        if start < len(points) and points[start].round >= cutoff:
+            return start
+        return bisect_left(points, cutoff, start, key=_ROUND)
 
     def start(self, owner: NodeId | None) -> int:
         """Index of the first record in ``owner``'s window.
@@ -163,23 +202,37 @@ class BidTape:
         (all records when ``owner`` is None), minus those more than
         ``max_age_rounds`` older than the newest of them. Records by the
         owner inside the returned range are not part of it.
+
+        The first of those records is the greatest ``s`` with ``s = end -
+        max_history - (owner's records from s on)``: starting from ``end -
+        max_history``, each step moves back by the owner's records passed,
+        and stops where none is left to pass.
         """
-        bidders = self.bidders
-        end = len(bidders)
-        start = max(0, end - self.cfg.max_history)
+        seqs = self.seqs
+        if not seqs:
+            return 0
+        end = len(seqs) + self.dropped
+        first = end - self.cfg.max_history
         last = end - 1
-        if owner is not None:
-            # Every owner's record in [start, end) displaces one further back.
-            missing = bidders[start:].count(owner)
-            while missing and start:
-                lower = max(0, start - missing)
-                missing = bidders[lower:start].count(owner)
-                start = lower
-            while last >= start and bidders[last] == owner:
+        own = self.own.get(owner)
+        if own:
+            base = first - len(own)
+            while True:
+                lower = base + bisect_left(own, first)
+                if lower == first:
+                    break
+                first = lower
+            at = len(own) - 1
+            while at >= 0 and own[at] == last:
+                at -= 1
                 last -= 1
-        if last < start:
-            return end
-        return self.first_live(self.points[last].round - self.cfg.max_age_rounds, start)
+        size = len(seqs)
+        if last < seqs[0]:
+            return size
+        begin = bisect_left(seqs, first)
+        # The newest record, when not the owner's, was never compacted away.
+        newest = size - 1 if last == end - 1 else bisect_left(seqs, last, begin)
+        return self.first_live(self.points[newest].round - self.cfg.max_age_rounds, begin)
 
     def trim(self) -> None:
         """Drop the records outside every registered owner's window.
@@ -189,8 +242,11 @@ class BidTape:
         later record lies in two windows with different owners, so at least
         one of them holds it. What is kept is that first window plus the
         second owner's records outside it: at most two windows' worth.
+        Owner lists and chain entries older than the first record kept go
+        too.
         """
         points, bidders, seqs = self.points, self.bidders, self.seqs
+        end = len(seqs) + self.dropped
         starts = {owner: self.start(owner) for owner in self.owners}
         first = min(starts, key=starts.__getitem__)
         lo = starts.pop(first)
@@ -201,16 +257,97 @@ class BidTape:
             bidders[lo:hi] = [bidders[i] for i in keep]
             seqs[lo:hi] = [seqs[i] for i in keep]
         del points[:lo], bidders[:lo], seqs[:lo]
+        self.dropped = end - len(points)
         self.limit = 2 * max(len(points), self.cfg.max_history)
+        oldest = seqs[0] if seqs else end
+        for own in self.own.values():
+            del own[: bisect_left(own, oldest)]
+        chains = self.chains
+        for key in [key for key, chain in chains.items() if chain[2][0][0] < oldest]:
+            entries = chains[key][2]
+            # Entries are in sequence order, and a 1-tuple sorts before every
+            # entry with the same first field.
+            gone = bisect_left(entries, (oldest,))
+            if gone == len(entries):
+                del chains[key]
+            else:
+                del entries[:gone]
+
+    def fold(self, start: int) -> dict[tuple[Money, int], list]:
+        """The chains, caught up with the tape; ``start`` is the querier's window start.
+
+        A tape with one owner folds from that owner's window start, which
+        never moves back, and skips the owner's records; a shared tape folds
+        every record, since some window may still reach it.
+        """
+        chains = self.chains
+        seqs = self.seqs
+        end = len(seqs) + self.dropped
+        if self.folded == end:
+            return chains
+        new = bisect_left(seqs, self.folded)
+        skip = _NOBODY
+        if len(self.owners) == 1:
+            new = max(new, start)
+            (owner,) = self.owners
+            if owner is not None:
+                skip = owner
+        # Per key, newest first: [least newer bid, its bidder, least newer bid
+        # by any other bidder, the kept entries]. A record below every newer
+        # bid is kept unmarked; one that only one other bidder's newer bids
+        # reach is kept, marked with that bidder; any other is dropped.
+        batch: dict[tuple[Money, int], list] = {}
+        bidders, points = self.bidders, self.points
+        for at in range(len(seqs) - 1, new - 1, -1):
+            bidder = bidders[at]
+            if bidder == skip:
+                continue
+            seq = seqs[at]
+            point = points[at]
+            bid = point.observed_bid
+            key = point.key
+            state = batch.get(key)
+            if state is None:
+                batch[key] = [bid, bidder, math.inf, [(seq, bid, bidder, _UNMARKED)]]
+            elif bid < state[0]:
+                state[3].append((seq, bid, bidder, _UNMARKED))
+                if bidder != state[1]:
+                    state[1] = bidder
+                    state[2] = state[0]
+                state[0] = bid
+            elif bid < state[2] and bidder != state[1]:
+                state[3].append((seq, bid, bidder, state[1]))
+                state[2] = bid
+        cfg = self.cfg
+        for key, (low, by, other, tail) in batch.items():
+            tail.reverse()
+            chain = chains.get(key)
+            if chain is None:
+                chains[key] = [key[0] / cfg.budget_norm, key[1] / cfg.ttl_norm, tail]
+                continue
+            kept = []
+            for entry in chain[2]:
+                seq, bid, bidder, mark = entry
+                if bid < low:
+                    kept.append(entry)
+                elif bidder == by or bid >= other:
+                    continue
+                elif mark is _UNMARKED:
+                    kept.append((seq, bid, bidder, by))
+                elif mark == by:
+                    kept.append(entry)
+            kept += tail
+            chain[2] = kept
+        self.folded = end
+        return chains
 
 
 class BidHistory:
     """One owner's window onto a bid tape: bids by the owner are left out.
 
     Without an ``owner`` the window holds every bidder's records; without a
-    ``tape`` the history gets one of its own. ``chains`` maps each key
-    ``(max_allowed, hop_count)`` to the ascending minima of the window's bids
-    under it, folded in up to sequence number ``folded``.
+    ``tape`` the history gets one of its own. The chains a query reads are
+    the tape's, shared with every other window onto it.
     """
 
     def __init__(
@@ -222,9 +359,7 @@ class BidHistory:
         self.cfg = cfg
         self.owner = owner
         self.tape = BidTape(cfg) if tape is None else tape
-        self.tape.owners.add(owner)
-        self.chains: dict[tuple[Money, int], deque[tuple[int, Money]]] = {}
-        self.folded = 0
+        self.tape.register(owner)
 
     def __len__(self) -> int:
         tape = self.tape
@@ -242,13 +377,18 @@ class BidHistory:
     ) -> None:
         """Append a point bid by ``bidder`` to the history's tape, or to each of
         ``tapes``; points come in round order on every tape."""
+        rnd = point.round
         for tape in (self.tape,) if tapes is None else tapes:
             points = tape.points
-            if points and point.round < points[-1].round:
+            if points and rnd < points[-1].round:
                 raise ValueError("bids must be recorded in round order")
+            seq = len(points) + tape.dropped
+            tape.seqs.append(seq)
             points.append(point)
             tape.bidders.append(bidder)
-            tape.seqs.append(tape.next_seq())
+            own = tape.own.get(bidder)
+            if own is not None:
+                own.append(seq)
             if len(points) > tape.limit:
                 tape.trim()
 
@@ -272,63 +412,26 @@ class BidHistory:
 
     def live_chains(
         self, now_round: int | None = None
-    ) -> tuple[dict[tuple[Money, int], deque[tuple[int, Money]]], int]:
-        """The chains, caught up with the tape and cut to the window, and the
-        sequence number from which their pairs are live at ``now_round``.
+    ) -> tuple[dict[tuple[Money, int], list], int, object] | None:
+        """The tape's chains, caught up, the sequence number from which their
+        entries are live at ``now_round``, and the bidder whose entries this
+        window skips; None when the window is empty.
 
-        Records appended since the last call are folded in from the window
-        start on, skipping the owner's. Pairs before the window start are
-        dropped, since a window start never moves back; pairs before the age
-        cutoff at ``now_round`` are left for the caller to skip, since a later
-        call without ``now_round`` still reads them.
+        Entries before the window start, or before the age cutoff at
+        ``now_round``, are left in the chains for the caller to skip: other
+        windows onto the tape may still read them.
         """
         tape = self.tape
+        owner = self.owner
+        start = tape.start(owner)
         seqs = tape.seqs
-        end = len(seqs)
-        start = tape.start(self.owner)
-        chains = self.chains
-        if start == end:
-            chains.clear()
-            return chains, 0
-        new = bisect_left(seqs, self.folded, start)
-        if new < end:
-            # Newest first, a record's pair joins its key's chain iff its bid
-            # is below every newer one's: only those pairs are built.
-            skip = _NOBODY if self.owner is None else self.owner
-            tails: dict[tuple[Money, int], list[tuple[int, Money]]] = {}
-            for seq, bidder, point in zip(
-                reversed(seqs[new:]), reversed(tape.bidders[new:]), reversed(tape.points[new:])
-            ):
-                if bidder == skip:
-                    continue
-                bid = point.observed_bid
-                tail = tails.get(point.key)
-                if tail is None:
-                    tails[point.key] = [(seq, bid)]
-                elif bid < tail[-1][1]:
-                    tail.append((seq, bid))
-            for key, tail in tails.items():
-                tail.reverse()
-                chain = chains.get(key)
-                if chain is None:
-                    chains[key] = deque(tail)
-                else:
-                    low = tail[0][1]
-                    while chain and chain[-1][1] >= low:
-                        chain.pop()
-                    chain.extend(tail)
-            self.folded = seqs[-1] + 1
-        first = seqs[start]
-        for key in [key for key, chain in chains.items() if chain[0][0] < first]:
-            chain = chains[key]
-            while chain and chain[0][0] < first:
-                chain.popleft()
-            if not chain:
-                del chains[key]
-        if now_round is None:
-            return chains, first
-        cut = tape.first_live(now_round - self.cfg.max_age_rounds, start)
-        return chains, seqs[cut] if cut < end else seqs[-1] + 1
+        if start == len(seqs):
+            return None
+        chains = tape.fold(start)
+        if now_round is not None:
+            start = tape.first_live(now_round - self.cfg.max_age_rounds, start)
+        live = seqs[start] if start < len(seqs) else len(seqs) + tape.dropped
+        return chains, live, _NOBODY if owner is None else owner
 
 
 class BidFeed(BidHistory):
@@ -402,7 +505,7 @@ def predict_bid(
     max_allowed: Money,
     hop_count: int,
     now_round: int | None = None,
-    live_chains: tuple[dict[tuple[Money, int], deque[tuple[int, Money]]], int] | None = None,
+    live_chains: tuple[dict[tuple[Money, int], list], int, object] | None = None,
 ) -> Money:
     """Smallest-undercut bid for the queried auction scenario.
 
@@ -410,26 +513,24 @@ def predict_bid(
     [min_bid_floor, max_allowed]; with no neighbors, a fallback fraction of
     the ceiling, clamped the same way. ``live_chains`` is what
     ``history.live_chains(now_round)`` returned, for a caller that read it
-    already; the history is not read again.
+    already and found the window non-empty; the history is not read again.
     """
     if max_allowed < 1:
         raise ValueError("query max_allowed must be >= 1")
     cfg = history.cfg
-    chains, live = live_chains or history.live_chains(now_round)
-    budget_norm, ttl_norm, epsilon = cfg.budget_norm, cfg.ttl_norm, cfg.epsilon
-    qa = max_allowed / budget_norm
-    qh = hop_count / ttl_norm
-    low = None
-    for (ma, hop), chain in chains.items():
-        if math.hypot(ma / budget_norm - qa, hop / ttl_norm - qh) <= epsilon:
-            seq, bid = chain[0]
-            if seq < live:
-                bid = next((bid for seq, bid in chain if seq >= live), None)
-                if bid is None:
-                    continue
-            if low is None or bid < low:
-                low = bid
-    if low is not None:
+    live = live_chains or history.live_chains(now_round)
+    low = math.inf
+    if live is not None:
+        chains, first, skip = live
+        epsilon = cfg.epsilon
+        qa = max_allowed / cfg.budget_norm
+        qh = hop_count / cfg.ttl_norm
+        for na, nh, entries in chains.values():
+            if math.hypot(na - qa, nh - qh) <= epsilon:
+                for seq, bid, bidder, _ in entries:
+                    if bid < low and seq >= first and bidder != skip:
+                        low = bid
+    if low < math.inf:
         raw = low - 1
     else:
         raw = int(max_allowed * cfg.fallback_fraction)

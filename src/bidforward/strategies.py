@@ -81,9 +81,9 @@ def undercut_bid(ceiling: Money, hop: int, ctx: StrategyContext, small_cap: int)
         return 0
     history = ctx.history
     if history is not None:
-        # The window is empty exactly when its chains are: one window read serves both.
+        # One window read serves the emptiness test and the prediction.
         live = history.live_chains(ctx.round)
-        if live[0]:
+        if live is not None:
             return predict_bid(history, ceiling, hop, ctx.round, live)
     return min(ceiling, ctx.rng.randint(1, small_cap))
 
@@ -393,12 +393,13 @@ class WolfPack(Strategy):
         self.pack = self.params.pack
 
     def on_auction(self, request: AuctionRequest, ctx: StrategyContext) -> Money | None:
-        dest = request.destination
-        if ctx.view.distance(ctx.node, dest) == 1:
+        d = ctx.view.distance(ctx.node, request.destination)
+        if d == 1:
             return undercut_bid(request.ceiling, 1, ctx, self.params.small_cap)
         if self._sole_eligible_bidder(request, ctx):
             return request.ceiling
-        d = ctx.distance_to(dest, request.hop_distance)
+        if d is None:
+            d = request.hop_distance
         if d is None:
             return request.ceiling if ctx.forced_bid else None
         if request.ceiling < 1:

@@ -386,6 +386,7 @@ class TestConfigValueChecks:
         ("game.observation", "khop:2.5", "with an integer k >= 1, got 'khop:2.5'"),
         ("topology.radius", -0.3, "radius must be > 0, got -0.3"),
         ("topology.radius", float("nan"), "radius must be > 0, got nan"),
+        ("topology.gateways", [0, 0], "topology.gateways: gateway 0 is listed twice"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -490,8 +491,9 @@ class TestChecksBeforeAnyRun:
         ({"topology.n": 1}, "topology.n: n must be >= 2"),
         ({"topology.kind": "grid", "topology.cols": 0}, "topology.cols: grid: 10 nodes"),
         ({"topology.gateways": [99]}, "topology.gateways: gateway 99 is not a node"),
+        ({"topology.gateways": [0, 3, 0]}, "topology.gateways: gateway 0 is listed twice"),
     ], ids=["negative-radius", "nan-radius", "unknown-kind", "one-node", "grid-cols-0",
-            "unknown-gateway"])
+            "unknown-gateway", "repeated-gateway"])
     def test_topology_no_seed_can_build_rejected(self, tmp_path, capsys, overrides, field):
         # In the base config, the run and the tournament both fail on it.
         tree = with_override("tournament.seeds", 2)

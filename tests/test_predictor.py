@@ -203,6 +203,11 @@ class TestSharedTape:
         assert [p.observed_bid for p in mine.points()] == [40]
         assert [p.observed_bid for p in writer.points()] == [30]
 
+    def test_windows_register_before_the_tape_holds_records(self):
+        writer = history_from([(100, 3, 40, 0)], PredictorConfig())
+        with pytest.raises(ValueError):
+            BidHistory(writer.cfg, 1, writer.tape)
+
     def test_points_must_come_in_round_order(self):
         history = history_from([(100, 3, 40, 5)], PredictorConfig())
         with pytest.raises(ValueError):
@@ -283,6 +288,119 @@ class TestChainsMatchTheScan:
         h = history_from([(50, 3, 20, 0), (50, 5, 10, 0)], cfg)
         assert predict_bid(h, 50, 4) == 9
         assert predict_bid(h, 50, 2) == 19
+
+
+class TestSharedChains:
+    """Every window onto one tape reads the tape's chains, folded once.
+
+    Each query is followed by a record from the querier, as a wolf bids
+    after predicting, so the owners' windows start at different records;
+    bids come from 0-3, so that ties are common.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2, 3, 7, None]),  # the querier, or a bidder no window is owned by
+                st.booleans(),  # query first, when the querier owns a window
+                st.integers(0, 3),  # bid
+                st.sampled_from([10, 20]),  # ceiling
+                st.integers(1, 3),  # hop count
+                st.integers(0, 1),  # rounds since the previous step
+            ),
+            min_size=10, max_size=100,
+        ),
+        max_history=st.integers(1, 6),
+        max_age=st.integers(0, 3),
+        epsilon=st.sampled_from([0.0, 0.15, math.inf]),
+    )
+    def test_every_answer_equals_the_scan(self, steps, max_history, max_age, epsilon):
+        cfg = PredictorConfig(
+            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
+            budget_norm=100, ttl_norm=8,
+        )
+        writer = BidHistory(cfg)
+        histories = {o: BidHistory(cfg, o, writer.tape) for o in (0, 1, 2, 3)}
+        histories[None] = writer
+        rnd = 0
+        for who, query, amount, ceiling, hop, wait in steps:
+            rnd += wait
+            if query and who in histories:
+                history = histories[who]
+                assert (history.live_chains(rnd) is None) == (len(history) == 0)
+                expected = reference_predict(history, ceiling, hop, rnd)
+                assert predict_bid(history, ceiling, hop, rnd) == expected
+            writer.record(BidHistoryPoint(ceiling, hop, amount, rnd), who)
+
+    def test_owner_tied_by_an_earlier_bidder_still_sees_that_bid(self):
+        # A chain that drops a bid on any newer bid as low keeps only the
+        # owner's own 5, and the owner would see no bid under the key.
+        writer = BidHistory(PredictorConfig())
+        mine = BidHistory(writer.cfg, 1, writer.tape)
+        writer.record(BidHistoryPoint(50, 2, 5, 0), 2)
+        writer.record(BidHistoryPoint(50, 2, 5, 0), 1)
+        assert predict_bid(writer, 50, 2) == 4
+        assert predict_bid(mine, 50, 2) == 4 == reference_predict(mine, 50, 2)
+
+    def test_a_fold_keeps_what_only_another_window_reaches(self):
+        # Owner 1's window, two records not its own, starts at 2's first bid;
+        # a fold from there would skip 7's bid, which 2's window reaches.
+        writer = BidHistory(PredictorConfig(max_history=2))
+        first, second = (BidHistory(writer.cfg, o, writer.tape) for o in (1, 2))
+        for bidder in (7, 2, 2):
+            writer.record(BidHistoryPoint(50, 2, 3 if bidder == 7 else 9, 0), bidder)
+        assert predict_bid(first, 50, 2) == 8
+        writer.record(BidHistoryPoint(50, 2, 9, 0), 1)
+        assert predict_bid(second, 50, 2) == 2 == reference_predict(second, 50, 2)
+
+    def test_a_second_lower_bidder_drops_an_entry_across_folds(self):
+        writer = BidHistory(PredictorConfig())
+        owners = {o: BidHistory(writer.cfg, o, writer.tape) for o in (1, 2, 3)}
+        entries = []
+        for bidder, amount in ((1, 5), (2, 4), (2, 3), (3, 2)):
+            writer.record(BidHistoryPoint(50, 2, amount, 0), bidder)
+            chains, _, _ = writer.live_chains()
+            entries.append([entry[:3] for entry in chains[(50, 2)][2]])
+        # 2's 4 marks 1's 5; 2's 3 drops 2's 4 and leaves the mark as it
+        # was; 3's 2 is a second bidder below 1's 5, which goes.
+        assert entries == [
+            [(0, 5, 1)],
+            [(0, 5, 1), (1, 4, 2)],
+            [(0, 5, 1), (2, 3, 2)],
+            [(2, 3, 2), (3, 2, 3)],
+        ]
+        assert predict_bid(owners[3], 50, 2) == 2
+        assert predict_bid(owners[2], 50, 2) == 1
+
+
+class TestLongRunBounds:
+    """Over 2,000 ``global`` packets with a wolf pack and a short window, the
+    shared tape and its chains stay within their bounds after every round."""
+
+    def test_tape_and_chains_stay_bounded(self):
+        n = 20
+        g = generate("geometric", n, radius=0.35, seed=11)
+        assignment = {
+            node: build_strategy("wolfpack", {"pack": "a"}) if 1 <= node <= 10
+            else build_strategy("fair")
+            for node in range(n)
+        }
+        config = GameConfig(packets_total=2000, injection_rate=4, observation="global",
+                            master_seed=1)
+        cfg = PredictorConfig(max_history=5)
+        sim = Simulation(config, g, assignment, cfg)
+        tape = sim.contexts[1].history.tape
+        while sim.step_round():
+            seqs = tape.seqs
+            assert len(seqs) <= 4 * cfg.max_history
+            entries = [entry for chain in tape.chains.values() for entry in chain[2]]
+            if seqs:
+                assert len(entries) <= seqs[-1] - seqs[0] + 1
+                assert all(entry[0] >= seqs[0] for entry in entries)
+        # The tape trimmed many times over, and its chains were read.
+        assert tape.dropped > 100 * cfg.max_history
+        assert tape.folded > tape.dropped
 
 
 def announcement(packet_id, ceiling, dist, rnd, seq=0):
