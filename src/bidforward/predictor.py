@@ -190,10 +190,7 @@ class BidTape:
 
     def first_live(self, cutoff: int, start: int) -> int:
         """Index of the first record at or after ``start`` from round ``cutoff`` on."""
-        points = self.points
-        if start < len(points) and points[start].round >= cutoff:
-            return start
-        return bisect_left(points, cutoff, start, key=_ROUND)
+        return bisect_left(self.points, cutoff, start, key=_ROUND)
 
     def start(self, owner: NodeId | None) -> int:
         """Index of the first record in ``owner``'s window.

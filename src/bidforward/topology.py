@@ -245,11 +245,13 @@ def check_generate(
             raise TopologyError(f"geometric: radius must be > 0, got {radius}", "radius")
     if not gateways:
         raise TopologyError("gateway set must be non-empty", "gateways")
-    for i, g in enumerate(gateways):
+    seen = set()
+    for g in gateways:
         if not 0 <= g < n:
             raise TopologyError(f"gateway {g} is not a node of a {n}-node graph", "gateways")
-        if g in gateways[:i]:
+        if g in seen:
             raise TopologyError(f"gateway {g} is listed twice", "gateways")
+        seen.add(g)
 
 
 def generate(

@@ -79,6 +79,17 @@ class TestGenerate:
         with pytest.raises(TopologyError):
             TopologyGraph(3, [(0, 1), (1, 2)], gateways=())
 
+    @pytest.mark.parametrize("gateways", [{0, 3}, frozenset({3, 0})])
+    def test_gateways_may_be_a_set(self, gateways):
+        topology.check_generate("ring", 5, gateways=gateways)
+        assert generate("ring", 5, gateways=gateways).gateways == frozenset({0, 3})
+
+    @pytest.mark.parametrize("check", [topology.check_generate, generate])
+    def test_gateway_listed_twice(self, check):
+        with pytest.raises(TopologyError, match="gateway 3 is listed twice") as exc:
+            check("ring", 5, gateways=[3, 0, 3])
+        assert exc.value.field == "gateways"
+
 
 def reference_geometric(n, radius, seed):
     """The edges ``generate("geometric")`` built by a whole graph per attempt,
