@@ -16,15 +16,16 @@ winner, and its auctions skip those nodes. Each bid is still checked against
 the graph's own neighbour set.
 
 Every event goes to the observer stores that hear it and act on its kind,
-and the bid kinds go to the run's one ``BidFeed`` as well. The scope decides
-who hears: under ``global`` all subscribers share one store, and every bid
-history windows the feed's own tape, so each event reaches at most two
-sinks, and each recorded bid is folded into the tape's chains once, by the
-first history to query after it. Under ``khop:<k>`` every subscriber keeps
-its own store and tape and hears the events within k hops of it; the feed
-is told the mask of the history owners that hear each event, and records a
-bid once per group of hearers that heard the same latest announcement, with
-one point per group.
+and the bid kinds go to the run's one ``BidFeed`` as well, which writes the
+run's one bid tape; every bid history is a window onto it. The scope decides
+who hears: under ``global`` all subscribers share one store, so each event
+reaches at most two sinks, and each recorded bid is folded into the tape's
+chains once, by the first history to query after it. Under ``khop:<k>``
+every subscriber keeps its own store and hears the events within k hops of
+it; the feed is told the mask of the history owners that hear each event,
+and records a bid once per group of hearers that heard the same latest
+announcement, with the group's mask. A history's ``HeardWindow`` reads the
+records whose mask has its owner's bit, folding them only when it queries.
 
 A run is strictly sequential and deterministic for a given config, graph,
 assignment and master seed.
@@ -51,7 +52,7 @@ from .model import (
     validate_bid,
 )
 from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
-from .predictor import BID_KINDS, BidFeed, BidHistory, PredictorConfig
+from .predictor import BID_KINDS, BidFeed, BidHistory, HeardWindow, MaskedTape, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import TopologyGraph, churn, members, view_of
@@ -247,10 +248,12 @@ class Simulation:
             raise EngineError("every node is a gateway; no valid destinations exist")
 
         # Under global scope every subscriber hears every event in the same
-        # order, so all observers share one store, and every node's history
-        # windows the feed's tape.
+        # order, so all observers share one store. Every node's history
+        # windows the feed's tape, under khop scopes through its bit.
         shared_store = ObserverStore() if shared else None
-        self._feed = BidFeed(self.predictor_cfg)
+        tape = None if shared else MaskedTape(self.predictor_cfg)
+        self._feed = BidFeed(self.predictor_cfg, tape)
+        window = BidHistory if shared else HeardWindow
 
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
@@ -266,8 +269,7 @@ class Simulation:
                     node, retain_events=strat.pack is not None
                 )
             if strat.uses_bid_history:
-                history = BidHistory(self.predictor_cfg, node, self._feed.tape if shared else None)
-                self._feed.tapes[node] = history.tape
+                history = window(self.predictor_cfg, node, self._feed.tape)
                 self._history_owners |= 1 << node
             ctx = self.contexts[node] = StrategyContext(
                 node=node,
@@ -360,8 +362,9 @@ class Simulation:
         ``ObservationScope.hearers`` sets: the stores of the store owners in
         it, walked bit by bit in ascending order, then the bid feed if any
         history owner is in it. Under ``khop`` scopes the feed is bound to
-        the mask of those history owners; under ``global`` every history
-        hears, and the feed is called as it is.
+        the mask of those history owners, which it records with each bid they
+        hear; under ``global`` every history hears, and the feed is called as
+        it is.
         """
         # Positional: a NamedTuple binds keyword arguments at about twice the cost.
         event = GameEvent(

@@ -4,60 +4,48 @@ The predictor keeps a bounded history of observed bids arranged by the two
 attributes an auction exposes (the hop count and the maximum allowed bid),
 finds past bids within a normalized Euclidean distance epsilon of the
 current query, and undercuts the smallest of them by one point, never going
-below a configured floor. The floor keeps the output useful even when
-observed bids have collapsed to zero.
+below a configured floor, which keeps the output useful even when observed
+bids have collapsed to zero.
 
-A history is its owner's window onto a tape, an append-only log of
-``(point, bidder)`` records, each with a sequence number that outlives the
-tape's trims. The window holds the last ``max_history`` points not bid by
-the owner, minus those more than ``max_age_rounds`` older than the newest
-of them: what a bounded deque with age eviction would hold if it skipped
-the owner's own bids.
+A history is its owner's window onto the run's one tape, an append-only log
+of points numbered in order, written by the run's ``BidFeed``: the last
+``max_history`` points its owner heard and did not bid, minus those more
+than ``max_age_rounds`` older than the newest of them, as a bounded deque
+with age eviction would hold. Under ``global`` observation the tape records
+each bid once with its bidder, and a window skips its owner's records. Under
+``khop`` scopes a bid's hearers, minus its bidder, fall into groups by the
+latest announcement each heard; a group whose announcement carried a
+distance gets one point, recorded once on a ``MaskedTape`` with the group's
+mask, and an owner's ``HeardWindow`` holds the records with its bit.
 
-One ``BidFeed`` per run, an owner-less history, writes every tape. Its
-``pending`` table maps a packet to the announcements made for it so far,
-each with the mask of the history owners that heard it. Under ``global``
-observation every history windows the feed's own tape, which the feed fills
-once per bid. Under ``khop`` scopes each history has a tape of its own, and
-the feed is told which owners hear each event. A bid's hearers, minus its
-bidder, fall into groups by the latest announcement each heard; a group
-whose announcement carried a distance gets one point, appended by one
-``record`` call to the tape of every member.
+A query reads no window. Points with the same ``(max_allowed, hop_count)``
+key are at the same distance from any query, so chains keep, per key,
+entries ``(seq, bid, bidder, mark)`` in sequence order: a streaming minimum
+filter (Lemire, "Streaming maximum-minimum filter using no more than three
+comparisons per element", 2006). A query tests each key once against
+epsilon and reads its chain from the first live number, skipping the
+owner's entries.
 
-A query reads no window. Every point with the same ``(max_allowed,
-hop_count)`` key is at the same distance from any query, so a tape keeps,
-per key, a chain of entries ``(seq, bid, bidder, mark)`` in sequence order,
-a streaming minimum filter (Lemire, "Streaming maximum-minimum filter using
-no more than three comparisons per element", 2006) shared by every window
-that skips one owner. An entry is dropped when a newer record under its key
-bids no more than it does and either comes from the entry's own bidder, or
-is the second such record from a bidder other than the entry's (``mark``
-names the first). For any window, the least bid under a key is then held
-by a kept entry, the newest record in the window that holds it. A window
-is a suffix of the tape without its owner's records, so whatever dropped
-that record would include a newer record in the window bidding as little:
-its own bidder is not the owner, and of two distinct bidders at most one
-is. No such record exists, so the record was kept.
+Under ``global`` every window reads the tape's chains. An entry is dropped
+when a newer record under its key bids no more than it does and either
+comes from the entry's own bidder, or is the second such record from a
+bidder other than the entry's (``mark`` names the first). For any window,
+the least bid under a key is then held by a kept entry, the newest record in
+the window that holds it: a window is a suffix of the tape without its
+owner's records, so whatever dropped that record would include a newer
+record in the window bidding as little, since its own bidder is not the
+owner, and of two distinct bidders at most one is. The tape is folded once,
+in one batch, by the first history to query after new records came. Under
+``khop`` a window folds chains of its own at query time, from its cursor on
+the tape, testing one bit per record; an owner never hears its own bids, so
+they are plain per-key running minima.
 
-The tape is folded once, in one batch, by whichever history queries first
-after new records came: newest first, each key tracks the least newer bid,
-its bidder, and the least newer bid from any other bidder, which decide
-each record and, merged with the marks, each older entry. A tape with a
-single owner, the private tapes under ``khop``, folds from that owner's
-window start and skips the owner's records. A query reads each key's chain
-from its first live sequence number, skipping the owner's entries, and
-tests each key once against epsilon; it costs the live keys and their
-entries, not the window. Entries older than the tape's first record go at
-its trims.
-
-Under ``khop:1`` no history ever records a point, so ``sniper`` and
-``wolfpack`` always fall back to ``fallback_fraction`` of the ceiling. A
-holder's 1-hop view knows no destination beyond its neighbours, and a
-neighbour destination is delivered without an auction, so no announcement a
-node makes carries a distance. The backbone's announcements do, but under
-``khop:1`` only the gateways hear them. Over ``khop-churn`` seeds 1-10 with
-``game.observation=khop:1``, 6,382 bids reached a hearer other than their
-bidder, and none was recorded.
+Under ``khop:1`` no history ever records a point, and ``sniper`` and
+``wolfpack`` always fall back to ``fallback_fraction`` of the ceiling: a
+1-hop view knows no destination beyond its neighbours, which are delivered
+to without an auction, and only the gateways hear the backbone's
+announcements. Over ``khop-churn`` seeds 1-10 with ``game.observation=khop:1``,
+6,382 bids reached a hearer other than their bidder, and none was recorded.
 """
 
 from __future__ import annotations
@@ -68,7 +56,6 @@ from dataclasses import dataclass, field
 from operator import attrgetter
 
 from .model import EventKind, GameEvent, Money, NodeId
-from .topology import members
 
 # Reading a member off an Enum class goes through EnumType.__getattr__;
 # BidFeed.observe, run per event, compares against these module-level names instead.
@@ -126,9 +113,9 @@ class PredictorConfig:
 class BidHistoryPoint:
     """One observed bid, with the ceiling and advertised distance it was made under.
 
-    Slotted but not frozen, since one is built per recorded bid; histories
-    share points, so nothing assigns a field after construction. ``key``,
-    ``(max_allowed, hop_count)``, names the chain the point's bid goes to.
+    Slotted but not frozen, since one is built per recorded bid; windows share
+    points, so nothing assigns a field after construction. ``key`` names the
+    chain the point's bid goes to.
     """
 
     max_allowed: Money
@@ -148,24 +135,19 @@ class BidHistoryPoint:
 class BidTape:
     """Append-only log of observed bids and their bidders, windowed by histories.
 
-    Records are appended in round order; ``seqs`` numbers them from 0 in
-    that order, and a record keeps its number through trims, which count
-    the records they drop in ``dropped``. Every history that windows the
-    tape registers its owner in ``owners``, and ``own`` lists the sequence
-    numbers of each owner's records (not the owner-less one's), compacted
-    ones included, from the tape's first record on; window starts are
-    solved from them in sequence space.
+    Records are appended in round order; ``seqs`` numbers them from 0, and a
+    record keeps its number through trims, which count the records they drop
+    in ``dropped``. A window registers its owner in ``owners``; ``own`` lists
+    the numbers of each owner's records (not the owner-less one's), compacted
+    ones included, from which window starts are solved. ``chains`` maps each
+    key ``(max_allowed, hop_count)`` to its normalised ``(max_allowed /
+    budget_norm, hop_count / ttl_norm)`` and its entries, folded in up to
+    sequence number ``folded``.
 
-    ``chains`` maps each key ``(max_allowed, hop_count)`` to its normalised
-    ``(max_allowed / budget_norm, hop_count / ttl_norm)`` and its chain of
-    entries ``(seq, bid, bidder, mark)``, folded in up to sequence number
-    ``folded`` (see the module docstring).
-
-    Once the tape holds more than ``limit`` records it drops every record
-    that no owner's window can reach again. That leaves at most two
-    windows' worth, and ``limit`` becomes twice what is left, but at least
-    two windows' worth: the tape never holds more than four windows' worth,
-    and a trim comes at most once per window's worth of records.
+    Past ``limit`` records a trim drops every record that no window can
+    reach again. That leaves at most two windows' worth, and ``limit``
+    becomes twice what is left, but at least two windows' worth: the tape
+    never holds more than four, and trims at most once per window's worth.
     """
 
     def __init__(self, cfg: PredictorConfig):
@@ -188,22 +170,14 @@ class BidTape:
         if owner is not None:
             self.own.setdefault(owner, [])
 
-    def first_live(self, cutoff: int, start: int) -> int:
-        """Index of the first record at or after ``start`` from round ``cutoff`` on."""
-        return bisect_left(self.points, cutoff, start, key=_ROUND)
-
     def start(self, owner: NodeId | None) -> int:
-        """Index of the first record in ``owner``'s window.
+        """Index of the first record in ``owner``'s window; the owner's records
+        inside the returned range are not part of it.
 
-        The window is the last ``max_history`` records not bid by ``owner``
-        (all records when ``owner`` is None), minus those more than
-        ``max_age_rounds`` older than the newest of them. Records by the
-        owner inside the returned range are not part of it.
-
-        The first of those records is the greatest ``s`` with ``s = end -
-        max_history - (owner's records from s on)``: starting from ``end -
-        max_history``, each step moves back by the owner's records passed,
-        and stops where none is left to pass.
+        The last ``max_history`` of the other records begin at the greatest
+        ``s`` with ``s = end - max_history - (owner's records from s on)``:
+        from ``end - max_history``, each step moves back by the owner's
+        records passed, and stops where none is left to pass.
         """
         seqs = self.seqs
         if not seqs:
@@ -229,18 +203,16 @@ class BidTape:
         begin = bisect_left(seqs, first)
         # The newest record, when not the owner's, was never compacted away.
         newest = size - 1 if last == end - 1 else bisect_left(seqs, last, begin)
-        return self.first_live(self.points[newest].round - self.cfg.max_age_rounds, begin)
+        cutoff = self.points[newest].round - self.cfg.max_age_rounds
+        return bisect_left(self.points, cutoff, begin, key=_ROUND)
 
     def trim(self) -> None:
         """Drop the records outside every registered owner's window.
 
         Only the owner whose window starts first reaches the records before
         the second-earliest start, and it skips its own among them; every
-        later record lies in two windows with different owners, so at least
-        one of them holds it. What is kept is that first window plus the
-        second owner's records outside it: at most two windows' worth.
-        Owner lists and chain entries older than the first record kept go
-        too.
+        later record lies in two windows with different owners, one of which
+        holds it. So at most two windows' worth are kept.
         """
         points, bidders, seqs = self.points, self.bidders, self.seqs
         end = len(seqs) + self.dropped
@@ -259,46 +231,23 @@ class BidTape:
         oldest = seqs[0] if seqs else end
         for own in self.own.values():
             del own[: bisect_left(own, oldest)]
-        chains = self.chains
-        for key in [key for key, chain in chains.items() if chain[2][0][0] < oldest]:
-            entries = chains[key][2]
-            # Entries are in sequence order, and a 1-tuple sorts before every
-            # entry with the same first field.
-            gone = bisect_left(entries, (oldest,))
-            if gone == len(entries):
-                del chains[key]
-            else:
-                del entries[:gone]
+        _drop_before(self.chains, oldest)
 
-    def fold(self, start: int) -> dict[tuple[Money, int], list]:
-        """The chains, caught up with the tape; ``start`` is the querier's window start.
-
-        A tape with one owner folds from that owner's window start, which
-        never moves back, and skips the owner's records; a shared tape folds
-        every record, since some window may still reach it.
-        """
-        chains = self.chains
-        seqs = self.seqs
+    def fold(self) -> dict[tuple[Money, int], list]:
+        """The chains, caught up with the tape: every record is folded in,
+        since some window may still reach it."""
+        chains, seqs = self.chains, self.seqs
         end = len(seqs) + self.dropped
         if self.folded == end:
             return chains
-        new = bisect_left(seqs, self.folded)
-        skip = _NOBODY
-        if len(self.owners) == 1:
-            new = max(new, start)
-            (owner,) = self.owners
-            if owner is not None:
-                skip = owner
         # Per key, newest first: [least newer bid, its bidder, least newer bid
         # by any other bidder, the kept entries]. A record below every newer
         # bid is kept unmarked; one that only one other bidder's newer bids
         # reach is kept, marked with that bidder; any other is dropped.
         batch: dict[tuple[Money, int], list] = {}
         bidders, points = self.bidders, self.points
-        for at in range(len(seqs) - 1, new - 1, -1):
+        for at in range(len(seqs) - 1, bisect_left(seqs, self.folded) - 1, -1):
             bidder = bidders[at]
-            if bidder == skip:
-                continue
             seq = seqs[at]
             point = points[at]
             bid = point.observed_bid
@@ -339,125 +288,188 @@ class BidTape:
         return chains
 
 
-class BidHistory:
-    """One owner's window onto a bid tape: bids by the owner are left out.
-
-    Without an ``owner`` the window holds every bidder's records; without a
-    ``tape`` the history gets one of its own. The chains a query reads are
-    the tape's, shared with every other window onto it.
-    """
-
-    def __init__(
-        self,
-        cfg: PredictorConfig,
-        owner: NodeId | None = None,
-        tape: BidTape | None = None,
-    ):
-        self.cfg = cfg
-        self.owner = owner
-        self.tape = BidTape(cfg) if tape is None else tape
-        self.tape.register(owner)
-
-    def __len__(self) -> int:
-        tape = self.tape
-        start = tape.start(self.owner)
-        size = len(tape.bidders) - start
-        if self.owner is not None:
-            size -= tape.bidders[start:].count(self.owner)
-        return size
-
-    def record(
-        self,
-        point: BidHistoryPoint,
-        bidder: NodeId | None = None,
-        tapes: list[BidTape] | None = None,
-    ) -> None:
-        """Append a point bid by ``bidder`` to the history's tape, or to each of
-        ``tapes``; points come in round order on every tape."""
-        rnd = point.round
-        for tape in (self.tape,) if tapes is None else tapes:
-            points = tape.points
-            if points and rnd < points[-1].round:
-                raise ValueError("bids must be recorded in round order")
-            seq = len(points) + tape.dropped
-            tape.seqs.append(seq)
-            points.append(point)
-            tape.bidders.append(bidder)
-            own = tape.own.get(bidder)
-            if own is not None:
-                own.append(seq)
-            if len(points) > tape.limit:
-                tape.trim()
-
-    def points(self, now_round: int | None = None) -> list[BidHistoryPoint]:
-        """Live points, oldest first, age-filtered relative to ``now_round`` when given."""
-        tape = self.tape
-        owner = self.owner
-        start = tape.start(owner)
-        if now_round is not None:
-            start = tape.first_live(now_round - self.cfg.max_age_rounds, start)
-        if owner is None:
-            return tape.points[start:]
-        bidders, points = tape.bidders, tape.points
-        out: list[BidHistoryPoint] = []
-        for _ in range(bidders[start:].count(owner)):
-            own = bidders.index(owner, start)
-            out += points[start:own]
-            start = own + 1
-        out += points[start:]
-        return out
-
-    def live_chains(
-        self, now_round: int | None = None
-    ) -> tuple[dict[tuple[Money, int], list], int, object] | None:
-        """The tape's chains, caught up, the sequence number from which their
-        entries are live at ``now_round``, and the bidder whose entries this
-        window skips; None when the window is empty.
-
-        Entries before the window start, or before the age cutoff at
-        ``now_round``, are left in the chains for the caller to skip: other
-        windows onto the tape may still read them.
-        """
-        tape = self.tape
-        owner = self.owner
-        start = tape.start(owner)
-        seqs = tape.seqs
-        if start == len(seqs):
-            return None
-        chains = tape.fold(start)
-        if now_round is not None:
-            start = tape.first_live(now_round - self.cfg.max_age_rounds, start)
-        live = seqs[start] if start < len(seqs) else len(seqs) + tape.dropped
-        return chains, live, _NOBODY if owner is None else owner
+def _drop_before(chains: dict[tuple[Money, int], list], oldest: int) -> None:
+    """Drop chain entries numbered below ``oldest``, and chains left empty."""
+    for key in [key for key, chain in chains.items() if chain[2][0][0] < oldest]:
+        entries = chains[key][2]
+        # Entries are in sequence order; a 1-tuple sorts before its extensions.
+        gone = bisect_left(entries, (oldest,))
+        if gone == len(entries):
+            del chains[key]
+        else:
+            del entries[:gone]
 
 
-class BidFeed(BidHistory):
-    """A run's one writer of bid tapes: an owner-less history told who hears what.
-
-    ``tapes`` maps each history owner to the tape its window reads, and
-    ``tapes_of`` a group's mask to its members' tapes, filled as groups come.
-    Groups follow the balls of the graph, so a run meets few distinct ones:
-    47 in the 1,660 recorded by ``khop-churn`` at seed 1401. ``pending`` maps
-    a packet to its ``AUCTION_ANNOUNCED`` events so far, oldest first, each
-    with the mask of the owners that heard it, or None when every history
-    windows the feed's own tape.
+class MaskedTape(BidTape):
+    """The run's tape under ``khop`` scopes: ``masks`` holds each record's mask
+    of the owners of ``windows`` that heard it. Past four windows' worth of
+    records a trim keeps the last two, so the record at index ``i`` is
+    numbered ``i + dropped``. A window whose cursor lies before the cut
+    restarts at the cut if it heard ``max_history`` of the records kept, and
+    folds up to the cut otherwise.
     """
 
     def __init__(self, cfg: PredictorConfig):
         super().__init__(cfg)
-        self.tapes: dict[NodeId, BidTape] = {}
-        self.tapes_of: dict[int, list[BidTape]] = {}
+        self.masks: list[int] = []
+        self.windows: list[HeardWindow] = []
+        self.limit = 4 * cfg.max_history
+
+    def trim(self) -> None:
+        masks, size = self.masks, self.cfg.max_history
+        cut = len(masks) - 2 * size
+        for window in self.windows:
+            if window.cursor - self.dropped < cut:
+                if sum(1 for mask in masks[cut:] if mask & window.bit) < size:
+                    window.fold(cut)
+                else:
+                    window.heard, window.chains = [], {}
+                    window.cursor = cut + self.dropped
+        del self.points[:cut], masks[:cut]
+        self.dropped += cut
+
+
+class BidHistory:
+    """One owner's window onto a ``BidTape``, reading the tape's chains: bids
+    by the owner are left out. Without an ``owner`` the window holds every
+    bidder's records; without a ``tape`` the history gets one of its own.
+    """
+
+    def __init__(
+        self, cfg: PredictorConfig, owner: NodeId | None = None, tape: BidTape | None = None
+    ):
+        self.cfg, self.owner = cfg, owner
+        self.tape = BidTape(cfg) if tape is None else tape
+        self.tape.register(owner)
+
+    def record(
+        self, point: BidHistoryPoint, bidder: NodeId | None = None, hearers: int | None = None
+    ) -> None:
+        """Append a point bid by ``bidder``, or heard by the owners in the mask
+        ``hearers`` on a ``MaskedTape``; points come in round order."""
+        tape = self.tape
+        points = tape.points
+        if points and point.round < points[-1].round:
+            raise ValueError("bids must be recorded in round order")
+        if hearers is None:
+            seq = len(points) + tape.dropped
+            tape.seqs.append(seq)
+            tape.bidders.append(bidder)
+            own = tape.own.get(bidder)
+            if own is not None:
+                own.append(seq)
+        else:
+            tape.masks.append(hearers)  # type: ignore[attr-defined]
+        points.append(point)
+        if len(points) > tape.limit:
+            tape.trim()
+
+    def points(self, now_round: int | None = None) -> list[BidHistoryPoint]:
+        """Live points, oldest first, age-filtered relative to ``now_round`` when given."""
+        tape = self.tape
+        start = tape.start(self.owner)
+        if now_round is not None:
+            start = bisect_left(tape.points, now_round - self.cfg.max_age_rounds, start, key=_ROUND)
+        if self.owner is None:
+            return tape.points[start:]
+        pairs = zip(tape.points[start:], tape.bidders[start:])
+        return [point for point, bidder in pairs if bidder != self.owner]
+
+    def live_chains(
+        self, now_round: int | None = None
+    ) -> tuple[dict[tuple[Money, int], list], int, object] | None:
+        """The window's chains, caught up, the sequence number from which their
+        entries are live at ``now_round``, and the bidder whose entries this
+        window skips; None when the window is empty. Older entries are left
+        for the caller to skip: other windows may still read them.
+        """
+        tape, owner = self.tape, self.owner
+        start = tape.start(owner)
+        seqs = tape.seqs
+        if start == len(seqs):
+            return None
+        chains = tape.fold()
+        if now_round is not None:
+            start = bisect_left(tape.points, now_round - self.cfg.max_age_rounds, start, key=_ROUND)
+        live = seqs[start] if start < len(seqs) else len(seqs) + tape.dropped
+        return chains, live, _NOBODY if owner is None else owner
+
+
+class HeardWindow(BidHistory):
+    """One owner's window onto a ``MaskedTape``: the records whose mask has its
+    bit, folded lazily from ``cursor``, a sequence number, into ``heard`` and
+    ``chains`` of its own. Entries number the points heard (``heard[0]`` is
+    number ``passed``); after a fold neither holds over two windows' worth.
+    """
+
+    def __init__(self, cfg: PredictorConfig, owner: NodeId, tape: MaskedTape):
+        if tape.points or tape.dropped:
+            raise ValueError("windows register before the tape holds records")
+        self.cfg, self.owner, self.tape, self.bit = cfg, owner, tape, 1 << owner
+        self.cursor = self.passed = 0
+        self.heard: list[BidHistoryPoint] = []
+        self.chains: dict[tuple[Money, int], list] = {}
+        tape.windows.append(self)
+
+    def fold(self, end: int) -> None:
+        """Fold the tape's records from the cursor up to index ``end`` in."""
+        tape, cfg, heard, chains = self.tape, self.cfg, self.heard, self.chains
+        points, masks, bit = tape.points, tape.masks, self.bit
+        for at in range(self.cursor - tape.dropped, end):
+            if masks[at] & bit:
+                point = points[at]
+                bid = point.observed_bid
+                chain = chains.get(point.key)
+                if chain is None:
+                    norm = (point.max_allowed / cfg.budget_norm, point.hop_count / cfg.ttl_norm)
+                    chain = chains[point.key] = [*norm, []]
+                entries = chain[2]
+                while entries and entries[-1][1] >= bid:
+                    entries.pop()
+                entries.append((self.passed + len(heard), bid, None, None))
+                heard.append(point)
+        self.cursor = end + tape.dropped
+        if len(heard) > 2 * cfg.max_history:
+            self.passed += len(heard) - cfg.max_history
+            del heard[: -cfg.max_history]
+            _drop_before(chains, self.passed)
+
+    def points(self, now_round: int | None = None) -> list[BidHistoryPoint]:
+        live = self.live_chains(now_round)
+        return self.heard[live[1] - self.passed :] if live else []
+
+    def live_chains(
+        self, now_round: int | None = None
+    ) -> tuple[dict[tuple[Money, int], list], int, object] | None:
+        self.fold(len(self.tape.points))
+        heard = self.heard
+        if not heard:
+            return None
+        newest = heard[-1].round if now_round is None else max(heard[-1].round, now_round)
+        first = max(0, len(heard) - self.cfg.max_history)
+        start = bisect_left(heard, newest - self.cfg.max_age_rounds, first, key=_ROUND)
+        return self.chains, self.passed + start, _NOBODY
+
+
+class BidFeed(BidHistory):
+    """A run's one writer of its bid tape, a ``MaskedTape`` under ``khop``
+    scopes: an owner-less history told who hears what. ``pending`` maps a
+    packet to its ``AUCTION_ANNOUNCED`` events so far, oldest first, each with
+    the mask of the owners that heard it, or None under ``global``.
+    """
+
+    def __init__(self, cfg: PredictorConfig, tape: MaskedTape | None = None):
+        super().__init__(cfg, None, tape)
         self.pending: dict[int, list[tuple[GameEvent, int | None]]] = {}
 
     def observe(self, event: GameEvent, hearers: int | None = None) -> None:
-        """Fold one event in, heard by the owners in ``hearers``, or by every
-        history on the feed's tape when it is None.
+        """Fold one event in, heard by the owners in ``hearers``, or by all.
 
         A bid is recorded against the latest announcement of its packet that
-        a hearer heard, and only when that announcement carried a distance (a
-        0 is one); its bidder does not record it. The hearers with the same
-        latest announcement share one point. Wins, payments and fines are
-        ignored.
+        a hearer heard, when that announcement carried a distance (a 0 is
+        one); its bidder does not hear it. Each group of hearers with the
+        same latest announcement gets one record, with the group's mask.
+        Wins, payments and fines are ignored.
         """
         kind = event.kind
         if kind is _BID_PLACED:
@@ -468,26 +480,16 @@ class BidFeed(BidHistory):
                 # Every window on the feed's tape skips its owner's bids, the bidder's too.
                 latest = announced[-1][0]
                 if latest.dist is not None:
-                    self.record(
-                        BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round),
-                        event.node,
-                    )
+                    point = BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round)
+                    self.record(point, event.node)
                 return
             left = hearers & ~(1 << event.node)
             for latest, heard in reversed(announced):
                 group = left & heard
                 if group:
                     if latest.dist is not None:
-                        tapes = self.tapes_of.get(group)
-                        if tapes is None:
-                            tapes = self.tapes_of[group] = [
-                                self.tapes[owner] for owner in members(group)
-                            ]
-                        self.record(
-                            BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round),
-                            event.node,
-                            tapes,
-                        )
+                        bid = BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round)
+                        self.record(bid, event.node, group)
                     left ^= group
                     if not left:
                         return
@@ -527,8 +529,5 @@ def predict_bid(
                 for seq, bid, bidder, _ in entries:
                     if bid < low and seq >= first and bidder != skip:
                         low = bid
-    if low < math.inf:
-        raw = low - 1
-    else:
-        raw = int(max_allowed * cfg.fallback_fraction)
+    raw = low - 1 if low < math.inf else int(max_allowed * cfg.fallback_fraction)
     return min(max_allowed, max(cfg.min_bid_floor, raw))

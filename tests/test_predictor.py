@@ -11,11 +11,14 @@ from bidforward.predictor import (
     BidFeed,
     BidHistory,
     BidHistoryPoint,
+    HeardWindow,
+    MaskedTape,
     PredictorConfig,
     predict_bid,
 )
 from bidforward.strategies import build_strategy
-from bidforward.topology import generate
+from bidforward.topology import generate, members
+from conftest import window_size
 
 
 def history_from(points, cfg):
@@ -192,7 +195,7 @@ class TestSharedTape:
                 live = [p for p in private[owner] if p.round >= now - max_age]
                 assert windows[owner].points() == list(private[owner])
                 assert windows[owner].points(now) == live
-                assert len(windows[owner]) == len(private[owner])
+                assert window_size(windows[owner]) == len(private[owner])
 
     def test_owner_bids_do_not_age_out_older_points(self):
         cfg = PredictorConfig(max_age_rounds=5)
@@ -328,7 +331,7 @@ class TestSharedChains:
             rnd += wait
             if query and who in histories:
                 history = histories[who]
-                assert (history.live_chains(rnd) is None) == (len(history) == 0)
+                assert (history.live_chains(rnd) is None) == (window_size(history) == 0)
                 expected = reference_predict(history, ceiling, hop, rnd)
                 assert predict_bid(history, ceiling, hop, rnd) == expected
             writer.record(BidHistoryPoint(ceiling, hop, amount, rnd), who)
@@ -403,6 +406,121 @@ class TestLongRunBounds:
         assert tape.folded > tape.dropped
 
 
+def masked(cfg, owners):
+    """A feed writing a masked tape, and a window onto it per owner."""
+    feed = BidFeed(cfg, MaskedTape(cfg))
+    return feed, [HeardWindow(cfg, owner, feed.tape) for owner in owners]
+
+
+class TestMaskedWindowsMatchTheScan:
+    """Each owner's window onto a masked tape answers what a plain history of
+    the points the owner heard does, scanned by ``reference_predict``.
+
+    Records carry random masks over 3-5 owners; small ``max_history`` makes
+    the tape trim, small ``max_age_rounds`` ages points out, and each owner
+    queries at its own pace, so that some first query after many trims.
+    """
+
+    records = st.tuples(
+        st.just("record"),
+        st.integers(0, 31),  # the mask, cut to the owners
+        st.sampled_from([20, 50]),  # ceiling: few keys, so that chains grow
+        st.integers(1, 3),  # hop count
+        st.floats(0.0, 1.0),  # bid as a share of the ceiling
+        st.integers(0, 2),  # rounds since the previous record
+    )
+    queries = st.tuples(
+        st.just("query"),
+        st.integers(0, 4),  # the owner, modulo the owners
+        st.sampled_from([10, 20, 50]),
+        st.integers(1, 4),
+        st.integers(0, 3),  # now_round, as a lag behind the tape
+    )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        owners=st.integers(3, 5),
+        steps=st.lists(st.one_of(records, records, queries), max_size=150),
+        max_history=st.integers(1, 8),
+        max_age=st.integers(0, 4),
+        epsilon=st.sampled_from([0.0, 0.125, 0.15, 0.3, math.inf]),
+    )
+    def test_every_answer_equals_the_scan(self, owners, steps, max_history, max_age, epsilon):
+        cfg = PredictorConfig(
+            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
+            budget_norm=100, ttl_norm=8,
+        )
+        feed, windows = masked(cfg, range(owners))
+        plain = [BidHistory(cfg) for _ in range(owners)]
+        rnd = now = 0
+        for step in steps:
+            if step[0] == "record":
+                _, mask, ceiling, hop, share, wait = step
+                mask &= (1 << owners) - 1
+                rnd += wait
+                point = BidHistoryPoint(ceiling, hop, int(ceiling * share), rnd)
+                feed.record(point, None, mask)
+                for owner in members(mask):
+                    plain[owner].record(point)
+                assert len(feed.tape.points) <= 4 * max_history
+                continue
+            _, owner, ceiling, hop, lag = step
+            window, reference = windows[owner % owners], plain[owner % owners]
+            now = max(now, rnd + lag)
+            assert predict_bid(window, ceiling, hop, now) == reference_predict(
+                reference, ceiling, hop, now
+            )
+            assert window.points(now) == reference.points(now)
+            assert (window.live_chains() is None) == (reference.points() == [])
+            entries = sum(len(chain[2]) for chain in window.chains.values())
+            assert entries <= len(window.heard) <= 2 * max_history
+
+    def test_a_lone_heard_record_outlives_the_trims(self):
+        # Owner 0 hears one record, then none of the many that trim the tape.
+        cfg = PredictorConfig(max_history=2)
+        feed, (lone, busy) = masked(cfg, (0, 1))
+        feed.record(BidHistoryPoint(50, 2, 7, 0), None, 0b01)
+        for _ in range(10 * cfg.max_history):
+            feed.record(BidHistoryPoint(50, 2, 30, 0), None, 0b10)
+        assert feed.tape.dropped > 4 * cfg.max_history
+        assert lone.points() == [BidHistoryPoint(50, 2, 7, 0)]
+        assert predict_bid(lone, 50, 2) == 6
+        assert predict_bid(busy, 50, 2) == 29
+
+    def test_a_first_query_after_many_trims(self):
+        # Owner 0 hears every seventh record and queries only at the end;
+        # owner 1 hears them all.
+        cfg = PredictorConfig(max_history=3, max_age_rounds=4)
+        feed, windows = masked(cfg, (0, 1))
+        heard = []
+        for i in range(120):
+            point = BidHistoryPoint(50, 2, (i * 37) % 50, i // 3)
+            feed.record(point, None, 0b11 if i % 7 == 0 else 0b10)
+            if i % 7 == 0:
+                heard.append(point)
+        assert feed.tape.dropped > 20 * cfg.max_history
+        assert windows[0].points() == history_from(
+            [(p.max_allowed, p.hop_count, p.observed_bid, p.round) for p in heard], cfg
+        ).points() != []
+        expected = min(p.observed_bid for p in windows[0].points()) - 1
+        assert predict_bid(windows[0], 50, 2) == max(1, expected)
+
+    def test_a_window_that_starts_on_a_record_it_did_not_hear(self):
+        # At the first trim (nine records, four kept) owner 0 heard two of the
+        # four kept, so its window restarts at the cut: record 5, which it did
+        # not hear. Its older, lower bids are out of its window.
+        cfg = PredictorConfig(max_history=2)
+        feed, (first, second) = masked(cfg, (0, 1))
+        masks = [0b01, 0b01, 0b10, 0b10, 0b10, 0b10, 0b01, 0b01, 0b10]
+        for i, mask in enumerate(masks):
+            feed.record(BidHistoryPoint(50, 2, 10 + i, 0), None, mask)
+        assert feed.tape.dropped == 5 and first.cursor == 5
+        assert [p.observed_bid for p in first.points()] == [16, 17]
+        assert predict_bid(first, 50, 2) == 15
+        assert [p.observed_bid for p in second.points()] == [15, 18]
+        assert predict_bid(second, 50, 2) == 14
+
+
 def announcement(packet_id, ceiling, dist, rnd, seq=0):
     return GameEvent(rnd, seq, EventKind.AUCTION_ANNOUNCED, packet_id, 0, ceiling, 0, dist=dist)
 
@@ -412,77 +530,86 @@ def bid(packet_id, bidder, amount, rnd, seq=1):
 
 
 def fed(owners, *events):
-    """A feed with one private-tape history per owner, fed ``(event, hearers)``
-    pairs, where ``hearers`` lists the owners that hear the event."""
-    feed = BidFeed(PredictorConfig())
-    histories = [BidHistory(feed.cfg, owner) for owner in owners]
-    for h in histories:
-        feed.tapes[h.owner] = h.tape
+    """A feed writing a masked tape, with one window per owner, fed ``(event,
+    hearers)`` pairs, where ``hearers`` lists the owners that hear the event."""
+    cfg = PredictorConfig()
+    feed = BidFeed(cfg, MaskedTape(cfg))
+    for owner in owners:
+        HeardWindow(cfg, owner, feed.tape)
     for event, hearers in events:
         feed.observe(event, sum(1 << owner for owner in hearers))
-    return feed, histories
+    return feed
+
+
+def heard_by(feed, owner):
+    """The points on the feed's tape whose mask has ``owner``'s bit, checked
+    against what ``owner``'s window holds."""
+    tape = feed.tape
+    points = [point for point, mask in zip(tape.points, tape.masks) if mask >> owner & 1]
+    (window,) = [window for window in tape.windows if window.owner == owner]
+    assert window.points() == points
+    return points
 
 
 class TestObserve:
-    """The feed records a bid for its hearers against the latest announcement each heard."""
+    """The feed records a bid for its hearers against the latest announcement
+    each heard: once per group of hearers, with the group's mask."""
 
     def test_histories_that_heard_one_announcement_share_its_point(self):
-        _, (first, second) = fed((1, 2), (announcement(7, 60, 2, 1), (1, 2)),
-                                 (bid(7, 5, 50, 1), (1, 2)))
-        assert first.points() == [BidHistoryPoint(60, 2, 50, 1)]
-        assert first.points()[0] is second.points()[0]
+        feed = fed((1, 2), (announcement(7, 60, 2, 1), (1, 2)), (bid(7, 5, 50, 1), (1, 2)))
+        assert heard_by(feed, 1) == heard_by(feed, 2) == [BidHistoryPoint(60, 2, 50, 1)]
+        assert feed.tape.masks == [0b110]
 
     def test_older_announcement_gives_a_point_of_its_own(self):
         # The second owner missed the newer announcement; the first and third,
-        # not adjacent in owner order, heard it and share one point.
-        _, (first, second, third) = fed(
+        # not adjacent in owner order, heard it and share one record.
+        feed = fed(
             (1, 2, 3),
             (announcement(7, 80, 3, 0), (1, 2, 3)),
             (announcement(7, 60, 2, 1), (1, 3)),
             (bid(7, 5, 50, 1), (1, 2, 3)),
         )
-        assert second.points() == [BidHistoryPoint(80, 3, 50, 1)]
-        assert first.points() == third.points() == [BidHistoryPoint(60, 2, 50, 1)]
-        assert first.points()[0] is third.points()[0]
+        assert heard_by(feed, 2) == [BidHistoryPoint(80, 3, 50, 1)]
+        assert heard_by(feed, 1) == heard_by(feed, 3) == [BidHistoryPoint(60, 2, 50, 1)]
+        assert feed.tape.masks == [0b1010, 0b100]
 
     def test_routeless_latest_announcement_hides_an_older_one(self):
-        _, (first, second) = fed(
+        feed = fed(
             (1, 2),
             (announcement(7, 80, 3, 0), (1, 2)),
             (announcement(7, 60, None, 1), (1,)),
             (bid(7, 5, 50, 1), (1, 2)),
         )
-        assert first.points() == []
-        assert second.points() == [BidHistoryPoint(80, 3, 50, 1)]
+        assert heard_by(feed, 1) == []
+        assert heard_by(feed, 2) == [BidHistoryPoint(80, 3, 50, 1)]
 
     def test_owner_bid_and_routeless_announcement_are_not_recorded(self):
         routeless = announcement(8, 80, None, 0)
-        feed, (h,) = fed(
+        feed = fed(
             (5,),
             (announcement(7, 80, 3, 0), (5,)),
             (bid(7, 5, 50, 0), (5,)),
             (routeless, (5,)),
             (bid(8, 4, 50, 0), (5,)),
         )
-        assert h.points() == []
+        assert heard_by(feed, 5) == []
         assert feed.pending[8] == [(routeless, 1 << 5)]
 
     def test_a_hearer_that_heard_no_announcement_records_nothing(self):
-        _, (first, second) = fed((1, 2), (announcement(7, 60, 2, 1), (1,)),
-                                 (bid(7, 5, 50, 1), (1, 2)))
-        assert first.points() == [BidHistoryPoint(60, 2, 50, 1)]
-        assert second.points() == []
+        feed = fed((1, 2), (announcement(7, 60, 2, 1), (1,)), (bid(7, 5, 50, 1), (1, 2)))
+        assert heard_by(feed, 1) == [BidHistoryPoint(60, 2, 50, 1)]
+        assert heard_by(feed, 2) == []
 
     def test_an_ended_packet_leaves_the_pending_table(self):
-        feed, _ = fed((1,), (announcement(7, 60, 2, 1), (1,)))
+        feed = fed((1,), (announcement(7, 60, 2, 1), (1,)))
         feed.observe(GameEvent(1, 2, EventKind.DELIVERED, 7, 3, 60, 3))
         assert feed.pending == {}
 
 
 class TestSharedPointsUnderKhop:
     """Under ``khop:3``, a bid's hearers that heard the same latest announcement
-    hold one point object, and hearers that heard different ones hold
-    different points, each from its own announcement.
+    share one record, and so one point object, and hearers that heard
+    different ones get different points, each from its own announcement.
 
     The reference hears every event by hop distance on that round's graph
     and tracks each history owner's latest announcement per packet. Hearers
@@ -499,15 +626,15 @@ class TestSharedPointsUnderKhop:
             real_post_init(point)
 
         monkeypatch.setattr(BidHistoryPoint, "__post_init__", counting_post_init)
-        # Per bid, in feed order: the point each tape got.
+        # Per bid, in feed order: the point each owner heard.
         held: dict[tuple[int, int], dict[int, BidHistoryPoint]] = {}
         current = [None]
         real_record, real_observe = BidHistory.record, BidFeed.observe
 
-        def spy_record(history, point, bidder=None, tapes=None):
-            for tape in tapes:
-                held.setdefault(current[0].event_id, {})[id(tape)] = point
-            real_record(history, point, bidder, tapes)
+        def spy_record(history, point, bidder=None, hearers=None):
+            for owner in members(hearers):
+                held.setdefault(current[0].event_id, {})[owner] = point
+            real_record(history, point, bidder, hearers)
 
         def spy_observe(feed, event, hearers=None):
             current[0] = event
@@ -526,7 +653,6 @@ class TestSharedPointsUnderKhop:
         )
         sim = Simulation(config, g, assignment)
         owners = range(1, 11)
-        owner_of = {id(sim.contexts[o].history.tape): o for o in owners}
         latest: dict[tuple[int, int], GameEvent] = {}  # (owner, packet) -> announcement
         expected: dict[tuple[int, int], dict[int, GameEvent]] = {}
         seen = 0
@@ -555,7 +681,7 @@ class TestSharedPointsUnderKhop:
         stale = 0
         assert held.keys() == expected.keys()
         for event_id, announced in expected.items():
-            points = {owner_of[tape]: point for tape, point in held[event_id].items()}
+            points = held[event_id]
             assert points.keys() == announced.keys()
             by_announcement: dict[int, BidHistoryPoint] = {}
             for owner, point in points.items():

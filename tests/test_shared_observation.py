@@ -2,15 +2,16 @@
 
 Under ``global`` scope the engine keeps one ``ObserverStore`` and one bid
 tape for all subscribers. Under ``khop`` scopes each subscriber keeps its own
-store and tape, and one bid feed per run writes every tape: told the mask of
-the history owners that hear each event, it records a bid once per group of
-hearers with the same latest announcement, one point per group. The
-reference here is the per-subscriber model kept in the tests: every
-subscriber folds every event it can hear into a private store (a pack
-member's retains events and merges at the end of each round) and a private
-deque-based history that tracks the announcements it heard and skips its own
-bids. The work tests count feed calls and points per event; the long run
-bounds the tapes and the feed's pending table.
+store, and the run's bid feed, told the mask of the history owners that hear
+each event, records a bid once per group of hearers with the same latest
+announcement, with the group's mask, on one masked tape that each owner's
+window reads through its bit. The reference here is the per-subscriber model
+kept in the tests: every subscriber folds every event it can hear into a
+private store (a pack member's retains events and merges at the end of each
+round) and a private deque-based history that tracks the announcements it
+heard and skips its own bids. The work tests count feed calls, points and
+records per event; the long run bounds the tape, the windows and the feed's
+pending table.
 """
 
 import math
@@ -26,6 +27,7 @@ from bidforward.observation import ObserverStore, merge_pack
 from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
+from conftest import window_size
 
 
 class DequeHistory:
@@ -148,7 +150,7 @@ class TestSharedStateMatchesPerSubscriberReference:
                     reference = histories[node]
                     assert ctx.history.points(round_no) == reference.live(round_no)
                     assert ctx.history.points() == list(reference.points)
-                    assert len(ctx.history) == len(reference.points)
+                    assert window_size(ctx.history) == len(reference.points)
                     reference.pending.clear()  # every packet ends within its round
 
 
@@ -207,7 +209,7 @@ class TestFeedWorkUnderKhop:
     """Per-event feed work under ``khop:2`` does not grow with hearers."""
 
     def test_one_feed_call_per_event_and_one_point_per_group(self, monkeypatch):
-        counts = {"observe": 0, "built": 0, "record": 0, "appends": 0}
+        counts = {"observe": 0, "built": 0, "record": 0}
         real_post_init = BidHistoryPoint.__post_init__
         real_record, real_observe = BidHistory.record, BidFeed.observe
 
@@ -215,10 +217,9 @@ class TestFeedWorkUnderKhop:
             counts["built"] += 1
             real_post_init(point)
 
-        def counting_record(history, point, bidder=None, tapes=None):
+        def counting_record(history, point, bidder=None, hearers=None):
             counts["record"] += 1
-            counts["appends"] += len(tapes)
-            real_record(history, point, bidder, tapes)
+            real_record(history, point, bidder, hearers)
 
         def counting_observe(feed, event, hearers=None):
             counts["observe"] += 1
@@ -233,15 +234,19 @@ class TestFeedWorkUnderKhop:
         monkeypatch.setattr(BidFeed, "observe", counting_observe)
         for n in (40, 160):
             counts.update(dict.fromkeys(counts, 0))
-            result = mixed_global_run(n, observation="khop:2").run()
+            sim = mixed_global_run(n, observation="khop:2")
+            result = sim.run()
             assert counts["observe"] <= len(result.events), n
             # One point per record call, shared by the whole group it goes to.
             assert counts["built"] == counts["record"] > 0, n
-            assert counts["appends"] > counts["record"], n
+            # One append per group: the run's tape took each record once.
+            tape = sim._feed.tape
+            assert len(tape.masks) + tape.dropped == counts["record"], n
 
 
 class TestFeedBoundsUnderKhop:
-    """Over a long churning run the private tapes and the pending table stay bounded."""
+    """Over a long churning run the run's tape, each window's heard points and
+    chains, and the pending table stay bounded."""
 
     def test_tapes_and_pending_stay_bounded_over_long_runs(self):
         graph = generate("geometric", 20, radius=0.35, seed=11)
@@ -253,14 +258,17 @@ class TestFeedBoundsUnderKhop:
             churn_rate=0.01, master_seed=5,
         )
         sim = Simulation(config, graph, assignment)
-        tapes = [sim.contexts[node].history.tape for node in range(1, 9)]
-        assert len({id(tape) for tape in tapes}) == len(tapes)
+        tape = sim._feed.tape
+        windows = [sim.contexts[node].history for node in range(1, 9)]
+        assert all(window.tape is tape for window in windows)
         bound = 4 * sim.predictor_cfg.max_history
-        recorded = [0] * len(tapes)
         while sim.step_round():
             assert len(sim._feed.pending) <= config.injection_rate
-            for i, tape in enumerate(tapes):
-                assert len(tape.points) <= bound
-                recorded[i] = tape.seqs[-1] + 1 if tape.seqs else 0
-        # Far more bids than the bound reached each tape over the run.
-        assert min(recorded) > 4 * bound
+            assert len(tape.points) <= bound
+            for window in windows:
+                assert len(window.heard) <= bound
+                assert sum(len(chain[2]) for chain in window.chains.values()) <= bound
+        # Far more bids than the bound reached the tape over the run, and every
+        # window, whether it queried or not, moved past each dropped record.
+        assert tape.dropped > 4 * bound
+        assert min(window.cursor for window in windows) >= tape.dropped

@@ -6,7 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from bidforward.model import AuctionRequest, Bid, EventKind, GameEvent, Packet, PathLedger
 from bidforward.observation import ObserverStore
-from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
+from bidforward.predictor import (
+    BidFeed,
+    BidHistory,
+    BidHistoryPoint,
+    HeardWindow,
+    MaskedTape,
+    PredictorConfig,
+)
 from bidforward.strategies import (
     AlwaysOne,
     BidderMetrics,
@@ -422,12 +429,12 @@ class TestZeroValuedEventFields:
         assert store.profile(3).fairness_deviation == Fraction(5)
 
     def heard(self, shared, *events):
-        """Node 0's history after the run's feed hears ``events``: on the feed's
-        own tape (global scope), or on a private tape, told node 0 hears."""
-        feed = BidFeed(PredictorConfig())
-        ctx = make_ctx(0, generate("ring", 8),
-                       history=BidHistory(feed.cfg, 0, feed.tape if shared else None))
-        feed.tapes[0] = ctx.history.tape
+        """Node 0's history after the run's feed hears ``events``: a window onto
+        the feed's tape (global scope), or onto its masked tape, told node 0 hears."""
+        cfg = PredictorConfig()
+        feed = BidFeed(cfg, None if shared else MaskedTape(cfg))
+        window = BidHistory if shared else HeardWindow
+        ctx = make_ctx(0, generate("ring", 8), history=window(cfg, 0, feed.tape))
         for event in events:
             feed.observe(event, None if shared else 1)
         return ctx.history
