@@ -15,17 +15,22 @@ changes. A packet carries the set of the nodes on its path, grown by each
 winner, and its auctions skip those nodes. Each bid is still checked against
 the graph's own neighbour set.
 
-Every event goes to the observer stores that hear it and act on its kind,
-and the bid kinds go to the run's one ``BidFeed`` as well, which writes the
-run's one bid tape; every bid history is a window onto it. The scope decides
-who hears: under ``global`` all subscribers share one store, so each event
-reaches at most two sinks, and each recorded bid is folded into the tape's
-chains once, by the first history to query after it. Under ``khop:<k>``
-every subscriber keeps its own store and hears the events within k hops of
-it; the feed is told the mask of the history owners that hear each event,
-and records a bid once per group of hearers that heard the same latest
-announcement, with the group's mask. A history's ``HeardWindow`` reads the
-records whose mask has its owner's bit, folding them only when it queries.
+Every event goes to the observer stores that hear it and act on its kind;
+a run without stores skips that step. Bids do not reach the bid histories
+as events: the auction hands each bid to the run's one ``BidFeed``, which
+writes the run's one bid tape, and every bid history is a window onto it.
+The scope decides who hears. Under ``global`` all subscribers share one
+store and every history hears every bid; each recorded bid is folded into
+the tape's chains once, by the first history to query after it. Under
+``khop:<k>`` every subscriber keeps its own store and hears the events
+within k hops of it. A packet keeps its announcements, each with the mask
+of the history owners that heard it, and the feed records a bid once per
+group of its hearers that heard the same latest announcement, with the
+group's mask. A history's ``HeardWindow`` reads the records whose mask has
+its owner's bit, folding them only when it queries.
+
+Views are taken once per run. After a churn step each is re-pointed at the
+new graph, which drops what it had read off the old one.
 
 A run is strictly sequential and deterministic for a given config, graph,
 assignment and master seed.
@@ -35,7 +40,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
 from typing import Callable
 
 from .model import (
@@ -52,7 +56,7 @@ from .model import (
     validate_bid,
 )
 from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
-from .predictor import BID_KINDS, BidFeed, BidHistory, HeardWindow, MaskedTape, PredictorConfig
+from .predictor import Announcements, BidFeed, BidHistory, HeardWindow, MaskedTape, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import TopologyGraph, churn, members, view_of
@@ -69,8 +73,7 @@ _PAYMENT = EventKind.PAYMENT
 
 FINE_MODES = ("path-split", "dropper-only")
 
-#: What an event's audience calls: a bound ``ObserverStore.apply``, or the run's
-#: ``BidFeed.observe``, bound under ``khop`` scopes to the location's hearers.
+#: What an event's audience calls: a bound ``ObserverStore.apply``.
 Sink = Callable[[GameEvent], object]
 
 
@@ -240,8 +243,12 @@ class Simulation:
             budget_norm=config.budget, ttl_norm=config.ttl
         )
         self._scope = parse_scope_spec(config.observation)
-        shared = self._scope.mode == "global"
-        self._view_k = graph.n if shared else self._scope.k
+        self._shared = shared = self._scope.mode == "global"
+        k = graph.n if shared else self._scope.k
+        if shared:
+            self._views = [view_of(graph, 0, k)] * graph.n
+        else:
+            self._views = [view_of(graph, node, k) for node in range(graph.n)]
 
         self._non_gateways = sorted(set(range(graph.n)) - graph.gateways)
         if not self._non_gateways:
@@ -273,7 +280,7 @@ class Simulation:
                 self._history_owners |= 1 << node
             ctx = self.contexts[node] = StrategyContext(
                 node=node,
-                view=None,  # type: ignore[arg-type]  # set by _rebuild_views
+                view=self._views[node],
                 rng=random.Random(derive_seed(seed, "node", node)),
                 budget=config.budget,
                 ttl=config.ttl,
@@ -298,7 +305,7 @@ class Simulation:
         for ctx in self.contexts.values():
             if ctx.observer is not None and ctx.observer.retain_events:
                 self._packs.setdefault(ctx.pack, []).append(ctx.observer)  # type: ignore[arg-type]
-        self._rebuild_views()
+        self._reset_tables()
 
         self.events: list[GameEvent] = []
         self.balances: dict[NodeId, Money] = {n: 0 for n in range(graph.n)}
@@ -311,26 +318,36 @@ class Simulation:
 
     # -- topology plumbing ------------------------------------------------
 
-    def _rebuild_views(self) -> None:
-        """Views for the current graph, and empty audience tables for them.
+    def _reset_tables(self) -> None:
+        """Empty the tables built on the current graph's views.
 
-        ``_views[v]`` is node v's view: one shared view under global scope.
-        ``_heard`` maps a location to the sinks that hear it, with the kinds
-        each acts on; ``_audience`` maps (location, kind) to those that act
-        on the kind. ``_bidders`` maps a holder to the nodes its auctions
-        invite, in ascending order: its neighbours, or the gateways for
-        ``BACKBONE``. All three fill as auctions and events arrive.
+        ``_views[v]`` is node v's view, one shared view under global scope;
+        a churn step re-points each at the new graph before this runs.
+        ``_hearers`` maps a location to the mask of the nodes that hear it,
+        as ``ObservationScope.hearers`` sets it; both the stores' audiences
+        and the bid feed read it. ``_heard`` maps a location to the stores
+        that hear it, with the kinds each acts on; ``_audience`` maps
+        (location, kind) to those that act on the kind. ``_bidders`` maps a
+        holder to the nodes its auctions invite, in ascending order: its
+        neighbours, or the gateways for ``BACKBONE``. All four fill as
+        auctions and events arrive.
         """
+        self._hearers: dict[NodeId, int] = {}
         self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
         self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
         self._bidders: dict[NodeId, tuple[NodeId, ...]] = {}
-        n = self.graph.n
-        if self._scope.mode == "global":
-            self._views = [view_of(self.graph, 0, self._view_k)] * n
-        else:
-            self._views = [view_of(self.graph, node, self._view_k) for node in range(n)]
-        for node, ctx in self.contexts.items():
-            ctx.view = self._views[node]
+
+    def _hearing(self, location: NodeId) -> int:
+        """The mask of the nodes that hear an event at ``location``."""
+        hearers = self._hearers.get(location)
+        if hearers is None:
+            hearers = self._hearers[location] = self._scope.hearers(location, self._views)
+        return hearers
+
+    def _listening(self, location: NodeId) -> int | None:
+        """The mask of the history owners that hear ``location``, or None under
+        ``global``, where every history hears."""
+        return None if self._shared else self._hearing(location) & self._history_owners
 
     def _backbone_distance(self, node: NodeId) -> int | None:
         """Hops from the backbone (one past its gateways) to ``node``."""
@@ -356,15 +373,12 @@ class Simulation:
         prev: Money | None = None,
         reason: str | None = None,
     ) -> None:
-        """Log one event and feed it to every sink that hears it and acts on its kind.
+        """Log one event and apply it to every store that hears it and acts on its kind.
 
-        A location's audience is built once per graph from the mask that
-        ``ObservationScope.hearers`` sets: the stores of the store owners in
-        it, walked bit by bit in ascending order, then the bid feed if any
-        history owner is in it. Under ``khop`` scopes the feed is bound to
-        the mask of those history owners, which it records with each bid they
-        hear; under ``global`` every history hears, and the feed is called as
-        it is.
+        A location's audience is built once per graph from its hearers mask:
+        the stores of the store owners in it, walked bit by bit in ascending
+        order. A run without stores builds none. Bid histories hear bids
+        from the auction, not from here (see ``_collect_bids``).
         """
         # Positional: a NamedTuple binds keyword arguments at about twice the cost.
         event = GameEvent(
@@ -373,20 +387,14 @@ class Simulation:
         )
         self._seq += 1
         self.events.append(event)
+        if not self._store_owners:
+            return
         audience = self._audience.get((location, kind))
         if audience is None:
             heard = self._heard.get(location)
             if heard is None:
-                hearers = self._scope.hearers(location, self._views)
-                heard = self._heard[location] = [
-                    self._owned[owner] for owner in members(hearers & self._store_owners)
-                ]
-                listening = hearers & self._history_owners
-                if listening:
-                    feed = self._feed.observe
-                    if self._scope.mode != "global":
-                        feed = partial(feed, hearers=listening)
-                    heard.append((BID_KINDS, feed))
+                stores = self._hearing(location) & self._store_owners
+                heard = self._heard[location] = [self._owned[owner] for owner in members(stores)]
             audience = self._audience[(location, kind)] = [
                 sink for kinds, sink in heard if kind in kinds
             ]
@@ -402,8 +410,6 @@ class Simulation:
         self._seq = 0
         for ctx in self.contexts.values():
             ctx.round = self.round
-        # Every packet is resolved within the round that injects it.
-        self._feed.pending.clear()
         for _ in range(self.config.injection_rate):
             if self._injected >= self.config.packets_total:
                 break
@@ -421,7 +427,9 @@ class Simulation:
                 self.config.churn_rate,
                 derive_seed(self.config.master_seed, "churn", self.round),
             )
-            self._rebuild_views()
+            for view in set(self._views):
+                view.repoint(self.graph)
+            self._reset_tables()
         self.round += 1
         return True
 
@@ -446,6 +454,8 @@ class Simulation:
         promise_in = packet.budget
         ttl_remaining = packet.ttl
         prev_advertised: int | None = None
+        # For the bid feed; None when no node keeps a bid history.
+        announced: Announcements | None = [] if self._history_owners else None
 
         while True:
             if holder != BACKBONE and packet.destination in self.graph.neighbors(holder):
@@ -463,7 +473,9 @@ class Simulation:
                     return
                 chooser = lambda req, bs: holder_strategy.choose_winner(req, bs, holder_ctx)
             request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
-            bids = self._collect_bids(request, on_path)
+            if announced is not None:
+                announced.append((request.ceiling, request.hop_distance, self._listening(holder)))
+            bids = self._collect_bids(request, on_path, announced)
             winner = run_auction(request, bids, chooser)
             if winner is None:
                 self._drop(packet, ledger, "no-winner" if ledger.entries else "cancelled")
@@ -515,14 +527,21 @@ class Simulation:
         )
         return request
 
-    def _collect_bids(self, request: AuctionRequest, on_path: set[NodeId]) -> list[Bid]:
+    def _collect_bids(
+        self,
+        request: AuctionRequest,
+        on_path: set[NodeId],
+        announced: Announcements | None,
+    ) -> list[Bid]:
         """Ask the holder's bidders not in ``on_path`` to bid, in ascending order.
 
         The bidders come from the per-graph ``_bidders`` table, built on a
         holder's first auction; ``on_path`` is the set of the path's nodes
         that ``_process_packet`` grows with each winner. Every bid is still
         checked against the graph's own neighbour set, so a table gone stale
-        raises ``EngineError`` instead of inviting the wrong nodes.
+        raises ``EngineError`` instead of inviting the wrong nodes. Each bid
+        goes to the bid feed, with the packet's ``announced`` list, when some
+        history owner hears its bidder, before the next bidder is asked.
         """
         holder = request.holder
         graph = self.graph
@@ -551,6 +570,10 @@ class Simulation:
                 )
             bids.append(bid)
             self._emit(_BID_PLACED, request.packet_id, node, bid.amount, node)
+            if announced is not None:
+                hearers = self._listening(node)
+                if hearers is None or hearers:
+                    self._feed.hear(announced, node, bid.amount, self.round, hearers)
         return bids
 
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:

@@ -4,10 +4,11 @@ Who hears an event is one rule, ``ObservationScope.hearers``: a mask of the
 nodes that hear an event at a location. Under ``global`` every node hears
 every event. Under ``khop:<k>`` the nodes within k hops of the location do,
 read off the location's own view, and for the backbone the nodes within k-1
-hops of a gateway do, read off the gateways' views. The engine builds a
-location's audience from that mask once per graph: the stores of the store
-owners in it and, for the bid kinds, the run's one bid feed, told the mask
-of the bid-history owners in it (see ``predictor.BidFeed``).
+hops of a gateway do, read off the gateways' views. The engine reads that
+mask once per location and graph. It builds the location's audience from
+it, the stores of the store owners in the mask, and hands each bid to the
+run's one bid feed with the mask of the bid-history owners in it (see
+``predictor.BidFeed``).
 
 Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and

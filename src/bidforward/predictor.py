@@ -8,10 +8,12 @@ below a configured floor, which keeps the output useful even when observed
 bids have collapsed to zero.
 
 A history is its owner's window onto the run's one tape, an append-only log
-of points numbered in order, written by the run's ``BidFeed``: the last
-``max_history`` points its owner heard and did not bid, minus those more
-than ``max_age_rounds`` older than the newest of them, as a bounded deque
-with age eviction would hold. Under ``global`` observation the tape records
+of points numbered in order: the last ``max_history`` points its owner
+heard and did not bid, minus those more than ``max_age_rounds`` older than
+the newest of them, as a bounded deque with age eviction would hold. The
+run's ``BidFeed`` writes the tape. The engine hands it each bid as the
+auction collects it, with the packet's announcements so far and the mask of
+the owners that heard each. Under ``global`` observation the tape records
 each bid once with its bidder, and a window skips its owner's records. Under
 ``khop`` scopes a bid's hearers, minus its bidder, fall into groups by the
 latest announcement each heard; a group whose announcement carried a
@@ -55,14 +57,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import EventKind, GameEvent, Money, NodeId
-
-# Reading a member off an Enum class goes through EnumType.__getattr__;
-# BidFeed.observe, run per event, compares against these module-level names instead.
-_ANNOUNCED = EventKind.AUCTION_ANNOUNCED
-_BID_PLACED = EventKind.BID_PLACED
-_DELIVERED = EventKind.DELIVERED
-_DROPPED = EventKind.DROPPED
+from .model import Money, NodeId
 
 _ROUND = attrgetter("round")
 
@@ -72,8 +67,9 @@ _NOBODY = object()
 # The mark of a chain entry that no newer record from another bidder bid as low as.
 _UNMARKED = object()
 
-#: The kinds ``BidFeed.observe`` acts on.
-BID_KINDS = frozenset({_ANNOUNCED, _BID_PLACED, _DELIVERED, _DROPPED})
+#: A packet's announcements so far, oldest first: each its ceiling, its advertised
+#: distance, and the mask of the history owners that heard it (None under ``global``).
+Announcements = list[tuple[Money, int | None, int | None]]
 
 
 @dataclass(frozen=True)
@@ -453,50 +449,45 @@ class HeardWindow(BidHistory):
 
 class BidFeed(BidHistory):
     """A run's one writer of its bid tape, a ``MaskedTape`` under ``khop``
-    scopes: an owner-less history told who hears what. ``pending`` maps a
-    packet to its ``AUCTION_ANNOUNCED`` events so far, oldest first, each with
-    the mask of the owners that heard it, or None under ``global``.
+    scopes: an owner-less history that the engine hands each bid, with the
+    packet's announcements so far and the mask of the owners that heard it.
     """
 
     def __init__(self, cfg: PredictorConfig, tape: MaskedTape | None = None):
         super().__init__(cfg, None, tape)
-        self.pending: dict[int, list[tuple[GameEvent, int | None]]] = {}
 
-    def observe(self, event: GameEvent, hearers: int | None = None) -> None:
-        """Fold one event in, heard by the owners in ``hearers``, or by all.
+    def hear(
+        self,
+        announced: Announcements,
+        bidder: NodeId,
+        amount: Money,
+        rnd: int,
+        hearers: int | None = None,
+    ) -> None:
+        """Record a bid placed in round ``rnd``, heard by the owners in the
+        mask ``hearers``, or by all.
 
-        A bid is recorded against the latest announcement of its packet that
-        a hearer heard, when that announcement carried a distance (a 0 is
-        one); its bidder does not hear it. Each group of hearers with the
-        same latest announcement gets one record, with the group's mask.
-        Wins, payments and fines are ignored.
+        The bid is recorded against the latest of the packet's announcements
+        so far, ``announced``, that a hearer heard, when that announcement
+        carried a distance (a 0 is one); its bidder does not hear it. Each
+        group of hearers with the same latest announcement gets one record,
+        with the group's mask.
         """
-        kind = event.kind
-        if kind is _BID_PLACED:
-            announced = self.pending.get(event.packet_id)
-            if announced is None:
-                return
-            if hearers is None:
-                # Every window on the feed's tape skips its owner's bids, the bidder's too.
-                latest = announced[-1][0]
-                if latest.dist is not None:
-                    point = BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round)
-                    self.record(point, event.node)
-                return
-            left = hearers & ~(1 << event.node)
-            for latest, heard in reversed(announced):
-                group = left & heard
-                if group:
-                    if latest.dist is not None:
-                        bid = BidHistoryPoint(latest.amount, latest.dist, event.amount, event.round)
-                        self.record(bid, event.node, group)
-                    left ^= group
-                    if not left:
-                        return
-        elif kind is _ANNOUNCED:
-            self.pending.setdefault(event.packet_id, []).append((event, hearers))
-        elif kind is _DELIVERED or kind is _DROPPED:
-            self.pending.pop(event.packet_id, None)
+        if hearers is None:
+            # Every window on the feed's tape skips its owner's bids, the bidder's too.
+            ceiling, dist, _ = announced[-1]
+            if dist is not None:
+                self.record(BidHistoryPoint(ceiling, dist, amount, rnd), bidder)
+            return
+        left = hearers & ~(1 << bidder)
+        for ceiling, dist, heard in reversed(announced):
+            group = left & heard  # type: ignore[operator]
+            if group:
+                if dist is not None:
+                    self.record(BidHistoryPoint(ceiling, dist, amount, rnd), bidder, group)
+                left ^= group
+                if not left:
+                    return
 
 
 def predict_bid(

@@ -350,9 +350,13 @@ class NodeView:
     __slots__ = ("graph", "owner", "k", "_balls", "_dist")
 
     def __init__(self, g: TopologyGraph, owner: NodeId, k: int):
-        self.graph = g
         self.owner = owner
         self.k = k
+        self.repoint(g)
+
+    def repoint(self, g: TopologyGraph) -> None:
+        """Make this the owner's k-hop view of ``g``, dropping what it read off any other graph."""
+        self.graph = g
         self._balls: list[int] | None = None
         self._dist: dict[int, list[int | None]] = {}
 

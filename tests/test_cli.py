@@ -3,6 +3,7 @@ import hashlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -10,6 +11,8 @@ import yaml
 from bidforward import config as cfg
 from bidforward.cli import main
 from bidforward.topology import TopologyGraph
+
+BENCH_DIR = Path(__file__).resolve().parents[1] / "benches"
 
 DEMO = {
     "game": {
@@ -276,6 +279,20 @@ class TestTournamentCommand:
 
 
 class TestConfigHelpers:
+    @pytest.mark.parametrize("libyaml", [True, False])
+    def test_load_config_builds_the_safe_loaders_tree(self, libyaml, tmp_path, monkeypatch):
+        if not libyaml:
+            monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+        workloads = sorted((BENCH_DIR / "workloads").glob("*.yaml"))
+        assert len(workloads) == 3
+        for path in workloads:
+            assert cfg.load_config(str(path)) == yaml.safe_load(path.read_text()), path
+        assert cfg.load_config(write_config(tmp_path, DEMO)) == DEMO
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("game: [1, 2\n")
+        with pytest.raises(cfg.ConfigError, match="invalid YAML"):
+            cfg.load_config(str(bad))
+
     def test_apply_override_paths(self):
         tree = {"game": {"fine": 200}}
         cfg.apply_override(tree, "game.fine=0")

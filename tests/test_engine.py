@@ -28,7 +28,7 @@ from bidforward.model import (
 from bidforward.observation import ObserverStore
 from bidforward.predictor import BidFeed
 from bidforward.strategies import Strategy, build_strategy
-from bidforward.topology import generate, view_of
+from bidforward.topology import generate, members, view_of
 
 
 def ledger_of(*entries, status=LedgerStatus.IN_FLIGHT):
@@ -440,9 +440,11 @@ class TestNoStringFieldsOnHotPaths:
 
 class TestAudienceUnderChurn:
     """Each event reaches exactly the stores in scope on that round's graph that
-    act on its kind, each once, and a bid kind reaches the run's bid feed once,
-    told the mask of the history owners in scope. Under global scope the store
-    is the shared one and the feed is told nothing: every history hears."""
+    act on its kind, each once. Each bid that some history owner in scope
+    hears reaches the run's bid feed once, right after it is logged, told the
+    mask of those owners; no other event reaches the feed. Under global scope
+    the store is the shared one and the feed is told nothing: every history
+    hears."""
 
     @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
     def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation, monkeypatch):
@@ -450,10 +452,6 @@ class TestAudienceUnderChurn:
         g = generate("geometric", n, radius=0.4, seed=3, gateways=(0, 5))
         names = ["fair", "sniper", "wolfpack", "fair"]
         assignment = {node: build_strategy(names[node % 4]) for node in range(n)}
-        bid_kinds = {
-            EventKind.AUCTION_ANNOUNCED, EventKind.BID_PLACED,
-            EventKind.DELIVERED, EventKind.DROPPED,
-        }
         store_kinds = set(EventKind) - {EventKind.BID_PLACED, EventKind.DELIVERED}
         # A sniper keeps a bid history only; a wolfpack in no pack keeps a
         # store, which ignores bids and deliveries, and a history.
@@ -465,14 +463,17 @@ class TestAudienceUnderChurn:
                 return real(store, event)
             return wrapper
 
-        def observe(real):
-            def wrapper(feed, event, hearers=None):
-                fed.setdefault(event.event_id, []).append(("observe", hearers))
-                return real(feed, event, hearers)
+        def hear(real):
+            def wrapper(feed, announced, bidder, amount, rnd, hearers=None):
+                event = sim.events[-1]
+                assert event.kind is EventKind.BID_PLACED
+                assert (event.node, event.amount, event.round) == (bidder, amount, rnd)
+                fed.setdefault(event.event_id, []).append(("hear", hearers))
+                return real(feed, announced, bidder, amount, rnd, hearers)
             return wrapper
 
         monkeypatch.setattr(ObserverStore, "apply", apply(ObserverStore.apply))
-        monkeypatch.setattr(BidFeed, "observe", observe(BidFeed.observe))
+        monkeypatch.setattr(BidFeed, "hear", hear(BidFeed.hear))
         subscribers = sorted(node for node in range(n) if names[node % 4] != "fair")
         owners = [s for s in subscribers if names[s % 4] == "wolfpack"]
         shared = observation == "global"
@@ -506,8 +507,8 @@ class TestAudienceUnderChurn:
                     stores = [None] if shared else [s for s in owners if s in hearing]
                     expected += [("apply", owner) for owner in stores]
                 hearers = sum(1 << s for s in hearing)
-                if event.kind in bid_kinds and hearers:
-                    expected.append(("observe", None if shared else hearers))
+                if event.kind is EventKind.BID_PLACED and hearers:
+                    expected.append(("hear", None if shared else hearers))
                 assert fed.pop(event.event_id, []) == expected, event
         assert not fed
         assert backbone_events > 0 and len(graphs) > 10
@@ -567,7 +568,8 @@ class TestAuctionInvitations:
 
 
 class TestLazyViewWork:
-    """Views are taken for every node after every churn step but grow no ball of their own."""
+    """Views are taken once, re-pointed at the graph after every churn step, and
+    grow no ball until they are queried."""
 
     def counting_searches(self, monkeypatch):
         """Count the runs of every graph search: view balls, churn's reach, level searches."""
@@ -601,30 +603,58 @@ class TestLazyViewWork:
         )
         calls = self.counting_searches(monkeypatch)
         result = Simulation(config, g, assignment).run()
-        # Taking every node's view after every churn step costs
-        # (rounds + 1) * n searches when a view copies its part of the graph.
+        # A view that copied its part of the graph on every churn step would
+        # cost (rounds + 1) * n searches.
         assert result.rounds == 50
         assert calls[0] < result.rounds * n
 
 
-class TestPendingAuctions:
-    """The run's pending announcements never outlive the round that made them."""
+class TestViewsFollowTheGraph:
+    """After every churn step each context's view reads the new graph and
+    answers as a view freshly taken of it would: nothing read off an older
+    graph survives the step."""
 
-    def test_entries_are_dropped_each_round(self):
-        n = 50
-        g = generate("geometric", n, radius=0.3, seed=1)
-        assignment = {
-            node: build_strategy("sniper" if 1 <= node <= 10 else "fair") for node in range(n)
-        }
+    def test_views_match_fresh_views_after_every_round(self):
+        n, k = 20, 2
+        g = generate("geometric", n, radius=0.35, seed=11)
+        names = ["fair", "sniper", "wolfpack", "random"]
+        assignment = {node: build_strategy(names[node % 4]) for node in range(n)}
         config = GameConfig(
-            packets_total=200, injection_rate=2, observation="khop:2",
-            churn_rate=0.01, master_seed=1401,
+            packets_total=80, injection_rate=2, observation=f"khop:{k}",
+            churn_rate=0.05, master_seed=3,
         )
         sim = Simulation(config, g, assignment)
-        # Under khop scopes a sniper can hear an announcement but not the
-        # packet's end; every packet still ends within its own round.
+        views = [ctx.view for ctx in sim.contexts.values()]
+        rng = random.Random(5)
+        graphs = set()
         while sim.step_round():
-            assert len(sim._feed.pending) <= config.injection_rate
+            graphs.add(tuple(sim.graph.edges()))
+            for node, ctx in sim.contexts.items():
+                view, fresh = ctx.view, view_of(sim.graph, node, k)
+                assert view is views[node] and view.graph is sim.graph
+                assert (view.known(), view.inner()) == (fresh.known(), fresh.inner())
+                known = members(fresh.known())
+                for target in range(n):
+                    assert view.distance(node, target) == fresh.distance(node, target)
+                # These fill the view's caches, which the next step must drop.
+                for a, b in (rng.sample(known, 2) for _ in range(10)):
+                    assert view.distance(a, b) == fresh.distance(a, b)
+        assert len(graphs) > 10
+
+    def test_a_run_without_stores_builds_no_audience(self):
+        g = generate("geometric", 30, radius=0.35, seed=2)
+        assignment = {
+            node: build_strategy("sniper" if node % 3 == 1 else "fair") for node in range(30)
+        }
+        # Without churn the tables built in the first round are never reset.
+        config = GameConfig(
+            packets_total=60, injection_rate=2, observation="khop:2", master_seed=4
+        )
+        sim = Simulation(config, g, assignment)
+        result = sim.run()
+        assert any(event.kind is EventKind.BID_PLACED for event in result.events)
+        assert sim._feed.tape.dropped + len(sim._feed.tape.points) > 0
+        assert sim._audience == {} and sim._heard == {}
 
 
 class TestScopedObservation:

@@ -3,8 +3,11 @@
 ``benches/golden.json`` holds the sha256 of each workload's outputs at the
 golden seed: ``events.csv`` and ``balances.csv`` of a run, ``ranktable.csv``
 of a tournament. ``tests/golden_khop.json`` holds the same digest for
-``khop-churn`` under overrides that move its bid histories: other scopes,
-tapes small enough to trim, forced bids. A change that moves any of them
+``khop-churn`` under overrides that move its bid histories (other scopes,
+tapes small enough to trim, forced bids), and for ``wolfpack-pack`` under
+``khop`` scopes, where every pack member keeps a store of its own and the
+stores hear events by distance on a churning graph. Each case names its
+workload. A change that moves any of them
 changes output; this test makes that a tier-1 failure. The files under
 ``benches/`` are only read.
 """
@@ -40,8 +43,8 @@ def test_workload_outputs_match_the_golden_digest(workload, tmp_path, capsys):
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_KHOP["sha256"]))
 def test_khop_histories_match_the_golden_digest(case, tmp_path):
-    config = BENCH_DIR / "workloads" / f"{GOLDEN_KHOP['workload']}.yaml"
     expected = GOLDEN_KHOP["sha256"][case]
+    config = BENCH_DIR / "workloads" / f"{expected['workload']}.yaml"
     args = ["run", "--config", str(config), "--seed", str(GOLDEN_KHOP["seed"])]
     for override in expected["overrides"]:
         args += ["--override", override]

@@ -521,23 +521,27 @@ class TestMaskedWindowsMatchTheScan:
         assert predict_bid(second, 50, 2) == 14
 
 
-def announcement(packet_id, ceiling, dist, rnd, seq=0):
-    return GameEvent(rnd, seq, EventKind.AUCTION_ANNOUNCED, packet_id, 0, ceiling, 0, dist=dist)
+def mask(owners):
+    return sum(1 << owner for owner in owners)
 
 
-def bid(packet_id, bidder, amount, rnd, seq=1):
-    return GameEvent(rnd, seq, EventKind.BID_PLACED, packet_id, bidder, amount, bidder)
+def announced(*announcements):
+    """A packet's announcements as the engine keeps them, oldest first, from
+    ``(ceiling, dist, hearers)`` triples, where ``hearers`` lists the owners
+    that heard each."""
+    return [(ceiling, dist, mask(hearers)) for ceiling, dist, hearers in announcements]
 
 
-def fed(owners, *events):
-    """A feed writing a masked tape, with one window per owner, fed ``(event,
-    hearers)`` pairs, where ``hearers`` lists the owners that hear the event."""
+def fed(owners, *bids):
+    """A feed writing a masked tape, with one window per owner, handed
+    ``(announced, bidder, amount, rnd, hearers)`` bids, where ``hearers``
+    lists the owners that hear the bid."""
     cfg = PredictorConfig()
     feed = BidFeed(cfg, MaskedTape(cfg))
     for owner in owners:
         HeardWindow(cfg, owner, feed.tape)
-    for event, hearers in events:
-        feed.observe(event, sum(1 << owner for owner in hearers))
+    for packet, bidder, amount, rnd, hearers in bids:
+        feed.hear(packet, bidder, amount, rnd, mask(hearers))
     return feed
 
 
@@ -545,65 +549,52 @@ def heard_by(feed, owner):
     """The points on the feed's tape whose mask has ``owner``'s bit, checked
     against what ``owner``'s window holds."""
     tape = feed.tape
-    points = [point for point, mask in zip(tape.points, tape.masks) if mask >> owner & 1]
+    points = [point for point, bits in zip(tape.points, tape.masks) if bits >> owner & 1]
     (window,) = [window for window in tape.windows if window.owner == owner]
     assert window.points() == points
     return points
 
 
 class TestObserve:
-    """The feed records a bid for its hearers against the latest announcement
-    each heard: once per group of hearers, with the group's mask."""
+    """The feed records a bid for its hearers against the latest of the
+    packet's announcements each heard: once per group of hearers, with the
+    group's mask."""
 
     def test_histories_that_heard_one_announcement_share_its_point(self):
-        feed = fed((1, 2), (announcement(7, 60, 2, 1), (1, 2)), (bid(7, 5, 50, 1), (1, 2)))
+        packet = announced((60, 2, (1, 2)))
+        feed = fed((1, 2), (packet, 5, 50, 1, (1, 2)))
         assert heard_by(feed, 1) == heard_by(feed, 2) == [BidHistoryPoint(60, 2, 50, 1)]
         assert feed.tape.masks == [0b110]
 
     def test_older_announcement_gives_a_point_of_its_own(self):
         # The second owner missed the newer announcement; the first and third,
         # not adjacent in owner order, heard it and share one record.
-        feed = fed(
-            (1, 2, 3),
-            (announcement(7, 80, 3, 0), (1, 2, 3)),
-            (announcement(7, 60, 2, 1), (1, 3)),
-            (bid(7, 5, 50, 1), (1, 2, 3)),
-        )
+        packet = announced((80, 3, (1, 2, 3)), (60, 2, (1, 3)))
+        feed = fed((1, 2, 3), (packet, 5, 50, 1, (1, 2, 3)))
         assert heard_by(feed, 2) == [BidHistoryPoint(80, 3, 50, 1)]
         assert heard_by(feed, 1) == heard_by(feed, 3) == [BidHistoryPoint(60, 2, 50, 1)]
         assert feed.tape.masks == [0b1010, 0b100]
 
     def test_routeless_latest_announcement_hides_an_older_one(self):
-        feed = fed(
-            (1, 2),
-            (announcement(7, 80, 3, 0), (1, 2)),
-            (announcement(7, 60, None, 1), (1,)),
-            (bid(7, 5, 50, 1), (1, 2)),
-        )
+        packet = announced((80, 3, (1, 2)), (60, None, (1,)))
+        feed = fed((1, 2), (packet, 5, 50, 1, (1, 2)))
         assert heard_by(feed, 1) == []
         assert heard_by(feed, 2) == [BidHistoryPoint(80, 3, 50, 1)]
 
     def test_owner_bid_and_routeless_announcement_are_not_recorded(self):
-        routeless = announcement(8, 80, None, 0)
         feed = fed(
             (5,),
-            (announcement(7, 80, 3, 0), (5,)),
-            (bid(7, 5, 50, 0), (5,)),
-            (routeless, (5,)),
-            (bid(8, 4, 50, 0), (5,)),
+            (announced((80, 3, (5,))), 5, 50, 0, (5,)),
+            (announced((80, None, (5,))), 4, 50, 0, (5,)),
         )
         assert heard_by(feed, 5) == []
-        assert feed.pending[8] == [(routeless, 1 << 5)]
+        assert feed.tape.masks == []
 
     def test_a_hearer_that_heard_no_announcement_records_nothing(self):
-        feed = fed((1, 2), (announcement(7, 60, 2, 1), (1,)), (bid(7, 5, 50, 1), (1, 2)))
+        packet = announced((60, 2, (1,)))
+        feed = fed((1, 2), (packet, 5, 50, 1, (1, 2)))
         assert heard_by(feed, 1) == [BidHistoryPoint(60, 2, 50, 1)]
         assert heard_by(feed, 2) == []
-
-    def test_an_ended_packet_leaves_the_pending_table(self):
-        feed = fed((1,), (announcement(7, 60, 2, 1), (1,)))
-        feed.observe(GameEvent(1, 2, EventKind.DELIVERED, 7, 3, 60, 3))
-        assert feed.pending == {}
 
 
 class TestSharedPointsUnderKhop:
@@ -629,19 +620,22 @@ class TestSharedPointsUnderKhop:
         # Per bid, in feed order: the point each owner heard.
         held: dict[tuple[int, int], dict[int, BidHistoryPoint]] = {}
         current = [None]
-        real_record, real_observe = BidHistory.record, BidFeed.observe
+        real_record, real_hear = BidHistory.record, BidFeed.hear
 
         def spy_record(history, point, bidder=None, hearers=None):
             for owner in members(hearers):
                 held.setdefault(current[0].event_id, {})[owner] = point
             real_record(history, point, bidder, hearers)
 
-        def spy_observe(feed, event, hearers=None):
-            current[0] = event
-            real_observe(feed, event, hearers)
+        def spy_hear(feed, announced, bidder, amount, rnd, hearers=None):
+            # The feed hears each bid right after the engine logs it.
+            event = current[0] = sim.events[-1]
+            assert event.kind is EventKind.BID_PLACED
+            assert (event.node, event.amount, event.round) == (bidder, amount, rnd)
+            real_hear(feed, announced, bidder, amount, rnd, hearers)
 
         monkeypatch.setattr(BidHistory, "record", spy_record)
-        monkeypatch.setattr(BidFeed, "observe", spy_observe)
+        monkeypatch.setattr(BidFeed, "hear", spy_hear)
         n, k = 50, 3
         g = generate("geometric", n, radius=0.3, seed=1)
         assignment = {

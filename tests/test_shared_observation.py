@@ -2,16 +2,16 @@
 
 Under ``global`` scope the engine keeps one ``ObserverStore`` and one bid
 tape for all subscribers. Under ``khop`` scopes each subscriber keeps its own
-store, and the run's bid feed, told the mask of the history owners that hear
-each event, records a bid once per group of hearers with the same latest
-announcement, with the group's mask, on one masked tape that each owner's
-window reads through its bit. The reference here is the per-subscriber model
-kept in the tests: every subscriber folds every event it can hear into a
-private store (a pack member's retains events and merges at the end of each
-round) and a private deque-based history that tracks the announcements it
-heard and skips its own bids. The work tests count feed calls, points and
-records per event; the long run bounds the tape, the windows and the feed's
-pending table.
+store. The engine hands each bid to the run's bid feed with the packet's
+announcements and the mask of the history owners that hear it; the feed
+records the bid once per group of hearers with the same latest announcement,
+with the group's mask, on one masked tape that each owner's window reads
+through its bit. The reference here is the per-subscriber model kept in the
+tests: every subscriber folds every event it can hear into a private store
+(a pack member's retains events and merges at the end of each round) and a
+private deque-based history that tracks the announcements it heard and skips
+its own bids. The work tests count feed calls, points and records per bid;
+the long run bounds the tape and the windows.
 """
 
 import math
@@ -206,12 +206,12 @@ class TestSharedStateWork:
 
 
 class TestFeedWorkUnderKhop:
-    """Per-event feed work under ``khop:2`` does not grow with hearers."""
+    """Per-bid feed work under ``khop:2`` does not grow with hearers."""
 
     def test_one_feed_call_per_event_and_one_point_per_group(self, monkeypatch):
-        counts = {"observe": 0, "built": 0, "record": 0}
+        counts = {"hear": 0, "built": 0, "record": 0}
         real_post_init = BidHistoryPoint.__post_init__
-        real_record, real_observe = BidHistory.record, BidFeed.observe
+        real_record, real_hear = BidHistory.record, BidFeed.hear
 
         def counting_post_init(point):
             counts["built"] += 1
@@ -221,22 +221,22 @@ class TestFeedWorkUnderKhop:
             counts["record"] += 1
             real_record(history, point, bidder, hearers)
 
-        def counting_observe(feed, event, hearers=None):
-            counts["observe"] += 1
-            announcements = len(feed.pending.get(event.packet_id, ()))
+        def counting_hear(feed, announced, bidder, amount, rnd, hearers=None):
+            counts["hear"] += 1
             before = counts["record"]
-            real_observe(feed, event, hearers)
+            real_hear(feed, announced, bidder, amount, rnd, hearers)
             # Each group of hearers has a latest announcement of its own.
-            assert counts["record"] - before <= announcements
+            assert counts["record"] - before <= len(announced)
 
         monkeypatch.setattr(BidHistoryPoint, "__post_init__", counting_post_init)
         monkeypatch.setattr(BidHistory, "record", counting_record)
-        monkeypatch.setattr(BidFeed, "observe", counting_observe)
+        monkeypatch.setattr(BidFeed, "hear", counting_hear)
         for n in (40, 160):
             counts.update(dict.fromkeys(counts, 0))
             sim = mixed_global_run(n, observation="khop:2")
             result = sim.run()
-            assert counts["observe"] <= len(result.events), n
+            bids = sum(event.kind is EventKind.BID_PLACED for event in result.events)
+            assert 0 < counts["hear"] <= bids, n
             # One point per record call, shared by the whole group it goes to.
             assert counts["built"] == counts["record"] > 0, n
             # One append per group: the run's tape took each record once.
@@ -245,10 +245,10 @@ class TestFeedWorkUnderKhop:
 
 
 class TestFeedBoundsUnderKhop:
-    """Over a long churning run the run's tape, each window's heard points and
-    chains, and the pending table stay bounded."""
+    """Over a long churning run the run's tape and each window's heard points
+    and chains stay bounded."""
 
-    def test_tapes_and_pending_stay_bounded_over_long_runs(self):
+    def test_tape_and_windows_stay_bounded_over_long_runs(self):
         graph = generate("geometric", 20, radius=0.35, seed=11)
         assignment = {
             node: build_strategy("sniper" if 1 <= node <= 8 else "fair") for node in range(20)
@@ -263,7 +263,6 @@ class TestFeedBoundsUnderKhop:
         assert all(window.tape is tape for window in windows)
         bound = 4 * sim.predictor_cfg.max_history
         while sim.step_round():
-            assert len(sim._feed.pending) <= config.injection_rate
             assert len(tape.points) <= bound
             for window in windows:
                 assert len(window.heard) <= bound

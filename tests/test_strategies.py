@@ -428,27 +428,26 @@ class TestZeroValuedEventFields:
         # fair share of 0 is 0; the deviation is 5 over max(0, 1)
         assert store.profile(3).fairness_deviation == Fraction(5)
 
-    def heard(self, shared, *events):
-        """Node 0's history after the run's feed hears ``events``: a window onto
-        the feed's tape (global scope), or onto its masked tape, told node 0 hears."""
+    def heard(self, shared, ceiling, dist, bidder, amount):
+        """Node 0's history after the run's feed hears one bid against one
+        announcement: a window onto the feed's tape (global scope), or onto its
+        masked tape, told node 0 heard both."""
         cfg = PredictorConfig()
         feed = BidFeed(cfg, None if shared else MaskedTape(cfg))
         window = BidHistory if shared else HeardWindow
         ctx = make_ctx(0, generate("ring", 8), history=window(cfg, 0, feed.tape))
-        for event in events:
-            feed.observe(event, None if shared else 1)
+        hearers = None if shared else 1
+        feed.hear([(ceiling, dist, hearers)], bidder, amount, 0, hearers)
         return ctx.history
 
     def test_zero_distance_bid_is_recorded(self):
         for shared in (True, False):
-            history = self.heard(shared, self.announcement(40, dist=0, prev=90),
-                                 GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
+            history = self.heard(shared, 40, 0, 1, 30)
             assert history.points() == [BidHistoryPoint(40, 0, 30, 0)], shared
 
     def test_missing_distance_records_nothing(self):
         for shared in (True, False):
-            history = self.heard(shared, self.announcement(40, dist=None, prev=90),
-                                 GameEvent(0, 1, EventKind.BID_PLACED, 7, 1, 30, 1))
+            history = self.heard(shared, 40, None, 1, 30)
             assert history.points() == [], shared
 
 
