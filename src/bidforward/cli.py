@@ -152,7 +152,11 @@ def make_parser() -> argparse.ArgumentParser:
 
     tour_p = sub.add_parser("tournament", help="run a tournament batch")
     common(tour_p)
-    tour_p.add_argument("--workers", type=int, default=None, help="parallel workers")
+    tour_p.add_argument(
+        "--workers", type=int, default=None,
+        help="worker processes to fork, each inheriting the tasks (runs in process "
+        "where fork is missing); the rank table is the same for any count",
+    )
     tour_p.set_defaults(func=cmd_tournament)
 
     topo_p = sub.add_parser("topo", help="generate and print a topology")

@@ -3,14 +3,21 @@
 A cell fixes a game config, a topology spec and a strategy mix; it is run
 over a number of seeds, each derived from the master seed and the cell and
 seed indices, so any single run of a batch can be reproduced on its own.
-Cells and seeds are independent and may execute in parallel; aggregation
-always reduces in canonical cell order.
+Cells and seeds are independent and may execute in parallel: forked worker
+processes inherit the task list, each reports its outcomes as plain data
+through its own pipe, and the parent places them in task order, so
+aggregation always reduces in canonical cell order. A worker that dies fails
+its tasks in the table; platforms without ``os.fork`` run every task in
+process.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import marshal
+import os
 from dataclasses import dataclass, field
+from typing import BinaryIO, NoReturn
 
 from .engine import GameConfig, run_simulation
 from .model import Money, NodeId
@@ -191,7 +198,8 @@ class RankTable:
 
     ``errors`` maps a failed cell to one message naming every failed seed,
     ``seed <i> (run seed <s>): <ExceptionType>: <message>``, joined by
-    ``"; "``; ``run_cell_seed(cell, s)`` reproduces each on its own.
+    ``"; "``; ``run_cell_seed(cell, s)`` reproduces each on its own, unless
+    the type is ``ChildProcessError``: that seed's worker process died.
     """
 
     cells: dict[str, dict[str, StrategyAggregate]] = field(default_factory=dict)
@@ -265,42 +273,88 @@ def run_cell_seed(cell: CellSpec, run_seed: int) -> dict[str, tuple[int, Money, 
     return sums
 
 
-def _run_cell_seed_task(args: tuple[CellSpec, int, int, int]):
-    cell, cell_index, seed_index, master_seed = args
-    run_seed = derive_seed(master_seed, cell_index, seed_index)
-    return run_cell_seed(cell, run_seed)
+def _run_cell_seed_task(task: tuple[CellSpec, int, int, int]) -> dict | str:
+    """One task's per-strategy sums, or its failure as ``"<ExceptionType>: <message>"``."""
+    cell, cell_index, seed_index, master_seed = task
+    try:
+        return run_cell_seed(cell, derive_seed(master_seed, cell_index, seed_index))
+    except Exception as exc:  # noqa: BLE001 - recorded, not fatal
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _work(tasks: list, report: BinaryIO) -> NoReturn:
+    """A forked worker's whole life: run ``tasks``, write their outcomes to
+    ``report`` in one piece, and leave by ``os._exit``, never through the
+    caller's stack; the status is 0 only once the report is written."""
+    status = 1
+    try:
+        report.write(marshal.dumps([_run_cell_seed_task(task) for task in tasks]))
+        report.close()
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(tasks: list, workers: int) -> list[dict | str]:
+    """Every task's outcome, in task order, from ``workers`` forked children.
+
+    Child ``w`` inherits the task list and runs tasks ``w, w + workers, …``;
+    one whose exit status is not 0 fails each of its tasks. Every child is
+    reaped before this returns or raises.
+    """
+    outcomes: list = [None] * len(tasks)
+    reports: list[BinaryIO] = []  # each worker's read end, in worker order
+    children: list[int] = []  # forked and not yet reaped, in worker order
+    try:
+        for w in range(workers):
+            read_end, write_end = os.pipe()
+            reports.append(open(read_end, "rb"))
+            with open(write_end, "wb") as report:  # the parent's copy closes at once
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks[w::workers], report)
+            children.append(pid)
+        for w, report in enumerate(reports):
+            data = report.read()  # to EOF: the worker has closed its end or exited
+            code = os.waitstatus_to_exitcode(os.waitpid(children[0], 0)[1])
+            del children[0]
+            if code == 0:
+                outcomes[w::workers] = marshal.loads(data)
+            else:
+                how = f"with status {code}" if code > 0 else f"on signal {-code}"
+                failure = f"ChildProcessError: tournament worker exited {how} before reporting"
+                outcomes[w::workers] = [failure] * len(tasks[w::workers])
+    except BaseException:
+        for pid in children:
+            os.kill(pid, 9)  # SIGKILL; importing signal would cost every run ~0.25 MB
+            os.waitpid(pid, 0)
+        raise
+    finally:
+        for report in reports:
+            report.close()
+    return outcomes
 
 
 def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
     """Execute every (cell, seed), aggregate, and rank.
 
-    Per-cell failures are recorded in the table, not raised. The result is
-    identical for any ``workers`` value.
+    With ``workers > 1``, up to that many children forked once the task list
+    is built inherit it and share its tasks round robin; their outcomes come
+    back in task order, so the table is identical for any ``workers`` value.
+    A child that dies before reporting fails each of its tasks with an error
+    naming its exit status. Where ``os.fork`` does not exist, every task runs
+    in this process. Per-cell failures are recorded in the table, not raised.
     """
     tasks = [
         (cell, ci, si, spec.master_seed)
         for ci, cell in enumerate(spec.cells)
         for si in range(spec.seeds_per_cell)
     ]
-    outcomes: list[dict | Exception] = []
     workers = min(workers, len(tasks))  # no idle worker is forked
-    if workers > 1:
-        # Imported here: a run or a one-worker tournament never pays for the pool.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_run_cell_seed_task, t) for t in tasks]
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    outcomes.append(exc)
+    if workers > 1 and hasattr(os, "fork"):
+        outcomes = _run_forked(tasks, workers)
     else:
-        for task in tasks:
-            try:
-                outcomes.append(_run_cell_seed_task(task))
-            except Exception as exc:  # noqa: BLE001
-                outcomes.append(exc)
+        outcomes = [_run_cell_seed_task(task) for task in tasks]
 
     table = RankTable()
     per_task = iter(outcomes)
@@ -310,11 +364,9 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
         failures = []
         for si in range(spec.seeds_per_cell):
             outcome = next(per_task)
-            if isinstance(outcome, Exception):
+            if isinstance(outcome, str):
                 run_seed = derive_seed(spec.master_seed, ci, si)
-                failures.append(
-                    f"seed {si} (run seed {run_seed}): {type(outcome).__name__}: {outcome}"
-                )
+                failures.append(f"seed {si} (run seed {run_seed}): {outcome}")
                 continue
             seed_means = {
                 name: bal / cnt for name, (cnt, bal, _, _) in outcome.items()

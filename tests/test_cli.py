@@ -136,8 +136,8 @@ assert "concurrent.futures" not in sys.modules
 
 class TestRunImports:
     def test_run_does_not_import_the_process_pool(self, tmp_path):
-        """Only a tournament with more than one worker needs the pool; a run
-        in a fresh interpreter leaves it unimported."""
+        """A run in a fresh interpreter leaves the process pool unimported
+        (tournaments fork their workers without it)."""
         conf = write_config(tmp_path, DEMO)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         paths = [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]
@@ -221,6 +221,21 @@ class TestTournamentCommand:
         assert os.path.exists(os.path.join(out, "ranktable_fine_200.csv"))
         combined = read(os.path.join(out, "ranktable.csv")).decode()
         assert "base[fine=0]" in combined and "base[fine=200]" in combined
+
+    def test_sweep_tables_equal_at_any_worker_count(self, tmp_path):
+        conf = write_config(
+            tmp_path, self.tournament_tree(sweep={"axis": "fine", "values": [0, 200]})
+        )
+        tables = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            args = ["tournament", "--config", conf, "--out", str(out), "--workers", str(workers)]
+            assert main(args) == 0
+            tables[workers] = {p.name: read(p) for p in out.glob("ranktable*.csv")}
+        assert sorted(tables[1]) == [
+            "ranktable.csv", "ranktable_fine_0.csv", "ranktable_fine_200.csv"
+        ]
+        assert tables[2] == tables[1]
 
     def test_empty_sweep_values_rejected(self, tmp_path, capsys):
         conf = write_config(

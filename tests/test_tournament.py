@@ -1,6 +1,14 @@
 import dataclasses
+import marshal
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import pytest
+
+from bidforward import tournament
 
 from bidforward.engine import GameConfig
 from bidforward.seeding import derive_seed
@@ -116,25 +124,33 @@ class TestRunTournament:
         assert run_tournament(spec).to_csv() == run_tournament(spec).to_csv()
 
     def test_parallel_equals_sequential(self):
+        # 7 tasks: no worker count below shares them evenly.
         spec = TournamentSpec(
-            (small_cell("a"), small_cell("b", fine=20)), seeds_per_cell=2, master_seed=2
+            tuple(small_cell(f"c{i}", fine=20 * i) for i in range(7)),
+            seeds_per_cell=1, master_seed=2,
         )
-        assert run_tournament(spec, workers=1).to_csv() == run_tournament(spec, workers=2).to_csv()
+        sequential = run_tournament(spec, workers=1).to_csv()
+        for workers in (2, 3, 8):
+            assert run_tournament(spec, workers=workers).to_csv() == sequential
 
-    def test_failing_cell_recorded_not_fatal(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failing_cell_recorded_not_fatal(self, workers):
         bad_topo = TopologySpec(kind="geometric", n=12, radius=0.05)
         bad = dataclasses.replace(small_cell("bad"), topology=bad_topo)
         spec = TournamentSpec((bad, small_cell("good")), seeds_per_cell=1, master_seed=1)
-        table = run_tournament(spec)
+        table = run_tournament(spec, workers=workers)
         assert "bad" in table.errors
         assert "good" in table.cells
+        assert table.errors == run_tournament(spec).errors
 
-    def test_failure_names_every_seed_and_reproduces(self):
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failure_names_every_seed_and_reproduces(self, workers):
         bad_topo = TopologySpec(kind="geometric", n=12, radius=0.05)
         bad = dataclasses.replace(small_cell("bad"), topology=bad_topo)
         spec = TournamentSpec((small_cell("good"), bad), seeds_per_cell=2, master_seed=1)
-        message = run_tournament(spec).errors["bad"]
-        failures = message.split("; ")
+        errors = run_tournament(spec, workers=workers).errors
+        assert errors == run_tournament(spec).errors
+        failures = errors["bad"].split("; ")
         assert len(failures) == 2
         for seed_index, failure in enumerate(failures):
             run_seed = derive_seed(1, 1, seed_index)
@@ -153,6 +169,98 @@ class TestRunTournament:
             "rank_1_count,rank_2_count,rank_3_count"
         )
         assert len(lines) == 4  # header + one row per strategy
+
+
+POOL_FREE = """
+import sys
+from bidforward.engine import GameConfig
+from bidforward.tournament import (
+    CellSpec, TopologySpec, TournamentSpec, make_mix_entry, run_tournament,
+)
+
+cell = CellSpec("base", GameConfig(packets_total=8, injection_rate=2),
+                TopologySpec(kind="ring", n=8, radius=None), (make_mix_entry("fair"),))
+assert not run_tournament(TournamentSpec((cell,), seeds_per_cell=2), workers=2).errors
+print(sorted({"concurrent.futures", "multiprocessing"} & set(sys.modules)))
+"""
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestForkedWorkers:
+    """Worker processes that die, and a parent that fails while collecting."""
+
+    def three_cells(self):
+        return TournamentSpec(
+            (small_cell("a"), small_cell("b", fine=20), small_cell("c", fine=40)),
+            seeds_per_cell=1, master_seed=6,
+        )
+
+    def test_dead_worker_fails_its_tasks(self, monkeypatch):
+        spec = self.three_cells()
+        doomed = derive_seed(6, 1, 0)  # cell b, the one task of worker 1
+        parent, real = os.getpid(), tournament.run_cell_seed
+
+        def dies_on_doomed(cell, run_seed):
+            if run_seed == doomed:
+                assert os.getpid() != parent, "the task ran in the calling process"
+                os._exit(7)
+            return real(cell, run_seed)
+
+        monkeypatch.setattr(tournament, "run_cell_seed", dies_on_doomed)
+        table = run_tournament(spec, workers=2)
+        assert table.errors == {"b": (
+            f"seed 0 (run seed {doomed}): ChildProcessError: "
+            "tournament worker exited with status 7 before reporting"
+        )}
+        monkeypatch.undo()
+        expected = run_tournament(spec)
+        assert {name: table.cells[name] for name in ("a", "c")} == {
+            name: expected.cells[name] for name in ("a", "c")
+        }
+        assert "b" not in table.cells
+        assert_no_child_left()
+
+    def test_parent_failure_reaps_every_worker(self, monkeypatch):
+        def bad_report(data):
+            raise RuntimeError("report lost")
+
+        monkeypatch.setattr(
+            tournament, "marshal", types.SimpleNamespace(dumps=marshal.dumps, loads=bad_report)
+        )
+        with pytest.raises(RuntimeError, match="report lost"):
+            run_tournament(self.three_cells(), workers=2)
+        assert_no_child_left()
+
+    def test_without_fork_every_task_runs_in_process(self, monkeypatch):
+        spec = self.three_cells()
+        expected = run_tournament(spec).to_csv()
+        callers, real = [], tournament.run_cell_seed
+
+        def spy(cell, run_seed):
+            callers.append(os.getpid())
+            return real(cell, run_seed)
+
+        monkeypatch.setattr(tournament, "run_cell_seed", spy)
+        monkeypatch.delattr(os, "fork")
+        assert run_tournament(spec, workers=2).to_csv() == expected
+        assert callers == [os.getpid()] * 3
+
+    def test_pool_modules_never_imported(self):
+        """A forked tournament in a fresh interpreter imports neither
+        ``concurrent.futures`` nor ``multiprocessing``."""
+        root = Path(__file__).resolve().parents[1]
+        paths = [str(root / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]
+        proc = subprocess.run(
+            [sys.executable, "-c", POOL_FREE],
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(paths)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSweep:
