@@ -29,6 +29,7 @@ def _load_tree(args) -> dict:
     tree = cfg.load_config(args.config)
     for assignment in args.override or []:
         cfg.apply_override(tree, assignment)
+    cfg.check_sections(tree)
     return tree
 
 

@@ -53,6 +53,16 @@ def load_config(path: str) -> dict:
     return tree
 
 
+SECTIONS = ("game", "topology", "predictor", "strategies", "tournament")
+
+
+def check_sections(tree: dict) -> None:
+    """Reject a top-level key that names no section, such as a misspelling."""
+    for key in tree:
+        if key not in SECTIONS:
+            raise ConfigError(f"{key}: unknown section (known: {', '.join(SECTIONS)})")
+
+
 def apply_override(tree: dict, assignment: str) -> None:
     """Set one ``dotted.path=value`` override in place; value parses as YAML."""
     if "=" not in assignment:
@@ -166,6 +176,8 @@ def build_topology_spec(tree: dict) -> TopologySpec:
         )
     except TopologyError as exc:
         raise ConfigError(f"topology.{exc.field}: {exc}") from None
+    if len(spec.gateways) == spec.n:
+        raise ConfigError("topology.gateways: every node is a gateway; no valid destinations exist")
     return spec
 
 
@@ -187,9 +199,15 @@ def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"topology.file: cannot read {path}: {exc}") from None
         try:
-            return TopologyGraph.from_edge_list(text)
+            graph = TopologyGraph.from_edge_list(text)
         except TopologyError as exc:
             raise ConfigError(f"topology.file {path}: {exc}") from None
+        if len(graph.gateways) == graph.n:
+            raise ConfigError(
+                f"topology.gateways: every node of the graph in {path} is a gateway; "
+                "no valid destinations exist"
+            )
+        return graph
     try:
         return build_topology_spec(tree).build(run_seed)
     except TopologyError as exc:
@@ -263,6 +281,8 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
         name = raw.get("strategy")
         if not name:
             raise ConfigError(f"{where}.strategy: required")
+        if not isinstance(name, str):
+            raise ConfigError(f"{where}.strategy: expected a strategy name, got {name!r}")
         if name not in STRATEGY_REGISTRY:
             known = ", ".join(sorted(STRATEGY_REGISTRY))
             raise ConfigError(f"{where}.strategy: unknown strategy {name!r} (known: {known})")
@@ -286,11 +306,11 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
                 selected = parse_node_set(nodes)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.nodes: {exc}") from None
-            mix.append(make_mix_entry(str(name), params, nodes=selected))
+            mix.append(make_mix_entry(name, params, nodes=selected))
         elif count is not None:
-            mix.append(make_mix_entry(str(name), params, count=_number(count, f"{where}.count")))
+            mix.append(make_mix_entry(name, params, count=_number(count, f"{where}.count")))
         else:
-            mix.append(make_mix_entry(str(name), params))
+            mix.append(make_mix_entry(name, params))
     if n is not None:
         try:
             check_mix(tuple(mix), n)
@@ -357,6 +377,7 @@ def build_tournament(
         try:
             for dotted, value in overrides.items():
                 apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
+            check_sections(subtree)
             cells.append(build_cell(subtree, cell_name))
         except ConfigError as exc:
             if not overrides:

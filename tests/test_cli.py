@@ -193,6 +193,17 @@ class TestTopoCommand:
         assert "topology.gateways, topology.kind, topology.n" in err
         assert not os.path.exists(tmp_path / "o")
 
+    def test_graph_file_with_every_node_a_gateway_is_a_config_error(self, tmp_path, capsys):
+        graph_path = tmp_path / "graph.txt"
+        graph_path.write_text("n 3\n0 1\n1 2\ngateways 0 1 2\n")
+        tree = dict(DEMO, topology={"file": str(graph_path)})
+        tree["strategies"] = [{"rest": True, "strategy": "fair"}]
+        conf = write_config(tmp_path, tree)
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "config error: topology.gateways: every node" in err and str(graph_path) in err
+        assert not os.path.exists(tmp_path / "o")
+
 
 class TestTournamentCommand:
     def tournament_tree(self, sweep=None):
@@ -419,6 +430,8 @@ class TestConfigValueChecks:
         ("topology.radius", -0.3, "radius must be > 0, got -0.3"),
         ("topology.radius", float("nan"), "radius must be > 0, got nan"),
         ("topology.gateways", [0, 0], "topology.gateways: gateway 0 is listed twice"),
+        ("strategies.2.strategy", ["random"], "strategies[2].strategy: expected a strategy name"),
+        ("strategies.2.strategy", {"random": 1}, "strategies[2].strategy: expected a strategy"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -524,8 +537,9 @@ class TestChecksBeforeAnyRun:
         ({"topology.kind": "grid", "topology.cols": 0}, "topology.cols: grid: 10 nodes"),
         ({"topology.gateways": [99]}, "topology.gateways: gateway 99 is not a node"),
         ({"topology.gateways": [0, 3, 0]}, "topology.gateways: gateway 0 is listed twice"),
+        ({"topology.gateways": list(range(10))}, "topology.gateways: every node is a gateway"),
     ], ids=["negative-radius", "nan-radius", "unknown-kind", "one-node", "grid-cols-0",
-            "unknown-gateway", "repeated-gateway"])
+            "unknown-gateway", "repeated-gateway", "all-gateways"])
     def test_topology_no_seed_can_build_rejected(self, tmp_path, capsys, overrides, field):
         # In the base config, the run and the tournament both fail on it.
         tree = with_override("tournament.seeds", 2)
@@ -555,6 +569,31 @@ class TestChecksBeforeAnyRun:
             capsys.readouterr().err
         )
         assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"strategies": [{"strategy": ["fair"], "rest": True}]}, "strategies[0].strategy"),
+        ({"gmae.fine": 5}, "gmae: unknown section"),
+    ], ids=["list-strategy-name", "misspelled-section"])
+    def test_cell_override_shape_error_names_the_cell(self, tmp_path, capsys, overrides, message):
+        tree = with_override("tournament.cells", [
+            {"name": "a"}, {"name": "b", "overrides": overrides},
+        ])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert f"config error: tournament.cells[1]: {message}" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("command", ["run", "topo", "tournament"])
+    @pytest.mark.parametrize("override", [False, True], ids=["in-file", "override"])
+    def test_misspelled_section_rejected(self, tmp_path, capsys, command, override):
+        if override:
+            tree, extra = with_override("tournament.seeds", 1), ["--override", "gmae.fine=5"]
+        else:
+            tree, extra = with_override("gmae", {"packets_total": 3}), []
+        conf = write_config(tmp_path, tree)
+        assert main([command, "--config", conf, "--out", str(tmp_path / "o")] + extra) == 2
+        assert "config error: gmae: unknown section" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
 
     @pytest.mark.parametrize("mix, field", [
         ([{"nodes": "0-3", "strategy": "fair"}, {"nodes": [3], "strategy": "sniper"},
