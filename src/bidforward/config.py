@@ -14,6 +14,7 @@ from typing import Any
 import yaml
 
 from .engine import EngineError, GameConfig
+from .model import ConfigError, check_fields, check_value
 from .predictor import PredictorConfig
 from .strategies import STRATEGY_REGISTRY, build_strategy
 from .topology import TopologyError, TopologyGraph, check_generate
@@ -29,10 +30,6 @@ from .tournament import (
     make_mix_entry,
     swept_config,
 )
-
-
-class ConfigError(ValueError):
-    """A config file problem, with the offending field in the message."""
 
 
 def load_config(path: str) -> dict:
@@ -94,54 +91,12 @@ def _section(tree: dict, name: str) -> dict:
     return sec
 
 
-def _number(value, where: str, kind=int):
-    """``value`` as an int or a float; a bool, or a fraction where an int is due, is an error."""
-    fraction = kind is int and isinstance(value, float) and not value.is_integer()
-    if not isinstance(value, bool) and not fraction:
-        try:
-            return kind(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
-
-
-def _flag(value, where: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"{where}: expected true or false, got {value!r}")
-    return value
-
-
-def _take(section: dict, name: str, field: str, kind, default):
-    """``section[field]`` read by ``_number``; ``null`` only where the default is None."""
-    value = section.get(field, default)
-    if value is None and default is None:
-        return None
-    return _number(value, f"{name}.{field}", kind)
-
-
 def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfig:
-    game = _section(tree, "game")
-    known = {
-        "budget", "fine", "ttl", "packets_total", "injection_rate", "observation",
-        "forced_bid_mode", "fine_mode", "churn_rate", "seed",
-    }
-    for key in game:
-        if key not in known:
-            raise ConfigError(f"game.{key}: unknown field")
-    seed = seed_override if seed_override is not None else _take(game, "game", "seed", int, 0)
+    fields = check_fields(GameConfig, _section(tree, "game"), "game.", {"master_seed": "seed"})
+    if seed_override is not None:
+        fields["master_seed"] = seed_override
     try:
-        return GameConfig(
-            budget=_take(game, "game", "budget", int, 100),
-            fine=_take(game, "game", "fine", int, 200),
-            ttl=_take(game, "game", "ttl", int, 8),
-            packets_total=_take(game, "game", "packets_total", int, 50),
-            injection_rate=_take(game, "game", "injection_rate", int, 2),
-            observation=str(game.get("observation", "global")),
-            forced_bid_mode=_flag(game.get("forced_bid_mode", False), "game.forced_bid_mode"),
-            fine_mode=str(game.get("fine_mode", "path-split")),
-            churn_rate=_take(game, "game", "churn_rate", float, 0.0),
-            master_seed=seed,
-        )
+        return GameConfig(**fields)
     except EngineError as exc:
         raise ConfigError(f"game: {exc}") from exc
 
@@ -155,21 +110,7 @@ def build_topology_spec(tree: dict) -> TopologySpec:
             "topology.file: tournaments generate each run's graph from topology.kind "
             "and cannot use a graph file; set topology.kind instead"
         )
-    known = {"kind", "n", "radius", "cols", "gateways", "seed"}
-    for key in topo:
-        if key not in known:
-            raise ConfigError(f"topology.{key}: unknown field")
-    gateways = topo.get("gateways", [0])
-    if not isinstance(gateways, (list, tuple)) or not gateways:
-        raise ConfigError("topology.gateways: need a non-empty list of node ids")
-    spec = TopologySpec(
-        kind=str(topo.get("kind", "geometric")),
-        n=_take(topo, "topology", "n", int, 20),
-        radius=_take(topo, "topology", "radius", float, 0.35),
-        cols=_take(topo, "topology", "cols", int, None),
-        gateways=tuple(_number(g, "topology.gateways") for g in gateways),
-        seed=_take(topo, "topology", "seed", int, None),
-    )
+    spec = TopologySpec(**check_fields(TopologySpec, topo, "topology."))
     try:
         check_generate(
             spec.kind, spec.n, radius=spec.radius, cols=spec.cols, gateways=spec.gateways
@@ -190,9 +131,7 @@ def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
                 f"topology.file: the graph file fixes nodes, edges and gateways; "
                 f"remove {', '.join(ignored)}"
             )
-        path = topo["file"]
-        if not isinstance(path, str):
-            raise ConfigError(f"topology.file: expected a path, got {path!r}")
+        path = check_value("topology.file", topo["file"], str)
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -215,23 +154,10 @@ def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
 
 
 def build_predictor_config(tree: dict, game: GameConfig) -> PredictorConfig:
-    pred = _section(tree, "predictor")
-    known = {
-        "epsilon", "min_bid_floor", "max_history", "max_age_rounds", "fallback_fraction",
-        "budget_norm", "ttl_norm",
-    }
-    for key in pred:
-        if key not in known:
-            raise ConfigError(f"predictor.{key}: unknown field")
-    fields = dict(
-        epsilon=_take(pred, "predictor", "epsilon", float, 0.15),
-        min_bid_floor=_take(pred, "predictor", "min_bid_floor", int, 1),
-        max_history=_take(pred, "predictor", "max_history", int, 128),
-        max_age_rounds=_take(pred, "predictor", "max_age_rounds", int, 512),
-        budget_norm=_take(pred, "predictor", "budget_norm", int, game.budget),
-        ttl_norm=_take(pred, "predictor", "ttl_norm", int, game.ttl),
-        fallback_fraction=_take(pred, "predictor", "fallback_fraction", float, 0.5),
-    )
+    fields = check_fields(PredictorConfig, _section(tree, "predictor"), "predictor.")
+    # The query axes are normalised by the run's own budget and TTL.
+    fields.setdefault("budget_norm", game.budget)
+    fields.setdefault("ttl_norm", game.ttl)
     try:
         return PredictorConfig(**fields)
     except ValueError as exc:
@@ -243,7 +169,7 @@ def parse_node_set(spec: object) -> tuple[int, ...]:
     if isinstance(spec, (int, float)):
         spec = [spec]
     if isinstance(spec, (list, tuple)):
-        return tuple(_number(x, "node id") for x in spec)
+        return tuple(check_value("node id", x, int) for x in spec)
     out: list[int] = []
     for chunk in str(spec).split(","):
         chunk = chunk.strip()
@@ -295,7 +221,7 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
             raise ConfigError(f"{where}.params: {exc}") from None
         nodes = raw.get("nodes")
         count = raw.get("count")
-        rest = _flag(raw.get("rest", False), f"{where}.rest")
+        rest = check_value(f"{where}.rest", raw.get("rest", False), bool)
         extra_keys = set(raw) - {"strategy", "params", "nodes", "count", "rest"}
         if extra_keys:
             raise ConfigError(f"{where}.{sorted(extra_keys)[0]}: unknown field")
@@ -308,7 +234,8 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
                 raise ConfigError(f"{where}.nodes: {exc}") from None
             mix.append(make_mix_entry(name, params, nodes=selected))
         elif count is not None:
-            mix.append(make_mix_entry(name, params, count=_number(count, f"{where}.count")))
+            count = check_value(f"{where}.count", count, int)
+            mix.append(make_mix_entry(name, params, count=count))
         else:
             mix.append(make_mix_entry(name, params))
     if n is not None:
@@ -343,17 +270,13 @@ def build_tournament(
     for key in section:
         if key not in known:
             raise ConfigError(f"tournament.{key}: unknown field")
-    seeds = _take(section, "tournament", "seeds", int, 5)
+    seeds = check_value("tournament.seeds", section.get("seeds", 5), int)
     if seeds < 1:
         raise ConfigError("tournament.seeds: must be >= 1")
-    workers = _take(section, "tournament", "workers", int, 1)
+    workers = check_value("tournament.workers", section.get("workers", 1), int)
     if workers < 1:
         raise ConfigError("tournament.workers: must be >= 1")
-    master = (
-        seed_override
-        if seed_override is not None
-        else _take(_section(tree, "game"), "game", "seed", int, 0)
-    )
+    master = build_game_config(tree, seed_override).master_seed
 
     cell_defs = section.get("cells") or [{"name": "base"}]
     if not isinstance(cell_defs, list):
@@ -364,7 +287,7 @@ def build_tournament(
         where = f"tournament.cells[{i}]"
         if not isinstance(raw, dict):
             raise ConfigError(f"{where}: must be a mapping")
-        cell_name = str(raw.get("name", f"cell{i}"))
+        cell_name = check_value(f"{where}.name", raw.get("name", f"cell{i}"), str)
         if cell_name in names:
             raise ConfigError(
                 f"{where}.name: {cell_name!r} already names tournament.cells[{names[cell_name]}]"
@@ -398,19 +321,17 @@ def build_tournament(
             raise ConfigError("tournament.sweep.values: need a non-empty list")
         if len(cells) != 1:
             raise ConfigError("tournament.sweep: works with exactly one base cell")
-        kind = SWEEP_FIELDS[axis][1]
         first: dict[Any, int] = {}  # typed value -> index of its first appearance
         for i, value in enumerate(values):
             where = f"tournament.sweep.values[{i}]"
-            typed = _number(value, where, kind)
+            try:
+                typed = getattr(swept_config(cells[0].config, axis, value), SWEEP_FIELDS[axis])
+            except (ConfigError, EngineError) as exc:
+                raise ConfigError(f"{where}: {exc}") from None
             if typed in first:
                 raise ConfigError(
                     f"{where}: {value!r} repeats tournament.sweep.values[{first[typed]}]"
                 )
             first[typed] = i
-            try:
-                swept_config(cells[0].config, axis, typed)
-            except EngineError as exc:
-                raise ConfigError(f"{where}: {exc}") from None
         extras["sweep"] = (str(axis), list(values))
     return spec, extras

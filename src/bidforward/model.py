@@ -18,14 +18,19 @@ and ``PathLedger`` are slotted dataclasses that keep their validating
 predictor's ``BidHistoryPoint`` and the wolf pack's ``BidderMetrics`` are
 slotted for the same reason. Records built once per run (the game, predictor, topology and tournament
 configs) stay frozen.
+
+``check_fields`` reads a config section or a strategy's parameters into such
+a record: the fields give the known keys and the defaults, the annotations
+the kind of each value, and ``check_value`` holds the one rule for kinds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, get_args, get_type_hints
 
 Money = int
 NodeId = int
@@ -37,6 +42,74 @@ BACKBONE: NodeId = -1
 
 class ModelError(ValueError):
     """Raised when a domain value violates its invariants."""
+
+
+class ConfigError(ValueError):
+    """A config value or strategy parameter at fault, named in the message."""
+
+
+def check_value(where: str, value, kind, optional: bool = False):
+    """``value`` as a field of ``kind`` holds it, or a ``ConfigError`` naming ``where``.
+
+    The one rule for config fields and strategy parameters: a bool is no
+    number, a number no bool, and a string neither. A whole float such as
+    ``3.0`` becomes ``3`` where an int is due, and an int becomes a float
+    where a float is due. ``tuple[int, ...]`` takes a list of such ints.
+    None passes only where ``optional``.
+    """
+    if value is None and optional:
+        return None
+    if kind is bool or kind is str:
+        if isinstance(value, kind):
+            return value
+        due = "true or false" if kind is bool else "a string"
+    elif kind is int or kind is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if kind is float:
+                try:
+                    return float(value)
+                except OverflowError:  # an int beyond the range of floats
+                    pass
+            elif isinstance(value, int) or value.is_integer():
+                return int(value)
+        due = "an integer" if kind is int else "a number"
+    else:
+        if isinstance(value, (list, tuple)):
+            item = get_args(kind)[0]
+            return tuple(check_value(f"{where}[{i}]", v, item) for i, v in enumerate(value))
+        due = "a list"
+    raise ConfigError(f"{where} must be {due}, got {value!r}")
+
+
+@cache
+def field_kinds(cls: type) -> dict[str, tuple[object, bool]]:
+    """Each field of dataclass ``cls`` as the ``(kind, optional)`` of
+    ``check_value``, read off its annotation once per class."""
+    kinds = {}
+    for name, hint in get_type_hints(cls).items():
+        args = get_args(hint)  # ``X | None`` gives ``(X, NoneType)``
+        kinds[name] = (args[0], True) if type(None) in args else (hint, False)
+    return kinds
+
+
+def check_fields(
+    cls: type, values: dict, prefix: str = "", aliases: dict[str, str] | None = None
+) -> dict:
+    """``values`` as keyword arguments of dataclass ``cls``, each checked by
+    ``check_value``; a key that names no field is an error.
+
+    ``aliases`` maps a field to the key that stands for it in ``values``;
+    errors name the key after ``prefix``. Defaults stay the dataclass's own.
+    """
+    kinds = field_kinds(cls)
+    names = {(aliases or {}).get(name, name): name for name in kinds}
+    out = {}
+    for key, value in values.items():
+        name = names.get(key)
+        if name is None:
+            raise ConfigError(f"{prefix}{key}: unknown field")
+        out[name] = check_value(prefix + key, value, *kinds[name])
+    return out
 
 
 @dataclass(slots=True)

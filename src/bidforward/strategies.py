@@ -25,6 +25,8 @@ from .model import (
     NodeId,
     Packet,
     PathLedger,
+    check_fields,
+    check_value,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .observation import ObserverStore
@@ -168,7 +170,7 @@ class AlwaysOne(Strategy):
     uses_observation = True
 
     def __init__(self, **chooser_params):
-        self.params = WolfPackParams(**chooser_params)
+        self.params = ChooserParams(**chooser_params)
 
     def on_auction(self, request: AuctionRequest, ctx: StrategyContext) -> Money | None:
         if request.ceiling >= 1:
@@ -201,7 +203,7 @@ class LastHopSniper(Strategy):
     uses_bid_history = True
 
     def __init__(self, small_cap: int = 5):
-        small_cap = _param_number("small_cap", small_cap)
+        small_cap = check_value("small_cap", small_cap, int)
         if small_cap < 1:
             raise ValueError("small_cap must be >= 1")
         self.small_cap = small_cap
@@ -223,38 +225,14 @@ class RandomBaseline(Strategy):
         return ctx.rng.randint(1, request.ceiling)
 
 
-def _param_number(name: str, value, kind: type = int):
-    """A strategy parameter checked by the config's rules for numbers.
-
-    A bool is no number and a fraction is no int; a whole float such as
-    ``3.0`` becomes ``3`` where an int is due. A number where a float is due
-    is returned as it is.
-    """
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        if kind is float:
-            return value
-        if isinstance(value, int) or value.is_integer():
-            return int(value)
-    due = "an integer" if kind is int else "a number"
-    raise ValueError(f"{name} must be {due}, got {value!r}")
-
-
-#: The numeric fields of ``WolfPackParams`` and the kind of number each takes.
-_PARAM_KINDS = {
-    "w_rich": float, "w_topo": float, "w_bid": float, "w_fair": float,
-    "drop_rate_cap": float, "rich_threshold": float,
-    "sabotage_budget": int, "greed_margin": int, "small_cap": int,
-}
-
-
 @dataclass(frozen=True)
-class WolfPackParams:
-    """Weights and thresholds for the pack's preference rules.
+class ChooserParams:
+    """Weights for the weighted-rank winner choice.
 
     The four weights combine the per-metric rank lists; ``prefer_unfair``
     ranks high fairness deviation as desirable (set False to invert for
-    sensitivity runs). Sabotage drops are capped by the node's own
-    affordable fine share and by a percentile cut for who counts as rich.
+    sensitivity runs). Bidders whose drop rate exceeds ``drop_rate_cap`` are
+    passed over. Each field is checked by its annotation's kind.
     """
 
     w_rich: float = 1.0
@@ -263,6 +241,29 @@ class WolfPackParams:
     w_fair: float = 1.0
     drop_rate_cap: float = 0.5
     prefer_unfair: bool = True
+
+    def __post_init__(self) -> None:
+        for name, value in check_fields(type(self), vars(self)).items():
+            object.__setattr__(self, name, value)
+        weights = (self.w_rich, self.w_topo, self.w_bid, self.w_fair)
+        if not all(0 <= w < math.inf for w in weights):
+            # A NaN or infinite weight makes every score NaN or infinite, and
+            # the chooser would silently take the first bid.
+            raise ValueError(f"rank weights must be finite and non-negative, got {weights}")
+        if not any(w > 0 for w in weights):
+            raise ValueError("at least one rank weight must be positive")
+        if not 0 <= self.drop_rate_cap <= 1:
+            raise ValueError("drop_rate_cap must be in [0, 1]")
+
+
+@dataclass(frozen=True)
+class WolfPackParams(ChooserParams):
+    """The chooser's weights plus the pack's own thresholds.
+
+    Sabotage drops are capped by the node's own affordable fine share and by
+    a percentile cut for who counts as rich.
+    """
+
     sabotage_enabled: bool = False
     rich_threshold: float = 0.2
     sabotage_budget: Money = 50
@@ -271,26 +272,11 @@ class WolfPackParams:
     small_cap: int = 5
 
     def __post_init__(self) -> None:
-        for name, kind in _PARAM_KINDS.items():
-            object.__setattr__(self, name, _param_number(name, getattr(self, name), kind))
-        weights = (self.w_rich, self.w_topo, self.w_bid, self.w_fair)
-        if not all(0 <= w < math.inf for w in weights):
-            # A NaN or infinite weight makes every score NaN or infinite, and
-            # the chooser would silently take the first bid.
-            raise ValueError(f"rank weights must be finite and non-negative, got {weights}")
-        if not any(w > 0 for w in weights):
-            raise ValueError("at least one rank weight must be positive")
+        super().__post_init__()
         if not 0 < self.rich_threshold <= 1:
             raise ValueError("rich_threshold must be in (0, 1]")
-        if not 0 <= self.drop_rate_cap <= 1:
-            raise ValueError("drop_rate_cap must be in [0, 1]")
         if self.sabotage_budget < 0 or self.greed_margin < 0 or self.small_cap < 1:
             raise ValueError("bad wolfpack parameter")
-        for name in ("prefer_unfair", "sabotage_enabled"):
-            if not isinstance(getattr(self, name), bool):
-                raise ValueError(f"{name} must be true or false")
-        if self.pack is not None and not isinstance(self.pack, str):
-            raise ValueError(f"pack must be a string, got {self.pack!r}")
 
 
 @dataclass(slots=True)
@@ -323,7 +309,7 @@ def competition_ranks(values: Sequence, descending: bool = False) -> list[int]:
 
 
 def weighted_rank_choice(
-    bids: Sequence[Bid], metrics: Sequence[BidderMetrics], params: WolfPackParams
+    bids: Sequence[Bid], metrics: Sequence[BidderMetrics], params: ChooserParams
 ) -> Bid:
     """Combine the four sorted-metric lists with weights and pick the best.
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, NoReturn
 
 from .engine import GameConfig, run_simulation
-from .model import Money, NodeId
+from .model import Money, NodeId, check_value, field_kinds
 from .predictor import PredictorConfig
 from .seeding import derive_seed
 from .strategies import build_strategy
@@ -390,15 +390,16 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
     return table
 
 
-#: Sweep axis -> the ``GameConfig`` field it sets and that field's type.
-SWEEP_FIELDS = {"fine": ("fine", int), "ttl": ("ttl", int), "churn": ("churn_rate", float)}
+#: Sweep axis -> the ``GameConfig`` field it sets; the field's annotation types its values.
+SWEEP_FIELDS = {"fine": "fine", "ttl": "ttl", "churn": "churn_rate"}
 SWEEP_AXES = tuple(SWEEP_FIELDS)
 
 
 def swept_config(config: GameConfig, axis: str, value) -> GameConfig:
-    """``config`` with the field of sweep ``axis`` set to ``value``."""
-    field_name, kind = SWEEP_FIELDS[axis]
-    return dataclasses.replace(config, **{field_name: kind(value)})
+    """``config`` with the field of sweep ``axis`` set to ``value``, checked by its kind."""
+    name = SWEEP_FIELDS[axis]
+    value = check_value(name, value, *field_kinds(GameConfig)[name])
+    return dataclasses.replace(config, **{name: value})
 
 
 def sweep(

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import hashlib
 import os
 import subprocess
@@ -10,7 +11,12 @@ import yaml
 
 from bidforward import config as cfg
 from bidforward.cli import main
+from bidforward.engine import GameConfig
+from bidforward.model import field_kinds
+from bidforward.predictor import PredictorConfig
+from bidforward.strategies import WolfPackParams, build_strategy
 from bidforward.topology import TopologyGraph
+from bidforward.tournament import TopologySpec
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benches"
 
@@ -432,6 +438,9 @@ class TestConfigValueChecks:
         ("topology.gateways", [0, 0], "topology.gateways: gateway 0 is listed twice"),
         ("strategies.2.strategy", ["random"], "strategies[2].strategy: expected a strategy name"),
         ("strategies.2.strategy", {"random": 1}, "strategies[2].strategy: expected a strategy"),
+        ("game.budget", "100", "game.budget must be an integer, got '100'"),
+        ("topology.n", "20", "topology.n must be an integer, got '20'"),
+        ("predictor.epsilon", "inf", "predictor.epsilon must be a number, got 'inf'"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -442,6 +451,10 @@ class TestConfigValueChecks:
         ("tournament.workers", -3, "tournament.workers"),
         ("tournament.workers", 0, "tournament.workers"),
         ("tournament.sweep", {"axis": "budget", "values": [1]}, "tournament.sweep.axis"),
+        ("tournament.seeds", "2", "tournament.seeds must be an integer, got '2'"),
+        ("tournament.workers", "2", "tournament.workers must be an integer, got '2'"),
+        ("tournament.cells", [{"name": None}], "tournament.cells[0].name must be a string"),
+        ("tournament.cells", [{"name": [1]}], "tournament.cells[0].name must be a string"),
     ])
     def test_tournament_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -509,6 +522,7 @@ class TestChecksBeforeAnyRun:
         ("fine", [100, -5], "values[1]"),
         ("churn", [0.1, "abc"], "values[1]"),
         ("churn", [1.5], "values[0]"),
+        ("churn", ["0.1"], "values[0]"),
     ])
     def test_bad_sweep_value_rejected(self, tmp_path, capsys, axis, values, field):
         tree = with_override("tournament.sweep", {"axis": axis, "values": values})
@@ -623,3 +637,76 @@ class TestChecksBeforeAnyRun:
         conf = write_config(tmp_path, tree)
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert "strategies[0].nodes: node 3" in capsys.readouterr().err
+
+
+# One case per field of each record: a number field set to a bool or a string,
+# a bool field to "no", a string field to a number and the gateway list to a string.
+WRONG_KIND = {int: True, float: "0.5", bool: "no", str: 5}
+FIELD_CASES = [
+    (f"{path}.{'seed' if f.name == 'master_seed' else f.name}",
+     WRONG_KIND.get(field_kinds(record)[f.name][0], "0"), named)
+    for path, record, named in [
+        ("game", GameConfig, "game."),
+        ("predictor", PredictorConfig, "predictor."),
+        ("topology", TopologySpec, "topology."),
+        ("strategies.1.params", WolfPackParams, "strategies[1].params: "),
+    ]
+    for f in dataclasses.fields(record)
+]
+
+
+class TestSchemaFromFields:
+    """Each config section and the wolf pack's params are read off their dataclass."""
+
+    def test_empty_sections_give_the_dataclass_defaults(self):
+        assert cfg.build_game_config({}) == GameConfig()
+        assert cfg.build_predictor_config({}, GameConfig()) == PredictorConfig()
+        assert cfg.build_topology_spec({}) == TopologySpec()
+        assert build_strategy("wolfpack").params == WolfPackParams()
+
+    @pytest.mark.parametrize("path, value, named", FIELD_CASES, ids=[c[0] for c in FIELD_CASES])
+    def test_every_field_rejects_a_value_of_the_wrong_kind(
+        self, tmp_path, capsys, path, value, named
+    ):
+        conf = write_config(tmp_path, with_override(path, value))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        field = named + path.rsplit(".", 1)[1]
+        assert f"config error: {field} must be " in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
+    @pytest.mark.parametrize("path", ["game.churn_rate", "strategies.1.params.w_rich"])
+    def test_int_beyond_the_float_range_rejected(self, tmp_path, capsys, path):
+        conf = write_config(tmp_path, with_override(path, 10**400))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        assert "must be a number, got 1000" in capsys.readouterr().err
+
+    def test_null_radius_fails_where_the_graph_needs_one(self, tmp_path, capsys):
+        conf = write_config(tmp_path, with_override("topology.radius", None))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "topology.radius: geometric graphs need a connection radius" in err, err
+
+    @pytest.mark.parametrize("command", ["run", "tournament"])
+    def test_game_seed_checked_when_seed_flag_given(self, tmp_path, capsys, command):
+        conf = write_config(tmp_path, with_override("game.seed", "abc"))
+        args = [command, "--config", conf, "--out", str(tmp_path / "o"), "--seed", "3"]
+        assert main(args) == 2
+        assert "game.seed must be an integer, got 'abc'" in capsys.readouterr().err
+
+    def test_null_cell_name_does_not_collide_with_none(self, tmp_path, capsys):
+        conf = write_config(tmp_path, with_override("tournament.cells", [
+            {"name": "None"}, {"name": None, "overrides": {"game.fine": 0}},
+        ]))
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert "tournament.cells[1].name must be a string, got None" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["pack", "sabotage_enabled", "greed_margin"])
+    def test_always_one_rejects_wolf_only_params(self, tmp_path, capsys, name):
+        conf = write_config(tmp_path, with_override("strategies", [
+            {"nodes": "0", "strategy": "fair"},
+            {"rest": True, "strategy": "always_one", "params": {name: 1}},
+        ]))
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert "strategies[1].params: bad parameters for strategy 'always_one'" in err, err
+        assert repr(name) in err

@@ -17,6 +17,7 @@ from bidforward.predictor import (
 from bidforward.strategies import (
     AlwaysOne,
     BidderMetrics,
+    ChooserParams,
     FairSplit,
     LastHopSniper,
     MaxBid,
@@ -495,3 +496,10 @@ class TestRegistry:
         for name in ("sabotage_enabled", "prefer_unfair"):
             with pytest.raises(ValueError, match=name):
                 WolfPackParams(**{name: "no"})
+
+    def test_always_one_takes_only_the_choosers_params(self):
+        chooser = {"w_rich": 2, "w_topo": 0.5, "drop_rate_cap": 0.1, "prefer_unfair": False}
+        assert build_strategy("always_one", chooser).params == ChooserParams(**chooser)
+        for name, value in [("pack", "a"), ("sabotage_enabled", True), ("greed_margin", 7)]:
+            with pytest.raises(ValueError, match=f"strategy 'always_one'.*'{name}'"):
+                build_strategy("always_one", {name: value})
