@@ -16,7 +16,7 @@ from .engine import Simulation, balances_csv
 from .model import events_to_log
 from .observation import profiles_csv
 from .strategies import build_strategy
-from .tournament import assign_mix, run_tournament, sweep
+from .tournament import assign_mix, run_tournament
 
 
 def _write(path: str, text: str) -> None:
@@ -85,31 +85,20 @@ def cmd_tournament(args) -> int:
     workers = args.workers if args.workers is not None else extras["workers"]
     if workers < 1:
         raise cfg.ConfigError("--workers: must be >= 1")
-    failed: list[str] = []
-    if extras["sweep"] is None:
-        table = run_tournament(spec, workers=workers)
-        _write(os.path.join(args.out, "ranktable.csv"), table.to_csv())
+    table = run_tournament(spec, workers=workers)
+    _write(os.path.join(args.out, "ranktable.csv"), table.to_csv())
+    if spec.sweep is None:
         print(table.summary())
-        failed.extend(table.errors)
     else:
-        axis, values = extras["sweep"]
-        combined_lines: list[str] = []
-        for value, table in sweep(
-            axis, values, spec.cells[0], spec.seeds_per_cell, spec.master_seed, workers
-        ):
-            # One file per sweep value, written as soon as it completes.
-            csv_text = table.to_csv()
-            _write(os.path.join(args.out, f"ranktable_{axis}_{value}.csv"), csv_text)
-            body = csv_text.splitlines()
-            if not combined_lines:
-                combined_lines.append(body[0])
-            combined_lines.extend(body[1:])
-            print(table.summary())
-            failed.extend(table.errors)
-        _write(os.path.join(args.out, "ranktable.csv"), "\n".join(combined_lines) + "\n")
+        axis, values = spec.sweep
+        for cell, value in zip(spec.cells, values):
+            value_table = table.only(cell.name)  # as this value's own tournament
+            _write(os.path.join(args.out, f"ranktable_{axis}_{value}.csv"), value_table.to_csv())
+            print(value_table.summary())
     print(f"outputs in {args.out}/")
-    if failed:
-        print(f"error: {len(failed)} cell(s) failed: {', '.join(failed)}", file=sys.stderr)
+    if table.errors:
+        failed = ", ".join(table.errors)
+        print(f"error: {len(table.errors)} cell(s) failed: {failed}", file=sys.stderr)
         return 1
     return 0
 

@@ -9,18 +9,17 @@ a recorded config plus its overrides fully reproduces a run.
 from __future__ import annotations
 
 import copy
+from dataclasses import dataclass, replace
 from typing import Any
 
 import yaml
 
 from .engine import EngineError, GameConfig
-from .model import ConfigError, check_fields, check_value
+from .model import ConfigError, check_fields, check_value, field_kinds
 from .predictor import PredictorConfig
 from .strategies import STRATEGY_REGISTRY, build_strategy
 from .topology import TopologyError, TopologyGraph, check_generate
 from .tournament import (
-    SWEEP_AXES,
-    SWEEP_FIELDS,
     CellSpec,
     MixEntry,
     MixError,
@@ -28,7 +27,6 @@ from .tournament import (
     TournamentSpec,
     check_mix,
     make_mix_entry,
-    swept_config,
 )
 
 
@@ -83,12 +81,7 @@ def apply_override(tree: dict, assignment: str) -> None:
 
 
 def _section(tree: dict, name: str) -> dict:
-    sec = tree.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name}: must be a mapping")
-    return sec
+    return check_value(name, tree.get(name), dict, optional=True) or {}
 
 
 def build_game_config(tree: dict, seed_override: int | None = None) -> GameConfig:
@@ -197,13 +190,9 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
     entries = tree.get("strategies")
     if not entries:
         raise ConfigError("strategies: section is required")
-    if not isinstance(entries, list):
-        raise ConfigError("strategies: must be a list of assignment entries")
     mix: list[MixEntry] = []
-    for i, raw in enumerate(entries):
+    for i, raw in enumerate(check_value("strategies", entries, tuple[dict, ...])):
         where = f"strategies[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: must be a mapping")
         name = raw.get("strategy")
         if not name:
             raise ConfigError(f"{where}.strategy: required")
@@ -212,9 +201,7 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
         if name not in STRATEGY_REGISTRY:
             known = ", ".join(sorted(STRATEGY_REGISTRY))
             raise ConfigError(f"{where}.strategy: unknown strategy {name!r} (known: {known})")
-        params = raw.get("params") or {}
-        if not isinstance(params, dict):
-            raise ConfigError(f"{where}.params: must be a mapping")
+        params = check_value(f"{where}.params", raw.get("params"), dict, optional=True) or {}
         try:
             build_strategy(name, params)
         except ValueError as exc:
@@ -259,79 +246,109 @@ def build_cell(tree: dict, name: str, seed_override: int | None = None) -> CellS
     )
 
 
+@dataclass(frozen=True)
+class TournamentRecord:
+    """The ``tournament`` section. Each of ``cells`` is read as a ``CellRecord``,
+    ``sweep`` as a ``SweepRecord``; no cells means one cell, ``base``."""
+
+    seeds: int = 5
+    workers: int = 1
+    cells: tuple[dict, ...] | None = None
+    sweep: dict | None = None
+
+
+@dataclass(frozen=True)
+class CellRecord:
+    """One of ``tournament.cells``: its name (``cell<i>`` when not given) and
+    the overrides of the base tree, as dotted paths."""
+
+    name: str
+    overrides: dict | None = None
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """``tournament.sweep``: one cell per value of the game parameter ``axis``.
+    Each value is checked by the kind of the field its axis sets."""
+
+    axis: str = ""
+    values: tuple[object, ...] = ()
+
+
+#: Sweep axis -> the ``GameConfig`` field it sets; the field's annotation types its values.
+SWEEP_FIELDS = {"fine": "fine", "ttl": "ttl", "churn": "churn_rate"}
+SWEEP_AXES = tuple(SWEEP_FIELDS)
+
+
+def swept_config(config: GameConfig, axis: str, value) -> GameConfig:
+    """``config`` with the field of sweep ``axis`` set to ``value``, checked by its kind."""
+    name = SWEEP_FIELDS[axis]
+    value = check_value(name, value, *field_kinds(GameConfig)[name])
+    return replace(config, **{name: value})
+
+
 def build_tournament(
     tree: dict, seed_override: int | None = None
 ) -> tuple[TournamentSpec, dict]:
-    """The tournament spec plus its extras (sweep definition, workers)."""
+    """The tournament spec, a sweep expanded into its cells, plus its extras (workers)."""
     section = _section(tree, "tournament")
     if not section:
         raise ConfigError("tournament: section is required for this command")
-    known = {"seeds", "workers", "cells", "sweep"}
-    for key in section:
-        if key not in known:
-            raise ConfigError(f"tournament.{key}: unknown field")
-    seeds = check_value("tournament.seeds", section.get("seeds", 5), int)
-    if seeds < 1:
+    record = TournamentRecord(**check_fields(TournamentRecord, section, "tournament."))
+    if record.seeds < 1:
         raise ConfigError("tournament.seeds: must be >= 1")
-    workers = check_value("tournament.workers", section.get("workers", 1), int)
-    if workers < 1:
+    if record.workers < 1:
         raise ConfigError("tournament.workers: must be >= 1")
     master = build_game_config(tree, seed_override).master_seed
 
-    cell_defs = section.get("cells") or [{"name": "base"}]
-    if not isinstance(cell_defs, list):
-        raise ConfigError("tournament.cells: must be a list")
     cells = []
     names: dict[str, int] = {}
-    for i, raw in enumerate(cell_defs):
+    for i, raw in enumerate(record.cells or ({"name": "base"},)):
         where = f"tournament.cells[{i}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{where}: must be a mapping")
-        cell_name = check_value(f"{where}.name", raw.get("name", f"cell{i}"), str)
-        if cell_name in names:
+        entry = CellRecord(**{"name": f"cell{i}", **check_fields(CellRecord, raw, f"{where}.")})
+        if entry.name in names:
             raise ConfigError(
-                f"{where}.name: {cell_name!r} already names tournament.cells[{names[cell_name]}]"
+                f"{where}.name: {entry.name!r} already names tournament.cells[{names[entry.name]}]"
             )
-        names[cell_name] = i
-        overrides = raw.get("overrides") or {}
-        if not isinstance(overrides, dict):
-            raise ConfigError(f"{where}.overrides: must be a mapping of dotted paths")
+        names[entry.name] = i
         subtree = copy.deepcopy(tree)
         try:
-            for dotted, value in overrides.items():
+            for dotted, value in (entry.overrides or {}).items():
+                keys = [key for key in str(dotted).strip().split(".") if key]
+                if keys[:1] == ["tournament"] or keys[:2] == ["game", "seed"]:
+                    raise ConfigError(f"{dotted}: every cell shares it; set it in the base config")
                 apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
             check_sections(subtree)
-            cells.append(build_cell(subtree, cell_name))
+            cells.append(build_cell(subtree, entry.name))
         except ConfigError as exc:
-            if not overrides:
+            if not entry.overrides:
                 raise
             raise ConfigError(f"{where}: {exc}") from None
-    spec = TournamentSpec(tuple(cells), seeds_per_cell=seeds, master_seed=master)
 
-    sweep_def = section.get("sweep")
-    extras: dict[str, Any] = {"workers": workers, "sweep": None}
-    if sweep_def is not None:
-        if not isinstance(sweep_def, dict):
-            raise ConfigError("tournament.sweep: must be a mapping")
-        axis = sweep_def.get("axis")
-        values = sweep_def.get("values")
-        if axis not in SWEEP_AXES:
+    sweep = None
+    if record.sweep is not None:
+        sweep = SweepRecord(**check_fields(SweepRecord, record.sweep, "tournament.sweep."))
+        if sweep.axis not in SWEEP_AXES:
             raise ConfigError(f"tournament.sweep.axis: must be one of {', '.join(SWEEP_AXES)}")
-        if not isinstance(values, list) or not values:
+        if not sweep.values:
             raise ConfigError("tournament.sweep.values: need a non-empty list")
         if len(cells) != 1:
             raise ConfigError("tournament.sweep: works with exactly one base cell")
+        base = cells.pop()
         first: dict[Any, int] = {}  # typed value -> index of its first appearance
-        for i, value in enumerate(values):
+        for i, value in enumerate(sweep.values):
             where = f"tournament.sweep.values[{i}]"
             try:
-                typed = getattr(swept_config(cells[0].config, axis, value), SWEEP_FIELDS[axis])
+                config = swept_config(base.config, sweep.axis, value)
             except (ConfigError, EngineError) as exc:
                 raise ConfigError(f"{where}: {exc}") from None
+            typed = getattr(config, SWEEP_FIELDS[sweep.axis])
             if typed in first:
                 raise ConfigError(
                     f"{where}: {value!r} repeats tournament.sweep.values[{first[typed]}]"
                 )
             first[typed] = i
-        extras["sweep"] = (str(axis), list(values))
-    return spec, extras
+            cells.append(replace(base, name=f"{base.name}[{sweep.axis}={value}]", config=config))
+    axis_values = None if sweep is None else (sweep.axis, sweep.values)
+    spec = TournamentSpec(tuple(cells), record.seeds, master, axis_values)
+    return spec, {"workers": record.workers}

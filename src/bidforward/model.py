@@ -54,11 +54,12 @@ def check_value(where: str, value, kind, optional: bool = False):
     The one rule for config fields and strategy parameters: a bool is no
     number, a number no bool, and a string neither. A whole float such as
     ``3.0`` becomes ``3`` where an int is due, and an int becomes a float
-    where a float is due. ``tuple[int, ...]`` takes a list of such ints.
+    where a float is due. ``tuple[int, ...]`` takes a list of such ints,
+    ``dict`` a mapping, and ``object`` any value, to be checked by its reader.
     None passes only where ``optional``.
     """
-    if value is None and optional:
-        return None
+    if (value is None and optional) or kind is object:
+        return value
     if kind is bool or kind is str:
         if isinstance(value, kind):
             return value
@@ -73,6 +74,10 @@ def check_value(where: str, value, kind, optional: bool = False):
             elif isinstance(value, int) or value.is_integer():
                 return int(value)
         due = "an integer" if kind is int else "a number"
+    elif kind is dict:
+        if isinstance(value, dict):
+            return value
+        due = "a mapping"
     else:
         if isinstance(value, (list, tuple)):
             item = get_args(kind)[0]

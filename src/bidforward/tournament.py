@@ -1,10 +1,11 @@
-"""Multi-seed, multi-config batches: cells, sweeps, ranking, aggregation.
+"""Multi-seed, multi-config batches: cells, ranking, aggregation.
 
 A cell fixes a game config, a topology spec and a strategy mix; it is run
 over a number of seeds, each derived from the master seed and the cell and
-seed indices, so any single run of a batch can be reproduced on its own.
-Cells and seeds are independent and may execute in parallel: forked worker
-processes inherit the task list, each reports its outcomes as plain data
+seed indices, so any single run of a batch can be reproduced on its own. A
+sweep of one game parameter is a batch with a cell per value, and its cells
+share their seeds. Runs are independent and may execute in parallel: forked
+worker processes inherit the task list, each reports its outcomes as plain data
 through its own pipe, and the parent places them in task order, so
 aggregation always reduces in canonical cell order. A worker that dies fails
 its tasks in the table; platforms without ``os.fork`` run every task in
@@ -20,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import BinaryIO, NoReturn
 
 from .engine import GameConfig, run_simulation
-from .model import Money, NodeId, check_value, field_kinds
+from .model import Money, NodeId
 from .predictor import PredictorConfig
 from .seeding import derive_seed
 from .strategies import build_strategy
@@ -159,15 +160,28 @@ class CellSpec:
 
 @dataclass(frozen=True)
 class TournamentSpec:
+    """Cells, each run over ``seeds_per_cell`` seeds derived from ``master_seed``.
+
+    ``sweep`` is the ``(axis, values)`` pair a sweep's cells were made from,
+    one cell per value in order, or None. The cells of a sweep share their
+    seeds, as common random numbers, so its values differ only in the swept
+    parameter; other cells run independent seeds (``run_seed``).
+    """
+
     cells: tuple[CellSpec, ...]
     seeds_per_cell: int = 1
     master_seed: int = 0
+    sweep: tuple[str, tuple] | None = None
 
     def __post_init__(self) -> None:
         if self.seeds_per_cell < 1:
             raise ValueError("seeds_per_cell must be >= 1")
         if not self.cells:
             raise ValueError("tournament needs at least one cell")
+
+    def run_seed(self, cell_index: int, seed_index: int) -> int:
+        """The run seed of seed ``seed_index`` of cell ``cell_index``."""
+        return derive_seed(self.master_seed, 0 if self.sweep else cell_index, seed_index)
 
 
 @dataclass
@@ -204,6 +218,13 @@ class RankTable:
 
     cells: dict[str, dict[str, StrategyAggregate]] = field(default_factory=dict)
     errors: dict[str, str] = field(default_factory=dict)
+
+    def only(self, name: str) -> RankTable:
+        """The table of cell ``name`` alone: its rows and its failures."""
+        return RankTable(
+            {n: rows for n, rows in self.cells.items() if n == name},
+            {n: error for n, error in self.errors.items() if n == name},
+        )
 
     def to_csv(self) -> str:
         max_ranks = max(
@@ -273,11 +294,10 @@ def run_cell_seed(cell: CellSpec, run_seed: int) -> dict[str, tuple[int, Money, 
     return sums
 
 
-def _run_cell_seed_task(task: tuple[CellSpec, int, int, int]) -> dict | str:
+def _run_cell_seed_task(task: tuple[CellSpec, int]) -> dict | str:
     """One task's per-strategy sums, or its failure as ``"<ExceptionType>: <message>"``."""
-    cell, cell_index, seed_index, master_seed = task
     try:
-        return run_cell_seed(cell, derive_seed(master_seed, cell_index, seed_index))
+        return run_cell_seed(*task)
     except Exception as exc:  # noqa: BLE001 - recorded, not fatal
         return f"{type(exc).__name__}: {exc}"
 
@@ -346,7 +366,7 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
     in this process. Per-cell failures are recorded in the table, not raised.
     """
     tasks = [
-        (cell, ci, si, spec.master_seed)
+        (cell, spec.run_seed(ci, si))
         for ci, cell in enumerate(spec.cells)
         for si in range(spec.seeds_per_cell)
     ]
@@ -357,15 +377,14 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
         outcomes = [_run_cell_seed_task(task) for task in tasks]
 
     table = RankTable()
-    per_task = iter(outcomes)
-    for ci, cell in enumerate(spec.cells):
+    per_task = zip(tasks, outcomes)
+    for cell in spec.cells:
         per_cell: dict[str, StrategyAggregate] = {}
         n_strategies = len({e.strategy for e in cell.mix})
         failures = []
         for si in range(spec.seeds_per_cell):
-            outcome = next(per_task)
+            (_, run_seed), outcome = next(per_task)
             if isinstance(outcome, str):
-                run_seed = derive_seed(spec.master_seed, ci, si)
                 failures.append(f"seed {si} (run seed {run_seed}): {outcome}")
                 continue
             seed_means = {
@@ -388,45 +407,3 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
         if per_cell:
             table.cells[cell.name] = per_cell
     return table
-
-
-#: Sweep axis -> the ``GameConfig`` field it sets; the field's annotation types its values.
-SWEEP_FIELDS = {"fine": "fine", "ttl": "ttl", "churn": "churn_rate"}
-SWEEP_AXES = tuple(SWEEP_FIELDS)
-
-
-def swept_config(config: GameConfig, axis: str, value) -> GameConfig:
-    """``config`` with the field of sweep ``axis`` set to ``value``, checked by its kind."""
-    name = SWEEP_FIELDS[axis]
-    value = check_value(name, value, *field_kinds(GameConfig)[name])
-    return dataclasses.replace(config, **{name: value})
-
-
-def sweep(
-    axis: str,
-    values: list,
-    base: CellSpec,
-    seeds_per_cell: int,
-    master_seed: int,
-    workers: int = 1,
-):
-    """One RankTable per value of the swept game parameter.
-
-    Yields ``(value, table)`` pairs as each value finishes, so callers can
-    persist completed results before later values run.
-    """
-    if axis not in SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}")
-    if not values:
-        raise ValueError("sweep needs at least one value")
-    return _sweep_iter(axis, list(values), base, seeds_per_cell, master_seed, workers)
-
-
-def _sweep_iter(axis, values, base, seeds_per_cell, master_seed, workers):
-    for value in values:
-        config = swept_config(base.config, axis, value)
-        cell = dataclasses.replace(base, name=f"{base.name}[{axis}={value}]", config=config)
-        table = run_tournament(
-            TournamentSpec((cell,), seeds_per_cell, master_seed), workers=workers
-        )
-        yield value, table

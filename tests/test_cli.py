@@ -261,26 +261,22 @@ class TestTournamentCommand:
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert "sweep.values" in capsys.readouterr().err
 
-    def test_completed_value_files_survive_a_crash(self, tmp_path, monkeypatch):
-        import bidforward.tournament as tournament_mod
+    def test_sweep_forks_its_workers_once(self, tmp_path, monkeypatch):
+        forks, real_fork = [], os.fork
 
-        real = tournament_mod.run_tournament
-        calls = {"n": 0}
+        def counting_fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
 
-        def flaky(spec, workers=1):
-            calls["n"] += 1
-            if calls["n"] == 2:
-                raise RuntimeError("simulated interruption")
-            return real(spec, workers=workers)
-
-        monkeypatch.setattr(tournament_mod, "run_tournament", flaky)
+        monkeypatch.setattr(os, "fork", counting_fork)
         conf = write_config(
-            tmp_path, self.tournament_tree(sweep={"axis": "fine", "values": [0, 200]})
+            tmp_path, self.tournament_tree(sweep={"axis": "fine", "values": [0, 100, 200]})
         )
-        out = str(tmp_path / "t")
-        assert main(["tournament", "--config", conf, "--out", out]) == 1
-        assert os.path.exists(os.path.join(out, "ranktable_fine_0.csv"))
-        assert not os.path.exists(os.path.join(out, "ranktable_fine_200.csv"))
+        args = ["tournament", "--config", conf, "--out", str(tmp_path / "t"), "--workers", "2"]
+        assert main(args) == 0
+        assert len(forks) == 2
 
     @pytest.mark.parametrize("sweep", [None, {"axis": "fine", "values": [0, 200]}])
     def test_failed_cells_exit_one(self, tmp_path, capsys, sweep):
@@ -441,6 +437,10 @@ class TestConfigValueChecks:
         ("game.budget", "100", "game.budget must be an integer, got '100'"),
         ("topology.n", "20", "topology.n must be an integer, got '20'"),
         ("predictor.epsilon", "inf", "predictor.epsilon must be a number, got 'inf'"),
+        ("game", 5, "game must be a mapping, got 5"),
+        ("strategies", {"strategy": "fair"}, "strategies must be a list"),
+        ("strategies", ["fair"], "strategies[0] must be a mapping, got 'fair'"),
+        ("strategies.0.params", [], "strategies[0].params must be a mapping, got []"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -455,11 +455,21 @@ class TestConfigValueChecks:
         ("tournament.workers", "2", "tournament.workers must be an integer, got '2'"),
         ("tournament.cells", [{"name": None}], "tournament.cells[0].name must be a string"),
         ("tournament.cells", [{"name": [1]}], "tournament.cells[0].name must be a string"),
+        ("tournament.cells", [{"name": "a", "override": {"game.fine": 0}}],
+         "tournament.cells[0].override: unknown field"),
+        ("tournament.sweep", {"axis": "fine", "values": [0, 1], "valeus": [3]},
+         "tournament.sweep.valeus: unknown field"),
+        ("tournament.cells", {}, "tournament.cells must be a list, got {}"),
+        ("tournament.cells", ["base"], "tournament.cells[0] must be a mapping, got 'base'"),
+        ("tournament.cells", [{"overrides": ["game.fine=0"]}],
+         "tournament.cells[0].overrides must be a mapping"),
+        ("tournament.sweep", [{"axis": "fine"}], "tournament.sweep must be a mapping"),
     ])
     def test_tournament_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert field in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
 
     @pytest.mark.parametrize("path", [
         "game.packets_total", "game.budget", "game.churn_rate", "game.seed",
@@ -513,6 +523,21 @@ class TestChecksBeforeAnyRun:
         conf = write_config(tmp_path, tree)
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert "tournament.cells[1].name" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("overrides, path", [
+        ({"game.seed": 99}, "game.seed"),
+        ({"game.fine": 0, "tournament.seeds": 99}, "tournament.seeds"),
+        ({"tournament.workers": 2}, "tournament.workers"),
+        ({"tournament": {"seeds": 2}}, "tournament"),
+    ])
+    def test_cell_overrides_of_what_every_cell_shares_rejected(
+        self, tmp_path, capsys, overrides, path
+    ):
+        tree = with_override("tournament.cells", [{"name": "a", "overrides": overrides}])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
+        assert f"tournament.cells[0]: {path}: every cell shares it" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t")
 
     @pytest.mark.parametrize("axis, values, field", [

@@ -7,9 +7,12 @@ of a tournament. ``tests/golden_khop.json`` holds the same digest for
 tapes small enough to trim, forced bids), and for ``wolfpack-pack`` under
 ``khop`` scopes, where every pack member keeps a store of its own and the
 stores hear events by distance on a churning graph. Each case names its
-workload. A change that moves any of them
-changes output; this test makes that a tier-1 failure. The files under
-``benches/`` are only read.
+workload. ``tests/golden_sweep.json`` pins two sweeps of ``tournament-mix``,
+one whose seeds all run and one where some fail: the sorted names of the
+``ranktable*.csv`` files written, the exit status, and the sha256 of the
+files' digest followed by stdout and stderr, at ``--workers`` 1 and 3 alike.
+A change that moves any of them changes output; this test makes that a
+tier-1 failure. The files under ``benches/`` are only read.
 """
 
 import hashlib
@@ -24,10 +27,11 @@ from bidforward.cli import main
 BENCH_DIR = Path(__file__).resolve().parents[1] / "benches"
 GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text())
 GOLDEN_KHOP = json.loads(Path(__file__).with_name("golden_khop.json").read_text())
+GOLDEN_SWEEP = json.loads(Path(__file__).with_name("golden_sweep.json").read_text())
 
 
-def run_digest(args, out, names=("events.csv", "balances.csv")):
-    assert main([*args, "--out", str(out)]) == 0
+def run_digest(args, out, names=("events.csv", "balances.csv"), status=0):
+    assert main([*args, "--out", str(out)]) == status
     return hashlib.sha256(b"".join((out / n).read_bytes() for n in names)).hexdigest()
 
 
@@ -49,3 +53,20 @@ def test_khop_histories_match_the_golden_digest(case, tmp_path):
     for override in expected["overrides"]:
         args += ["--override", override]
     assert run_digest(args, tmp_path) == expected["digest"]
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("case", sorted(GOLDEN_SWEEP["cases"]))
+def test_sweep_outputs_match_the_golden_digest(case, workers, tmp_path, monkeypatch, capsys):
+    expected = GOLDEN_SWEEP["cases"][case]
+    config = BENCH_DIR / "workloads" / f"{GOLDEN_SWEEP['workload']}.yaml"
+    args = ["tournament", "--config", str(config), "--workers", str(workers)]
+    for override in expected["overrides"]:
+        args += ["--override", override]
+    monkeypatch.chdir(tmp_path)  # stdout names the output directory as given
+    out = Path("out")
+    files = run_digest(args, out, expected["files"], expected["status"])
+    assert sorted(p.name for p in out.glob("ranktable*.csv")) == expected["files"]
+    captured = capsys.readouterr()
+    text = f"{files}\n{captured.out}{captured.err}"
+    assert hashlib.sha256(text.encode()).hexdigest() == expected["digest"]

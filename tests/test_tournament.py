@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from bidforward import config as cfg
 from bidforward import tournament
 
 from bidforward.engine import GameConfig
@@ -21,7 +22,6 @@ from bidforward.tournament import (
     make_mix_entry,
     run_cell_seed,
     run_tournament,
-    sweep,
 )
 
 MIX = (
@@ -35,6 +35,23 @@ def small_cell(name="base", **config_kwargs):
     config = GameConfig(packets_total=8, injection_rate=2, **config_kwargs)
     topo = TopologySpec(kind="ring", n=8, radius=None, gateways=(0,))
     return CellSpec(name=name, config=config, topology=topo, mix=MIX)
+
+
+def swept_spec(axis, values, seeds, master_seed, topology=None, strategies=None):
+    """The spec ``config.build_tournament`` makes of a sweep over a small ring,
+    or over ``topology`` with ``strategies``."""
+    tree = {
+        "game": {"packets_total": 8, "injection_rate": 2, "seed": master_seed},
+        "topology": topology or {"kind": "ring", "n": 8, "radius": None},
+        "strategies": strategies or [
+            {"strategy": "fair", "count": 4},
+            {"strategy": "wolfpack", "params": {"pack": "a"}, "count": 2},
+            {"strategy": "random", "rest": True},
+        ],
+        "tournament": {"seeds": seeds, "sweep": {"axis": axis, "values": values}},
+    }
+    spec, _ = cfg.build_tournament(tree)
+    return spec
 
 
 class TestAssignMix:
@@ -264,37 +281,38 @@ class TestForkedWorkers:
 
 
 class TestSweep:
-    def test_single_value_equals_run_tournament(self):
-        cell = small_cell()
-        [(value, table)] = sweep("fine", [200], cell, 2, master_seed=7)
-        direct = run_tournament(
-            TournamentSpec(
-                (dataclasses.replace(cell, name="base[fine=200]"),), 2, master_seed=7
-            )
-        )
-        assert value == 200
-        assert table.to_csv() == direct.to_csv()
+    def test_each_value_equals_a_one_cell_tournament(self):
+        # A sweep's values share seeds: each runs the seeds it would run alone.
+        spec = swept_spec("fine", [0, 200], seeds=2, master_seed=7)
+        table = run_tournament(spec)
+        assert list(table.cells) == ["base[fine=0]", "base[fine=200]"]
+        for cell in spec.cells:
+            alone = run_tournament(TournamentSpec((cell,), 2, master_seed=7))
+            assert table.only(cell.name).to_csv() == alone.to_csv()
+
+    def test_cells_of_a_sweep_share_seeds_and_other_cells_do_not(self):
+        spec = swept_spec("ttl", [1, 4], seeds=3, master_seed=7)
+        plain = dataclasses.replace(spec, sweep=None)
+        for si in range(3):
+            assert spec.run_seed(0, si) == spec.run_seed(1, si) == derive_seed(7, 0, si)
+            assert plain.run_seed(1, si) == derive_seed(7, 1, si) != plain.run_seed(0, si)
 
     def test_axis_values_applied(self):
-        tables = list(sweep("ttl", [1, 4], small_cell(), 1, master_seed=7))
-        assert [v for v, _ in tables] == [1, 4]
-        names = [next(iter(t.cells)) for _, t in tables]
+        spec = swept_spec("ttl", [1, 4], seeds=1, master_seed=7)
+        assert spec.sweep == ("ttl", (1, 4))
+        assert [cell.config.ttl for cell in spec.cells] == [1, 4]
+        names = list(run_tournament(spec).cells)
         assert names == ["base[ttl=1]", "base[ttl=4]"]
 
-    def test_bad_axis_rejected(self):
-        with pytest.raises(ValueError):
-            sweep("budget", [1], small_cell(), 1, 0)
-        with pytest.raises(ValueError):
-            sweep("fine", [], small_cell(), 1, 0)
-
     def test_more_ttl_never_hurts_fair_delivery(self):
-        cell = dataclasses.replace(
-            small_cell(), mix=(make_mix_entry("fair"),),
-            topology=TopologySpec(kind="grid", n=9, radius=None, gateways=(0,)),
+        spec = swept_spec(
+            "ttl", [1, 2, 4, 6], seeds=3, master_seed=11,
+            topology={"kind": "grid", "n": 9, "radius": None},
+            strategies=[{"strategy": "fair", "rest": True}],
         )
-        tables = list(sweep("ttl", [1, 2, 4, 6], cell, 3, master_seed=11))
+        table = run_tournament(spec)
         delivered = [
-            sum(a.total_delivered for a in t.cells[next(iter(t.cells))].values())
-            for _, t in tables
+            sum(a.total_delivered for a in table.cells[cell.name].values())
+            for cell in spec.cells
         ]
         assert delivered == sorted(delivered)
