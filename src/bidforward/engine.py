@@ -16,18 +16,22 @@ winner, and its auctions skip those nodes. Each bid is still checked against
 the graph's own neighbour set.
 
 Every event goes to the observer stores that hear it and act on its kind;
-a run without stores skips that step. Bids do not reach the bid histories
-as events: the auction hands each bid to the run's one ``BidFeed``, which
-writes the run's one bid tape, and every bid history is a window onto it.
-The scope decides who hears. Under ``global`` all subscribers share one
-store and every history hears every bid; each recorded bid is folded into
-the tape's chains once, by the first history to query after it. Under
-``khop:<k>`` every subscriber keeps its own store and hears the events
-within k hops of it. A packet keeps its announcements, each with the mask
-of the history owners that heard it, and the feed records a bid once per
-group of its hearers that heard the same latest announcement, with the
-group's mask. A history's ``HeardWindow`` reads the records whose mask has
-its owner's bit, folding them only when it queries.
+a run without stores skips that step. An event is built only for the log or
+for a store that acts on it, and its seq advances either way, so a run that
+keeps no log (``log=False``) numbers its events as a logged run does.
+
+Bids do not reach the bid histories as events: the auction hands each bid
+to the run's one ``BidFeed``, which writes the run's one bid tape, and every
+bid history is a window onto it. The scope decides who hears. Under
+``global`` all subscribers share one store and every history hears every
+bid; each recorded bid is folded into the tape's chains once, by the first
+history to query after it. Under ``khop:<k>`` every subscriber keeps its own
+store and hears the events within k hops of it. A packet keeps its
+announcements, each with the mask of the history owners that heard it, and
+the feed records a bid once per group of its hearers that heard the same
+latest announcement, with the group's mask. A history's ``HeardWindow``
+reads the records whose mask has its owner's bit, folding them only when it
+queries.
 
 Views are taken once per run. After a churn step each is re-pointed at the
 new graph, which drops what it had read off the old one.
@@ -70,6 +74,11 @@ _DELIVERED = EventKind.DELIVERED
 _DROPPED = EventKind.DROPPED
 _FINE = EventKind.FINE_ASSESSED
 _PAYMENT = EventKind.PAYMENT
+
+# Events are built as ``_new_tuple(GameEvent, fields)``: the NamedTuple's own
+# ``__new__`` is a Python function, and binding its eleven fields costs about
+# 2.5 times as much as the tuple itself.
+_new_tuple = tuple.__new__
 
 FINE_MODES = ("path-split", "dropper-only")
 
@@ -221,7 +230,12 @@ def balances_csv(result: SimulationResult) -> str:
 
 class Simulation:
     """One deterministic run. ``run()`` drives it; ``step_round()`` exposes
-    round granularity for instrumentation."""
+    round granularity for instrumentation.
+
+    With ``log=False`` the run keeps no event log (``events`` stays empty)
+    and builds an event only for a store that acts on it; balances, stats,
+    settlements and every store's profiles are those of the logged run.
+    """
 
     def __init__(
         self,
@@ -229,6 +243,8 @@ class Simulation:
         graph: TopologyGraph,
         assignment: dict[NodeId, Strategy],
         predictor: PredictorConfig | None = None,
+        *,
+        log: bool = True,
     ):
         missing = [n for n in range(graph.n) if n not in assignment]
         if missing:
@@ -307,6 +323,7 @@ class Simulation:
                 self._packs.setdefault(ctx.pack, []).append(ctx.observer)  # type: ignore[arg-type]
         self._reset_tables()
 
+        self._log = log
         self.events: list[GameEvent] = []
         self.balances: dict[NodeId, Money] = {n: 0 for n in range(graph.n)}
         self.backbone_balance: Money = 0
@@ -344,11 +361,6 @@ class Simulation:
             hearers = self._hearers[location] = self._scope.hearers(location, self._views)
         return hearers
 
-    def _listening(self, location: NodeId) -> int | None:
-        """The mask of the history owners that hear ``location``, or None under
-        ``global``, where every history hears."""
-        return None if self._shared else self._hearing(location) & self._history_owners
-
     def _backbone_distance(self, node: NodeId) -> int | None:
         """Hops from the backbone (one past its gateways) to ``node``."""
         best = None
@@ -373,31 +385,41 @@ class Simulation:
         prev: Money | None = None,
         reason: str | None = None,
     ) -> None:
-        """Log one event and apply it to every store that hears it and acts on its kind.
+        """Take the next seq, and log the event and apply it to every store
+        that hears it and acts on its kind.
 
-        A location's audience is built once per graph from its hearers mask:
-        the stores of the store owners in it, walked bit by bit in ascending
-        order. A run without stores builds none. Bid histories hear bids
-        from the auction, not from here (see ``_collect_bids``).
+        The event is built only when the run keeps its log or its audience
+        is not empty; the seq advances either way. A location's audience is
+        built once per graph from its hearers mask: the stores of the store
+        owners in it, walked bit by bit in ascending order. A run without
+        stores builds none. Bid histories hear bids from the auction, not
+        from here (see ``_collect_bids``).
         """
-        # Positional: a NamedTuple binds keyword arguments at about twice the cost.
-        event = GameEvent(
-            self.round, self._seq, kind, packet_id, node, amount, location,
-            dest, dist, prev, reason,
-        )
-        self._seq += 1
-        self.events.append(event)
-        if not self._store_owners:
+        seq = self._seq
+        self._seq = seq + 1
+        if self._store_owners:
+            audience = self._audience.get((location, kind))
+            if audience is None:
+                heard = self._heard.get(location)
+                if heard is None:
+                    stores = self._hearing(location) & self._store_owners
+                    heard = self._heard[location] = [
+                        self._owned[owner] for owner in members(stores)
+                    ]
+                audience = self._audience[(location, kind)] = [
+                    sink for kinds, sink in heard if kind in kinds
+                ]
+            if not audience and not self._log:
+                return
+        elif self._log:
+            audience = ()
+        else:
             return
-        audience = self._audience.get((location, kind))
-        if audience is None:
-            heard = self._heard.get(location)
-            if heard is None:
-                stores = self._hearing(location) & self._store_owners
-                heard = self._heard[location] = [self._owned[owner] for owner in members(stores)]
-            audience = self._audience[(location, kind)] = [
-                sink for kinds, sink in heard if kind in kinds
-            ]
+        event = _new_tuple(GameEvent, (
+            self.round, seq, kind, packet_id, node, amount, location, dest, dist, prev, reason,
+        ))
+        if self._log:
+            self.events.append(event)
         for sink in audience:
             sink(event)
 
@@ -474,7 +496,9 @@ class Simulation:
                 chooser = lambda req, bs: holder_strategy.choose_winner(req, bs, holder_ctx)
             request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
             if announced is not None:
-                announced.append((request.ceiling, request.hop_distance, self._listening(holder)))
+                # Under global every history hears; otherwise the owners in the holder's hearers.
+                heard = None if self._shared else self._hearing(holder) & self._history_owners
+                announced.append((request.ceiling, request.hop_distance, heard))
             bids = self._collect_bids(request, on_path, announced)
             winner = run_auction(request, bids, chooser)
             if winner is None:
@@ -541,7 +565,9 @@ class Simulation:
         checked against the graph's own neighbour set, so a table gone stale
         raises ``EngineError`` instead of inviting the wrong nodes. Each bid
         goes to the bid feed, with the packet's ``announced`` list, when some
-        history owner hears its bidder, before the next bidder is asked.
+        history owner hears its bidder, before the next bidder is asked: every
+        bid under ``global``, where every history hears, and otherwise a bid
+        whose bidder's hearers include a history owner.
         """
         holder = request.holder
         graph = self.graph
@@ -550,6 +576,9 @@ class Simulation:
         if bidders is None:
             bidders = self._bidders[holder] = tuple(sorted(neighbors))
         strategies, contexts = self.strategies, self.contexts
+        emit, packet_id, rnd = self._emit, request.packet_id, self.round
+        hear = None if announced is None else self._feed.hear
+        owners = None if self._shared else self._history_owners
         bids: list[Bid] = []
         for node in bidders:
             if node in on_path:
@@ -561,19 +590,23 @@ class Simulation:
                         f"node {node} ({strategies[node].name}) abstained under forced-bid mode"
                     )
                 continue
-            bid = Bid(node, int(amount))
+            amount = int(amount)
+            bid = Bid(node, amount)
             rejected = validate_bid(request, bid, on_path, neighbors)
             if rejected is not None:
                 raise EngineError(
                     f"node {node} ({strategies[node].name}) placed an invalid bid "
-                    f"of {bid.amount} on packet {request.packet_id}: {rejected}"
+                    f"of {amount} on packet {packet_id}: {rejected}"
                 )
             bids.append(bid)
-            self._emit(_BID_PLACED, request.packet_id, node, bid.amount, node)
-            if announced is not None:
-                hearers = self._listening(node)
-                if hearers is None or hearers:
-                    self._feed.hear(announced, node, bid.amount, self.round, hearers)
+            emit(_BID_PLACED, packet_id, node, amount, node)
+            if hear is not None:
+                if owners is None:
+                    hear(announced, node, amount, rnd)
+                else:
+                    hearers = self._hearing(node) & owners
+                    if hearers:
+                        hear(announced, node, amount, rnd, hearers)
         return bids
 
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:
@@ -628,6 +661,8 @@ def run_simulation(
     graph: TopologyGraph,
     assignment: dict[NodeId, Strategy],
     predictor: PredictorConfig | None = None,
+    *,
+    log: bool = True,
 ) -> SimulationResult:
-    """Build and run one simulation to completion."""
-    return Simulation(config, graph, assignment, predictor).run()
+    """Build and run one simulation to completion; ``log`` as for ``Simulation``."""
+    return Simulation(config, graph, assignment, predictor, log=log).run()

@@ -10,11 +10,11 @@ the event log's ``key=value`` column, for CSV output only.
 
 A run builds these records per event, per bid and per hop, so none of them
 is a frozen dataclass, whose ``__init__`` pays one ``object.__setattr__``
-per field. ``GameEvent`` is a ``NamedTuple``: the log, every sink that
-hears an event and the predictor's point memo share one event object, so
-it stays immutable and hashable. ``Packet``, ``AuctionRequest``, ``Bid``
-and ``PathLedger`` are slotted dataclasses that keep their validating
-``__post_init__``; nothing assigns their fields after construction. The
+per field. ``GameEvent`` is a ``NamedTuple``: the log and every sink that
+hears an event share one event object, so it stays immutable and hashable.
+``Packet``, ``AuctionRequest``, ``Bid`` and ``PathLedger`` are slotted
+dataclasses that keep their validating ``__post_init__``; nothing assigns
+their fields after construction. The
 predictor's ``BidHistoryPoint`` and the wolf pack's ``BidderMetrics`` are
 slotted for the same reason. Records built once per run (the game, predictor, topology and tournament
 configs) stay frozen.

@@ -273,6 +273,9 @@ def run_cell_seed(cell: CellSpec, run_seed: int) -> dict[str, tuple[int, Money, 
     """One (cell, seed) simulation, reduced to per-strategy sums.
 
     Returns strategy -> (node count, balance sum, delivered sum, fines sum).
+    The run keeps no event log: it builds an event only for a store that
+    acts on it, and its seqs advance either way, so the sums are those of
+    the logged run at the same seed.
     """
     graph = cell.topology.build(run_seed)
     resolved = assign_mix(cell.mix, graph.n, run_seed)
@@ -280,7 +283,7 @@ def run_cell_seed(cell: CellSpec, run_seed: int) -> dict[str, tuple[int, Money, 
         node: build_strategy(name, params) for node, (name, params) in resolved.items()
     }
     config = dataclasses.replace(cell.config, master_seed=run_seed)
-    result = run_simulation(config, graph, assignment, cell.predictor)
+    result = run_simulation(config, graph, assignment, cell.predictor, log=False)
     sums: dict[str, tuple[int, Money, int, Money]] = {}
     for node, name in result.strategy_names.items():
         cnt, bal, deliv, fines = sums.get(name, (0, 0, 0, 0))

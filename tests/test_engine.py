@@ -657,6 +657,66 @@ class TestViewsFollowTheGraph:
         assert sim._audience == {} and sim._heard == {}
 
 
+class TestUnloggedRun:
+    """A run with ``log=False`` is the logged run without its log: the same
+    money, the same stores and the same event ids, built only for stores."""
+
+    @staticmethod
+    def build(observation, churn_rate, forced, log):
+        # A sparse graph, so that under khop some events reach no pack store,
+        # and a short TTL, so that packets drop and fines are paid too.
+        g = generate("geometric", 30, radius=0.25, seed=1)
+        kinds = [
+            ("always_one", {}), ("sniper", {}),
+            ("wolfpack", {"pack": "a", "sabotage_enabled": True}), ("random", {}), ("fair", {}),
+        ]
+        assignment = {n: build_strategy(*kinds[n % len(kinds)]) for n in range(30)}
+        assignment[0] = build_strategy("fair")
+        config = GameConfig(
+            packets_total=40, injection_rate=2, ttl=4, observation=observation,
+            churn_rate=churn_rate, forced_bid_mode=forced, master_seed=6,
+        )
+        return Simulation(config, g, assignment, log=log)
+
+    @pytest.mark.parametrize("observation, churn_rate, forced", [
+        ("global", 0.0, False),
+        ("khop:2", 0.05, False),
+        ("khop:2", 0.05, True),
+    ], ids=["global", "khop-churn", "khop-churn-forced"])
+    def test_same_run_without_events(self, observation, churn_rate, forced):
+        logged = self.build(observation, churn_rate, forced, log=True)
+        unlogged = self.build(observation, churn_rate, forced, log=False)
+        pack_stores, retained = 0, set()
+        while True:
+            more = logged.step_round()
+            assert unlogged.step_round() == more
+            assert unlogged.balances == logged.balances
+            for node, ctx in logged.contexts.items():
+                store, other = ctx.observer, unlogged.contexts[node].observer
+                if store is None:
+                    continue
+                assert other.profiles == store.profiles
+                assert other.packet_paths == store.packet_paths
+                if store.retain_events:
+                    pack_stores += 1
+                    assert set(other.events) == set(store.events)
+                    assert other.applied == store.applied
+                    retained |= store.applied
+            if not more:
+                break
+        assert (pack_stores > 0) == (observation != "global")
+        result, bare = logged.run(), unlogged.run()
+        if pack_stores:
+            # Pack stores see gaps in the seqs, where events went unbuilt.
+            assert retained and {e.event_id for e in result.events} > retained
+        assert bare.events == []
+        assert {EventKind.FINE_ASSESSED, EventKind.BID_PLACED} <= {e.kind for e in result.events}
+        assert bare.stats == result.stats and bare.settlements == result.settlements
+        assert bare.backbone_balance == result.backbone_balance
+        tape, other = logged._feed.tape, unlogged._feed.tape
+        assert tape.points and other.points == tape.points and other.dropped == tape.dropped
+
+
 class TestScopedObservation:
     def test_khop_store_never_sees_far_events(self, monkeypatch):
         applied: dict[int, set[tuple[int, int]]] = {}

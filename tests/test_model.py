@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bidforward import engine
 from bidforward.engine import GameConfig, Simulation
 from bidforward.model import (
     AuctionRequest,
@@ -19,6 +20,7 @@ from bidforward.model import (
     parse_extra,
     validate_bid,
 )
+from bidforward.observation import ObserverStore
 from bidforward.predictor import BidHistoryPoint
 from bidforward.strategies import BidderMetrics, build_strategy
 from bidforward.topology import generate
@@ -170,15 +172,22 @@ class TestRecordContract:
     def test_per_bid_and_per_hop_records_have_no_dict(self, record):
         assert not hasattr(record, "__dict__")
 
-    def test_one_event_built_per_logged_event(self, monkeypatch):
+    @staticmethod
+    def counted_run(monkeypatch, log):
+        """A khop run with packs and churn, and the events the engine built for it.
+
+        The engine builds each event through ``engine._new_tuple``; counting
+        those calls counts the events built.
+        """
         built = []
-        new = GameEvent.__new__
+        new = engine._new_tuple
 
-        def counting_new(cls, *args, **kwargs):
-            built.append(cls)
-            return new(cls, *args, **kwargs)
+        def counting_new(cls, fields):
+            event = new(cls, fields)
+            built.append(event)
+            return event
 
-        monkeypatch.setattr(GameEvent, "__new__", counting_new)
+        monkeypatch.setattr(engine, "_new_tuple", counting_new)
         graph = generate("geometric", 12, radius=0.45, seed=2)
         names = ["fair", "sniper", "wolfpack", "random", "always_one"]
         assignment = {n: build_strategy(names[n % len(names)]) for n in range(12)}
@@ -187,6 +196,23 @@ class TestRecordContract:
             packets_total=12, injection_rate=3, observation="khop:2", churn_rate=0.05,
             master_seed=4,
         )
-        result = Simulation(config, graph, assignment).run()
+        return Simulation(config, graph, assignment, log=log).run(), built
+
+    def test_one_event_built_per_logged_event(self, monkeypatch):
+        result, built = self.counted_run(monkeypatch, log=True)
         assert result.events and len(built) == len(result.events)
         assert all(type(e) is GameEvent for e in result.events)
+
+    def test_unlogged_run_builds_one_event_per_applied_event(self, monkeypatch):
+        applied = {}
+        apply = ObserverStore.apply
+
+        def recording_apply(store, event):
+            applied.setdefault(event.event_id, event)
+            return apply(store, event)
+
+        monkeypatch.setattr(ObserverStore, "apply", recording_apply)
+        result, built = self.counted_run(monkeypatch, log=False)
+        assert result.events == []
+        assert built and sorted(e.event_id for e in built) == sorted(applied)
+        assert all(type(e) is GameEvent for e in built)

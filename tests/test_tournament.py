@@ -11,8 +11,9 @@ import pytest
 from bidforward import config as cfg
 from bidforward import tournament
 
-from bidforward.engine import GameConfig
+from bidforward.engine import GameConfig, run_simulation
 from bidforward.seeding import derive_seed
+from bidforward.strategies import build_strategy
 from bidforward.tournament import (
     CellSpec,
     MixError,
@@ -109,6 +110,39 @@ class TestRunTournament:
             assert agg[name].mean_balance == bal / cnt
             assert agg[name].mean_delivered == deliv / cnt
             assert agg[name].mean_fines == fines / cnt
+
+    @pytest.mark.parametrize("observation, churn_rate", [("global", 0.0), ("khop:2", 0.05)])
+    def test_cell_seed_sums_equal_a_logged_run(self, observation, churn_rate):
+        mix = (
+            make_mix_entry("fair", nodes=(0,)),
+            make_mix_entry("always_one", count=3),
+            make_mix_entry("sniper", count=3),
+            make_mix_entry("wolfpack", {"pack": "a", "sabotage_enabled": True}, count=3),
+            make_mix_entry("random"),
+        )
+        config = GameConfig(
+            packets_total=30, injection_rate=2, ttl=3, observation=observation,
+            churn_rate=churn_rate,
+        )
+        topo = TopologySpec(kind="geometric", n=14, radius=0.35, gateways=(0,))
+        cell = CellSpec(name="mixed", config=config, topology=topo, mix=mix)
+        for run_seed in (derive_seed(3, 0, s) for s in range(3)):
+            graph = topo.build(run_seed)
+            assignment = {
+                node: build_strategy(name, params)
+                for node, (name, params) in assign_mix(mix, graph.n, run_seed).items()
+            }
+            result = run_simulation(
+                dataclasses.replace(config, master_seed=run_seed), graph, assignment
+            )
+            assert result.events
+            sums = {}
+            for node, name in result.strategy_names.items():
+                cnt, bal, deliv, fines = sums.get(name, (0, 0, 0, 0))
+                stats = result.stats[node]
+                sums[name] = (cnt + 1, bal + result.balances[node],
+                              deliv + stats.delivered, fines + stats.fines_paid)
+            assert run_cell_seed(cell, run_seed) == sums
 
     def test_rank_distribution_counts_seeds(self):
         spec = TournamentSpec((small_cell(),), seeds_per_cell=3, master_seed=1)
