@@ -22,16 +22,15 @@ keeps no log (``log=False``) numbers its events as a logged run does.
 
 Bids do not reach the bid histories as events: the auction hands each bid
 to the run's one ``BidFeed``, which writes the run's one bid tape, and every
-bid history is a window onto it. The scope decides who hears. Under
-``global`` all subscribers share one store and every history hears every
-bid; each recorded bid is folded into the tape's chains once, by the first
-history to query after it. Under ``khop:<k>`` every subscriber keeps its own
-store and hears the events within k hops of it. A packet keeps its
-announcements, each with the mask of the history owners that heard it, and
-the feed records a bid once per group of its hearers that heard the same
-latest announcement, with the group's mask. A history's ``HeardWindow``
-reads the records whose mask has its owner's bit, folding them only when it
-queries.
+bid history is a window onto it. A packet keeps its announcements, each with
+the mask of the history owners that heard it, and the feed records a bid
+once per group of its hearers that heard the same latest announcement, with
+the group's mask. A history reads the records whose mask has its owner's
+bit, folding them only when it queries. The scope decides who hears, by the
+one rule of ``ObservationScope.hearers``. Under ``global`` all subscribers
+share one store, and every history owner hears every bid but its own.
+Under ``khop:<k>`` every subscriber keeps its own store and hears the events
+within k hops of it.
 
 Views are taken once per run. After a churn step each is re-pointed at the
 new graph, which drops what it had read off the old one.
@@ -60,7 +59,7 @@ from .model import (
     validate_bid,
 )
 from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
-from .predictor import Announcements, BidFeed, BidHistory, HeardWindow, MaskedTape, PredictorConfig
+from .predictor import Announcements, BidFeed, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
 from .topology import TopologyGraph, churn, members, view_of
@@ -259,7 +258,7 @@ class Simulation:
             budget_norm=config.budget, ttl_norm=config.ttl
         )
         self._scope = parse_scope_spec(config.observation)
-        self._shared = shared = self._scope.mode == "global"
+        shared = self._scope.mode == "global"
         k = graph.n if shared else self._scope.k
         if shared:
             self._views = [view_of(graph, 0, k)] * graph.n
@@ -271,12 +270,10 @@ class Simulation:
             raise EngineError("every node is a gateway; no valid destinations exist")
 
         # Under global scope every subscriber hears every event in the same
-        # order, so all observers share one store. Every node's history
-        # windows the feed's tape, under khop scopes through its bit.
+        # order, so all observers share one store. Every node's history is a
+        # window onto the feed's tape, reading the records with its bit.
         shared_store = ObserverStore() if shared else None
-        tape = None if shared else MaskedTape(self.predictor_cfg)
-        self._feed = BidFeed(self.predictor_cfg, tape)
-        window = BidHistory if shared else HeardWindow
+        self._feed = BidFeed(self.predictor_cfg)
 
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))
@@ -292,7 +289,7 @@ class Simulation:
                     node, retain_events=strat.pack is not None
                 )
             if strat.uses_bid_history:
-                history = window(self.predictor_cfg, node, self._feed.tape)
+                history = BidHistory(self.predictor_cfg, node, self._feed.tape)
                 self._history_owners |= 1 << node
             ctx = self.contexts[node] = StrategyContext(
                 node=node,
@@ -496,8 +493,7 @@ class Simulation:
                 chooser = lambda req, bs: holder_strategy.choose_winner(req, bs, holder_ctx)
             request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
             if announced is not None:
-                # Under global every history hears; otherwise the owners in the holder's hearers.
-                heard = None if self._shared else self._hearing(holder) & self._history_owners
+                heard = self._hearing(holder) & self._history_owners
                 announced.append((request.ceiling, request.hop_distance, heard))
             bids = self._collect_bids(request, on_path, announced)
             winner = run_auction(request, bids, chooser)
@@ -564,10 +560,9 @@ class Simulation:
         that ``_process_packet`` grows with each winner. Every bid is still
         checked against the graph's own neighbour set, so a table gone stale
         raises ``EngineError`` instead of inviting the wrong nodes. Each bid
-        goes to the bid feed, with the packet's ``announced`` list, when some
-        history owner hears its bidder, before the next bidder is asked: every
-        bid under ``global``, where every history hears, and otherwise a bid
-        whose bidder's hearers include a history owner.
+        goes to the bid feed, with the packet's ``announced`` list and the
+        mask of the history owners that hear its bidder, when that mask is
+        not empty, before the next bidder is asked.
         """
         holder = request.holder
         graph = self.graph
@@ -578,7 +573,7 @@ class Simulation:
         strategies, contexts = self.strategies, self.contexts
         emit, packet_id, rnd = self._emit, request.packet_id, self.round
         hear = None if announced is None else self._feed.hear
-        owners = None if self._shared else self._history_owners
+        owners = self._history_owners
         bids: list[Bid] = []
         for node in bidders:
             if node in on_path:
@@ -601,12 +596,9 @@ class Simulation:
             bids.append(bid)
             emit(_BID_PLACED, packet_id, node, amount, node)
             if hear is not None:
-                if owners is None:
-                    hear(announced, node, amount, rnd)
-                else:
-                    hearers = self._hearing(node) & owners
-                    if hearers:
-                        hear(announced, node, amount, rnd, hearers)
+                hearers = self._hearing(node) & owners
+                if hearers:
+                    hear(announced, node, amount, rnd, hearers)
         return bids
 
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:

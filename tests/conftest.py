@@ -4,7 +4,7 @@ import pytest
 
 from bidforward.model import Money
 from bidforward.observation import ObserverStore
-from bidforward.predictor import BidHistory, HeardWindow, PredictorConfig
+from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import StrategyContext
 from bidforward.topology import TopologyGraph, view_of
 
@@ -38,18 +38,25 @@ def make_ctx(
     )
 
 
+def heard_history(
+    node: int, *points: BidHistoryPoint, cfg: PredictorConfig | None = None
+) -> BidHistory:
+    """``node``'s window onto a tape of its own, which recorded each of
+    ``points`` as heard by ``node``."""
+    cfg = cfg or PredictorConfig()
+    history = BidHistory(cfg, node, BidFeed(cfg).tape)
+    for point in points:
+        history.record(point, history.bit)
+    return history
+
+
 def window_size(history: BidHistory) -> int:
-    """How many points a window holds, counted by a scan: off its tape's
-    bidders from the tape's window start, or, for a ``HeardWindow``, over the
-    last ``max_history`` points it heard, minus those too old."""
-    if isinstance(history, HeardWindow):
-        history.live_chains()  # catch the window up with its tape
-        cfg, heard = history.cfg, history.heard
-        recent = heard[-cfg.max_history :]
-        return sum(p.round >= recent[-1].round - cfg.max_age_rounds for p in recent)
-    tape = history.tape
-    bidders = tape.bidders[tape.start(history.owner) :]
-    return len(bidders) - (0 if history.owner is None else bidders.count(history.owner))
+    """How many points a window holds, counted by a scan over the last
+    ``max_history`` points it heard, minus those too old."""
+    history.live_chains()  # catch the window up with its tape
+    cfg, heard = history.cfg, history.heard
+    recent = heard[-cfg.max_history :]
+    return sum(p.round >= recent[-1].round - cfg.max_age_rounds for p in recent)
 
 
 @pytest.fixture

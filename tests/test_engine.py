@@ -443,8 +443,7 @@ class TestAudienceUnderChurn:
     act on its kind, each once. Each bid that some history owner in scope
     hears reaches the run's bid feed once, right after it is logged, told the
     mask of those owners; no other event reaches the feed. Under global scope
-    the store is the shared one and the feed is told nothing: every history
-    hears."""
+    the store is the shared one, and the mask holds every history owner."""
 
     @pytest.mark.parametrize("observation", ["khop:1", "khop:2", "global"])
     def test_every_event_reaches_exactly_the_subscribers_in_scope(self, observation, monkeypatch):
@@ -464,7 +463,7 @@ class TestAudienceUnderChurn:
             return wrapper
 
         def hear(real):
-            def wrapper(feed, announced, bidder, amount, rnd, hearers=None):
+            def wrapper(feed, announced, bidder, amount, rnd, hearers):
                 event = sim.events[-1]
                 assert event.kind is EventKind.BID_PLACED
                 assert (event.node, event.amount, event.round) == (bidder, amount, rnd)
@@ -508,7 +507,7 @@ class TestAudienceUnderChurn:
                     expected += [("apply", owner) for owner in stores]
                 hearers = sum(1 << s for s in hearing)
                 if event.kind is EventKind.BID_PLACED and hearers:
-                    expected.append(("hear", None if shared else hearers))
+                    expected.append(("hear", hearers))
                 assert fed.pop(event.event_id, []) == expected, event
         assert not fed
         assert backbone_events > 0 and len(graphs) > 10

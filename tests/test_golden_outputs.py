@@ -6,8 +6,14 @@ of a tournament. ``tests/golden_khop.json`` holds the same digest for
 ``khop-churn`` under overrides that move its bid histories (other scopes,
 tapes small enough to trim, forced bids), and for ``wolfpack-pack`` under
 ``khop`` scopes, where every pack member keeps a store of its own and the
-stores hear events by distance on a churning graph. Each case names its
-workload. ``tests/golden_sweep.json`` pins two sweeps of ``tournament-mix``,
+stores hear events by distance on a churning graph. Its ``global`` cases
+(``khop-churn`` with ``game.observation=global``, and ``wolfpack-pack``,
+which is ``global``) pin the bid windows where every history owner hears
+every bid but its own: short and tiny windows, a long run that trims, and
+forced bids. A window that heard its owner's own bids would change
+``wolfpack-trimmed-tapes`` and ``global-seed-7``. Each case names its
+workload, and may name its seed (the file's ``seed`` otherwise).
+``tests/golden_sweep.json`` pins two sweeps of ``tournament-mix``,
 one whose seeds all run and one where some fail: the sorted names of the
 ``ranktable*.csv`` files written, the exit status, and the sha256 of the
 files' digest followed by stdout and stderr, at ``--workers`` 1 and 3 alike.
@@ -49,7 +55,8 @@ def test_workload_outputs_match_the_golden_digest(workload, tmp_path, capsys):
 def test_khop_histories_match_the_golden_digest(case, tmp_path):
     expected = GOLDEN_KHOP["sha256"][case]
     config = BENCH_DIR / "workloads" / f"{expected['workload']}.yaml"
-    args = ["run", "--config", str(config), "--seed", str(GOLDEN_KHOP["seed"])]
+    seed = expected.get("seed", GOLDEN_KHOP["seed"])
+    args = ["run", "--config", str(config), "--seed", str(seed)]
     for override in expected["overrides"]:
         args += ["--override", override]
     assert run_digest(args, tmp_path) == expected["digest"]

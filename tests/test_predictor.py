@@ -7,35 +7,72 @@ from hypothesis import given, settings, strategies as st
 
 from bidforward.engine import GameConfig, Simulation
 from bidforward.model import BACKBONE, EventKind, GameEvent
-from bidforward.predictor import (
-    BidFeed,
-    BidHistory,
-    BidHistoryPoint,
-    HeardWindow,
-    MaskedTape,
-    PredictorConfig,
-    predict_bid,
-)
+from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig, predict_bid
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate, members
 from conftest import window_size
 
 
+class DequeWindow:
+    """The reference window: the points its owner heard, in a bounded deque
+    with age eviction."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.deque = deque(maxlen=cfg.max_history)
+
+    def record(self, point):
+        self.deque.append(point)
+        while self.deque[0].round < point.round - self.cfg.max_age_rounds:
+            self.deque.popleft()
+
+    def points(self, now_round=None):
+        if now_round is None:
+            return list(self.deque)
+        return [p for p in self.deque if p.round >= now_round - self.cfg.max_age_rounds]
+
+
+def masked(cfg, owners):
+    """A feed writing a tape, and a window onto it per owner."""
+    feed = BidFeed(cfg)
+    return feed, [BidHistory(cfg, owner, feed.tape) for owner in owners]
+
+
+def everyone(feed, bidder, point):
+    """Hand the feed ``point``'s bid by ``bidder`` as under ``global``: every
+    owner of a window onto the feed's tape heard the one announcement and
+    hears the bid."""
+    owners = sum(window.bit for window in feed.tape.windows)
+    announced = [(point.max_allowed, point.hop_count, owners)]
+    feed.hear(announced, bidder, point.observed_bid, point.round, owners)
+
+
 def history_from(points, cfg):
-    h = BidHistory(cfg)
+    """Owner 0's window onto a tape of ``(max_allowed, hop_count, bid, round)``
+    points, each heard by 0."""
+    feed, (window,) = masked(cfg, (0,))
     for ma, hc, bid, rnd in points:
-        h.record(BidHistoryPoint(ma, hc, bid, rnd))
-    return h
+        feed.record(BidHistoryPoint(ma, hc, bid, rnd), window.bit)
+    return window
 
 
-def neighborhood(history, max_allowed, hop_count, now_round=None):
-    """History points within epsilon of the query in normalized space, by a
-    scan of the whole window: the reference for ``predict_bid``'s chains."""
-    cfg = history.cfg
+def deque_from(points, cfg):
+    """The reference window of the same points as ``history_from``."""
+    reference = DequeWindow(cfg)
+    for ma, hc, bid, rnd in points:
+        reference.record(BidHistoryPoint(ma, hc, bid, rnd))
+    return reference
+
+
+def neighborhood(reference, max_allowed, hop_count, now_round=None):
+    """Points of a reference window within epsilon of the query in normalized
+    space, by a scan of the whole window: the reference for ``predict_bid``'s
+    chains."""
+    cfg = reference.cfg
     qa = max_allowed / cfg.budget_norm
     qh = hop_count / cfg.ttl_norm
     out = []
-    for p in history.points(now_round):
+    for p in reference.points(now_round):
         da = p.max_allowed / cfg.budget_norm - qa
         dh = p.hop_count / cfg.ttl_norm - qh
         if math.hypot(da, dh) <= cfg.epsilon:
@@ -43,10 +80,10 @@ def neighborhood(history, max_allowed, hop_count, now_round=None):
     return out
 
 
-def reference_predict(history, max_allowed, hop_count, now_round=None):
+def reference_predict(reference, max_allowed, hop_count, now_round=None):
     """``predict_bid`` as a scan of ``neighborhood``."""
-    cfg = history.cfg
-    nearby = neighborhood(history, max_allowed, hop_count, now_round)
+    cfg = reference.cfg
+    nearby = neighborhood(reference, max_allowed, hop_count, now_round)
     if nearby:
         raw = min(p.observed_bid for p in nearby) - 1
     else:
@@ -104,7 +141,7 @@ class TestPredict:
         h = history_from(points, cfg)
         assert oracle_predict(points, cfg, 100, 3) == 34
         assert predict_bid(h, 100, 3) == 34
-        assert len(neighborhood(h, 100, 3)) == 2
+        assert len(neighborhood(deque_from(points, cfg), 100, 3)) == 2
 
     def test_all_zero_bids_hit_the_floor(self):
         cfg = PredictorConfig(epsilon=2.0)
@@ -113,7 +150,7 @@ class TestPredict:
 
     def test_empty_history_fallback(self):
         cfg = PredictorConfig(epsilon=0.1, fallback_fraction=0.5)
-        h = BidHistory(cfg)
+        h = history_from([], cfg)
         assert predict_bid(h, 100, 3) == 50
 
     def test_never_exceeds_ceiling(self):
@@ -124,7 +161,7 @@ class TestPredict:
     def test_rejects_degenerate_query(self):
         cfg = PredictorConfig()
         with pytest.raises(ValueError):
-            predict_bid(BidHistory(cfg), 0, 1)
+            predict_bid(history_from([], cfg), 0, 1)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -156,12 +193,14 @@ class TestPredict:
         large = PredictorConfig(epsilon=hi_eps)
         h_small = history_from(points, small)
         h_large = history_from(points, large)
-        if neighborhood(h_small, 50, 4):
+        if neighborhood(deque_from(points, small), 50, 4):
             assert predict_bid(h_large, 50, 4) <= predict_bid(h_small, 50, 4)
 
 
-class TestSharedTape:
-    """Each owner's window onto a shared tape holds what a private deque would."""
+class TestGlobalWindows:
+    """Under ``global`` each owner's window onto the feed's tape, which records
+    each bid with every owner but its bidder, holds what a private deque of
+    the bids the owner did not make would."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -173,38 +212,32 @@ class TestSharedTape:
         lag=st.integers(0, 4),
     )
     def test_windows_equal_private_deques(self, bids, max_history, max_age, lag):
+        # Bidder 3 owns no window.
         cfg = PredictorConfig(max_history=max_history, max_age_rounds=max_age)
-        writer = BidHistory(cfg)
-        owners = [None, 0, 1, 2]
-        windows = {o: BidHistory(cfg, o, writer.tape) for o in owners[1:]}
-        windows[None] = writer
-        private = {o: deque(maxlen=max_history) for o in owners}
+        feed, windows = masked(cfg, (0, 1, 2))
+        private = [DequeWindow(cfg) for _ in windows]
         rnd = 0
         for bidder, step, amount in bids:
             rnd += step
             point = BidHistoryPoint(50, 2, amount, rnd)
-            writer.record(point, bidder)
-            for owner, points in private.items():
+            everyone(feed, bidder, point)
+            for owner, reference in enumerate(private):
                 if bidder != owner:
-                    points.append(point)
-                    while points[0].round < rnd - max_age:
-                        points.popleft()
-            assert len(writer.tape.points) <= 4 * max_history
-            for owner in owners:
+                    reference.record(point)
+            assert len(feed.tape.points) <= 4 * max_history
+            for window, reference in zip(windows, private):
                 now = rnd + lag
-                live = [p for p in private[owner] if p.round >= now - max_age]
-                assert windows[owner].points() == list(private[owner])
-                assert windows[owner].points(now) == live
-                assert window_size(windows[owner]) == len(private[owner])
+                assert window.points() == reference.points()
+                assert window.points(now) == reference.points(now)
+                assert window_size(window) == len(reference.points())
 
     def test_owner_bids_do_not_age_out_older_points(self):
         cfg = PredictorConfig(max_age_rounds=5)
-        writer = BidHistory(cfg)
-        mine = BidHistory(cfg, 1, writer.tape)
-        writer.record(BidHistoryPoint(100, 3, 40, 0), 2)
-        writer.record(BidHistoryPoint(100, 3, 30, 10), 1)
+        feed, (mine, other) = masked(cfg, (1, 3))
+        everyone(feed, 2, BidHistoryPoint(100, 3, 40, 0))
+        everyone(feed, 1, BidHistoryPoint(100, 3, 30, 10))
         assert [p.observed_bid for p in mine.points()] == [40]
-        assert [p.observed_bid for p in writer.points()] == [30]
+        assert [p.observed_bid for p in other.points()] == [30]
 
     def test_windows_register_before_the_tape_holds_records(self):
         writer = history_from([(100, 3, 40, 0)], PredictorConfig())
@@ -214,23 +247,24 @@ class TestSharedTape:
     def test_points_must_come_in_round_order(self):
         history = history_from([(100, 3, 40, 5)], PredictorConfig())
         with pytest.raises(ValueError):
-            history.record(BidHistoryPoint(100, 3, 40, 4))
+            history.record(BidHistoryPoint(100, 3, 40, 4), history.bit)
 
 
 class TestChainsMatchTheScan:
-    """``predict_bid``'s per-key chains answer what a scan of the window does.
+    """``predict_bid``'s per-key chains answer what a scan of a private deque
+    of the same points does.
 
-    Tapes trim (small ``max_history``), points age out (small
-    ``max_age_rounds``), histories catch up after many records or after
-    none, and a query without ``now_round`` follows one with it. With
-    epsilon 0.125 and ``ttl_norm`` 8, a point one hop from the query at the
-    same ceiling lies exactly on the epsilon circle.
+    Every owner hears every bid but its own, as under ``global``; bidder 4
+    owns no window. Tapes trim (small ``max_history``), points age out (small
+    ``max_age_rounds``), windows catch up after many records or after none,
+    and a query without ``now_round`` follows one with it. With epsilon
+    0.125 and ``ttl_norm`` 8, a point one hop from the query at the same
+    ceiling lies exactly on the epsilon circle.
     """
 
     records = st.tuples(
         st.just("record"),
-        st.integers(0, 2),  # the tape: shared, private with an owner, private without
-        st.sampled_from([None, 0, 1, 2, 3]),  # bidder
+        st.integers(0, 4),  # bidder
         st.sampled_from([20, 50]),  # ceiling: few keys, so that chains grow
         st.integers(1, 3),  # hop count
         st.floats(0.0, 1.0),  # bid as a share of the ceiling
@@ -238,7 +272,7 @@ class TestChainsMatchTheScan:
     )
     queries = st.tuples(
         st.just("query"),
-        st.integers(0, 5),  # the history
+        st.integers(0, 3),  # the owner
         st.sampled_from([10, 20, 50]),
         st.integers(1, 4),
         st.one_of(st.none(), st.integers(0, 3)),  # now_round, as a lag behind the tape
@@ -257,33 +291,35 @@ class TestChainsMatchTheScan:
             epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
             budget_norm=100, ttl_norm=8,
         )
-        writer = BidHistory(cfg)
-        mine = BidHistory(cfg, 3)
-        alone = BidHistory(cfg)
-        histories = [writer, *(BidHistory(cfg, o, writer.tape) for o in (0, 1, 2)), mine, alone]
-        tapes = [writer, mine, alone]
+        feed, windows = masked(cfg, range(4))
+        private = [DequeWindow(cfg) for _ in windows]
         rnd = now = 0
         for step in steps:
             if step[0] == "record":
-                _, tape, bidder, ceiling, hop, share, wait = step
+                _, bidder, ceiling, hop, share, wait = step
                 rnd += wait
-                tapes[tape].record(BidHistoryPoint(ceiling, hop, int(ceiling * share), rnd), bidder)
+                point = BidHistoryPoint(ceiling, hop, int(ceiling * share), rnd)
+                everyone(feed, bidder, point)
+                for owner, reference in enumerate(private):
+                    if owner != bidder:
+                        reference.record(point)
                 continue
-            _, which, ceiling, hop, lag, then_none = step
-            history = histories[which]
+            _, owner, ceiling, hop, lag, then_none = step
+            window, reference = windows[owner], private[owner]
             if lag is not None:
                 now = max(now, rnd + lag)
-                expected = reference_predict(history, ceiling, hop, now)
-                assert predict_bid(history, ceiling, hop, now) == expected
+                expected = reference_predict(reference, ceiling, hop, now)
+                assert predict_bid(window, ceiling, hop, now) == expected
             if lag is None or then_none:
-                assert predict_bid(history, ceiling, hop) == reference_predict(history, ceiling, hop)
+                expected = reference_predict(reference, ceiling, hop)
+                assert predict_bid(window, ceiling, hop) == expected
 
     def test_window_start_drops_only_the_pairs_before_it(self):
         # The first query folds (0, 20) in; the next record pushes it out of a
         # one-point window, and the new pair, at the window start, stays.
         h = history_from([(50, 2, 20, 0)], PredictorConfig(max_history=1))
         assert predict_bid(h, 50, 2) == 19
-        h.record(BidHistoryPoint(50, 2, 30, 0))
+        h.record(BidHistoryPoint(50, 2, 30, 0), h.bit)
         assert predict_bid(h, 50, 2) == 29
 
     def test_points_on_the_epsilon_circle_count(self):
@@ -293,19 +329,18 @@ class TestChainsMatchTheScan:
         assert predict_bid(h, 50, 2) == 19
 
 
-class TestSharedChains:
-    """Every window onto one tape reads the tape's chains, folded once.
-
-    Each query is followed by a record from the querier, as a wolf bids
-    after predicting, so the owners' windows start at different records;
-    bids come from 0-3, so that ties are common.
+class TestQueriesBetweenBids:
+    """Each owner's window answers what its private deque does when each
+    query is followed by a bid from the querier, as a wolf bids after
+    predicting, so the owners' windows start at different records; bids come
+    from 0-3, so that ties are common.
     """
 
     @settings(max_examples=150, deadline=None)
     @given(
         steps=st.lists(
             st.tuples(
-                st.sampled_from([0, 1, 2, 3, 7, None]),  # the querier, or a bidder no window is owned by
+                st.sampled_from([0, 1, 2, 3, 7]),  # the querier, or a bidder that owns no window
                 st.booleans(),  # query first, when the querier owns a window
                 st.integers(0, 3),  # bid
                 st.sampled_from([10, 20]),  # ceiling
@@ -323,65 +358,55 @@ class TestSharedChains:
             epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
             budget_norm=100, ttl_norm=8,
         )
-        writer = BidHistory(cfg)
-        histories = {o: BidHistory(cfg, o, writer.tape) for o in (0, 1, 2, 3)}
-        histories[None] = writer
+        feed, windows = masked(cfg, range(4))
+        private = [DequeWindow(cfg) for _ in windows]
         rnd = 0
         for who, query, amount, ceiling, hop, wait in steps:
             rnd += wait
-            if query and who in histories:
-                history = histories[who]
-                assert (history.live_chains(rnd) is None) == (window_size(history) == 0)
-                expected = reference_predict(history, ceiling, hop, rnd)
-                assert predict_bid(history, ceiling, hop, rnd) == expected
-            writer.record(BidHistoryPoint(ceiling, hop, amount, rnd), who)
+            if query and who < len(windows):
+                window, reference = windows[who], private[who]
+                assert (window.live_chains(rnd) is None) == (reference.points() == [])
+                expected = reference_predict(reference, ceiling, hop, rnd)
+                assert predict_bid(window, ceiling, hop, rnd) == expected
+            point = BidHistoryPoint(ceiling, hop, amount, rnd)
+            everyone(feed, who, point)
+            for owner, reference in enumerate(private):
+                if owner != who:
+                    reference.record(point)
 
     def test_owner_tied_by_an_earlier_bidder_still_sees_that_bid(self):
-        # A chain that drops a bid on any newer bid as low keeps only the
-        # owner's own 5, and the owner would see no bid under the key.
-        writer = BidHistory(PredictorConfig())
-        mine = BidHistory(writer.cfg, 1, writer.tape)
-        writer.record(BidHistoryPoint(50, 2, 5, 0), 2)
-        writer.record(BidHistoryPoint(50, 2, 5, 0), 1)
-        assert predict_bid(writer, 50, 2) == 4
-        assert predict_bid(mine, 50, 2) == 4 == reference_predict(mine, 50, 2)
+        # The owner's own later 5 ties 2's 5; the owner still sees 2's.
+        feed, (mine, other) = masked(PredictorConfig(), (1, 3))
+        everyone(feed, 2, BidHistoryPoint(50, 2, 5, 0))
+        everyone(feed, 1, BidHistoryPoint(50, 2, 5, 0))
+        assert predict_bid(other, 50, 2) == 4
+        assert predict_bid(mine, 50, 2) == 4
 
-    def test_a_fold_keeps_what_only_another_window_reaches(self):
+    def test_a_query_leaves_what_only_another_window_reaches(self):
         # Owner 1's window, two records not its own, starts at 2's first bid;
-        # a fold from there would skip 7's bid, which 2's window reaches.
-        writer = BidHistory(PredictorConfig(max_history=2))
-        first, second = (BidHistory(writer.cfg, o, writer.tape) for o in (1, 2))
+        # owner 2's window still reaches 7's bid before it.
+        feed, (first, second) = masked(PredictorConfig(max_history=2), (1, 2))
         for bidder in (7, 2, 2):
-            writer.record(BidHistoryPoint(50, 2, 3 if bidder == 7 else 9, 0), bidder)
+            everyone(feed, bidder, BidHistoryPoint(50, 2, 3 if bidder == 7 else 9, 0))
         assert predict_bid(first, 50, 2) == 8
-        writer.record(BidHistoryPoint(50, 2, 9, 0), 1)
-        assert predict_bid(second, 50, 2) == 2 == reference_predict(second, 50, 2)
+        everyone(feed, 1, BidHistoryPoint(50, 2, 9, 0))
+        assert predict_bid(second, 50, 2) == 2
 
-    def test_a_second_lower_bidder_drops_an_entry_across_folds(self):
-        writer = BidHistory(PredictorConfig())
-        owners = {o: BidHistory(writer.cfg, o, writer.tape) for o in (1, 2, 3)}
-        entries = []
+    def test_a_second_lower_bidder_across_folds(self):
+        feed, windows = masked(PredictorConfig(), (1, 2, 3))
         for bidder, amount in ((1, 5), (2, 4), (2, 3), (3, 2)):
-            writer.record(BidHistoryPoint(50, 2, amount, 0), bidder)
-            chains, _, _ = writer.live_chains()
-            entries.append([entry[:3] for entry in chains[(50, 2)][2]])
-        # 2's 4 marks 1's 5; 2's 3 drops 2's 4 and leaves the mark as it
-        # was; 3's 2 is a second bidder below 1's 5, which goes.
-        assert entries == [
-            [(0, 5, 1)],
-            [(0, 5, 1), (1, 4, 2)],
-            [(0, 5, 1), (2, 3, 2)],
-            [(2, 3, 2), (3, 2, 3)],
-        ]
-        assert predict_bid(owners[3], 50, 2) == 2
-        assert predict_bid(owners[2], 50, 2) == 1
+            everyone(feed, bidder, BidHistoryPoint(50, 2, amount, 0))
+            for window in windows:
+                window.live_chains()
+        # Owner 3 heard 5, 4 and 3; owner 2 heard 5 and 2; owner 1 heard 4, 3 and 2.
+        assert [predict_bid(window, 50, 2) for window in windows] == [1, 1, 2]
 
 
 class TestLongRunBounds:
     """Over 2,000 ``global`` packets with a wolf pack and a short window, the
-    shared tape and its chains stay within their bounds after every round."""
+    tape and the wolves' windows stay within their bounds after every round."""
 
-    def test_tape_and_chains_stay_bounded(self):
+    def test_tape_and_windows_stay_bounded(self):
         n = 20
         g = generate("geometric", n, radius=0.35, seed=11)
         assignment = {
@@ -393,28 +418,27 @@ class TestLongRunBounds:
                             master_seed=1)
         cfg = PredictorConfig(max_history=5)
         sim = Simulation(config, g, assignment, cfg)
-        tape = sim.contexts[1].history.tape
+        tape = sim._feed.tape
+        windows = [sim.contexts[node].history for node in range(1, 11)]
+        assert all(window.tape is tape for window in windows)
         while sim.step_round():
-            seqs = tape.seqs
-            assert len(seqs) <= 4 * cfg.max_history
-            entries = [entry for chain in tape.chains.values() for entry in chain[2]]
-            if seqs:
-                assert len(entries) <= seqs[-1] - seqs[0] + 1
-                assert all(entry[0] >= seqs[0] for entry in entries)
-        # The tape trimmed many times over, and its chains were read.
+            assert len(tape.points) <= 4 * cfg.max_history
+            for window in windows:
+                assert len(window.heard) <= 2 * cfg.max_history
+                entries = [entry for chain in window.chains.values() for entry in chain[2]]
+                assert len(entries) <= len(window.heard)
+                assert all(entry[0] >= window.passed for entry in entries)
+        # The tape trimmed many times over, and the windows were read: a trim
+        # only restarts a window that hears every bid but its owner's, so
+        # only queries fold, and the busiest window folded far past the bound.
         assert tape.dropped > 100 * cfg.max_history
-        assert tape.folded > tape.dropped
-
-
-def masked(cfg, owners):
-    """A feed writing a masked tape, and a window onto it per owner."""
-    feed = BidFeed(cfg, MaskedTape(cfg))
-    return feed, [HeardWindow(cfg, owner, feed.tape) for owner in owners]
+        assert max(window.passed for window in windows) > 100 * cfg.max_history
 
 
 class TestMaskedWindowsMatchTheScan:
-    """Each owner's window onto a masked tape answers what a plain history of
-    the points the owner heard does, scanned by ``reference_predict``.
+    """Each owner's window onto a tape with random masks answers what a
+    private deque of the points the owner heard does, scanned by
+    ``reference_predict``.
 
     Records carry random masks over 3-5 owners; small ``max_history`` makes
     the tape trim, small ``max_age_rounds`` ages points out, and each owner
@@ -451,7 +475,7 @@ class TestMaskedWindowsMatchTheScan:
             budget_norm=100, ttl_norm=8,
         )
         feed, windows = masked(cfg, range(owners))
-        plain = [BidHistory(cfg) for _ in range(owners)]
+        private = [DequeWindow(cfg) for _ in range(owners)]
         rnd = now = 0
         for step in steps:
             if step[0] == "record":
@@ -459,13 +483,13 @@ class TestMaskedWindowsMatchTheScan:
                 mask &= (1 << owners) - 1
                 rnd += wait
                 point = BidHistoryPoint(ceiling, hop, int(ceiling * share), rnd)
-                feed.record(point, None, mask)
+                feed.record(point, mask)
                 for owner in members(mask):
-                    plain[owner].record(point)
+                    private[owner].record(point)
                 assert len(feed.tape.points) <= 4 * max_history
                 continue
             _, owner, ceiling, hop, lag = step
-            window, reference = windows[owner % owners], plain[owner % owners]
+            window, reference = windows[owner % owners], private[owner % owners]
             now = max(now, rnd + lag)
             assert predict_bid(window, ceiling, hop, now) == reference_predict(
                 reference, ceiling, hop, now
@@ -479,9 +503,9 @@ class TestMaskedWindowsMatchTheScan:
         # Owner 0 hears one record, then none of the many that trim the tape.
         cfg = PredictorConfig(max_history=2)
         feed, (lone, busy) = masked(cfg, (0, 1))
-        feed.record(BidHistoryPoint(50, 2, 7, 0), None, 0b01)
+        feed.record(BidHistoryPoint(50, 2, 7, 0), 0b01)
         for _ in range(10 * cfg.max_history):
-            feed.record(BidHistoryPoint(50, 2, 30, 0), None, 0b10)
+            feed.record(BidHistoryPoint(50, 2, 30, 0), 0b10)
         assert feed.tape.dropped > 4 * cfg.max_history
         assert lone.points() == [BidHistoryPoint(50, 2, 7, 0)]
         assert predict_bid(lone, 50, 2) == 6
@@ -492,16 +516,14 @@ class TestMaskedWindowsMatchTheScan:
         # owner 1 hears them all.
         cfg = PredictorConfig(max_history=3, max_age_rounds=4)
         feed, windows = masked(cfg, (0, 1))
-        heard = []
+        reference = DequeWindow(cfg)
         for i in range(120):
             point = BidHistoryPoint(50, 2, (i * 37) % 50, i // 3)
-            feed.record(point, None, 0b11 if i % 7 == 0 else 0b10)
+            feed.record(point, 0b11 if i % 7 == 0 else 0b10)
             if i % 7 == 0:
-                heard.append(point)
+                reference.record(point)
         assert feed.tape.dropped > 20 * cfg.max_history
-        assert windows[0].points() == history_from(
-            [(p.max_allowed, p.hop_count, p.observed_bid, p.round) for p in heard], cfg
-        ).points() != []
+        assert windows[0].points() == reference.points() != []
         expected = min(p.observed_bid for p in windows[0].points()) - 1
         assert predict_bid(windows[0], 50, 2) == max(1, expected)
 
@@ -513,7 +535,7 @@ class TestMaskedWindowsMatchTheScan:
         feed, (first, second) = masked(cfg, (0, 1))
         masks = [0b01, 0b01, 0b10, 0b10, 0b10, 0b10, 0b01, 0b01, 0b10]
         for i, mask in enumerate(masks):
-            feed.record(BidHistoryPoint(50, 2, 10 + i, 0), None, mask)
+            feed.record(BidHistoryPoint(50, 2, 10 + i, 0), mask)
         assert feed.tape.dropped == 5 and first.cursor == 5
         assert [p.observed_bid for p in first.points()] == [16, 17]
         assert predict_bid(first, 50, 2) == 15
@@ -533,13 +555,10 @@ def announced(*announcements):
 
 
 def fed(owners, *bids):
-    """A feed writing a masked tape, with one window per owner, handed
+    """A feed writing a tape, with one window per owner, handed
     ``(announced, bidder, amount, rnd, hearers)`` bids, where ``hearers``
     lists the owners that hear the bid."""
-    cfg = PredictorConfig()
-    feed = BidFeed(cfg, MaskedTape(cfg))
-    for owner in owners:
-        HeardWindow(cfg, owner, feed.tape)
+    feed, _ = masked(PredictorConfig(), owners)
     for packet, bidder, amount, rnd, hearers in bids:
         feed.hear(packet, bidder, amount, rnd, mask(hearers))
     return feed
@@ -622,12 +641,12 @@ class TestSharedPointsUnderKhop:
         current = [None]
         real_record, real_hear = BidHistory.record, BidFeed.hear
 
-        def spy_record(history, point, bidder=None, hearers=None):
+        def spy_record(history, point, hearers):
             for owner in members(hearers):
                 held.setdefault(current[0].event_id, {})[owner] = point
-            real_record(history, point, bidder, hearers)
+            real_record(history, point, hearers)
 
-        def spy_hear(feed, announced, bidder, amount, rnd, hearers=None):
+        def spy_hear(feed, announced, bidder, amount, rnd, hearers):
             # The feed hears each bid right after the engine logs it.
             event = current[0] = sim.events[-1]
             assert event.kind is EventKind.BID_PLACED

@@ -1,12 +1,13 @@
 """Shared observer state equals per-subscriber state, under every scope.
 
-Under ``global`` scope the engine keeps one ``ObserverStore`` and one bid
-tape for all subscribers. Under ``khop`` scopes each subscriber keeps its own
-store. The engine hands each bid to the run's bid feed with the packet's
-announcements and the mask of the history owners that hear it; the feed
-records the bid once per group of hearers with the same latest announcement,
-with the group's mask, on one masked tape that each owner's window reads
-through its bit. The reference here is the per-subscriber model kept in the
+Under ``global`` scope the engine keeps one ``ObserverStore`` for all
+subscribers. Under ``khop`` scopes each subscriber keeps its own store.
+Under every scope the engine hands each bid to the run's bid feed with the
+packet's announcements and the mask of the history owners that hear it
+(every owner, under ``global``); the feed records the bid once per group of
+hearers with the same latest announcement, with the group's mask minus the
+bidder, on the run's one tape that each owner's window reads through its
+bit. The reference here is the per-subscriber model kept in the
 tests: every subscriber folds every event it can hear into a private store
 (a pack member's retains events and merges at the end of each round) and a
 private deque-based history that tracks the announcements it heard and skips
@@ -217,11 +218,11 @@ class TestFeedWorkUnderKhop:
             counts["built"] += 1
             real_post_init(point)
 
-        def counting_record(history, point, bidder=None, hearers=None):
+        def counting_record(history, point, hearers):
             counts["record"] += 1
-            real_record(history, point, bidder, hearers)
+            real_record(history, point, hearers)
 
-        def counting_hear(feed, announced, bidder, amount, rnd, hearers=None):
+        def counting_hear(feed, announced, bidder, amount, rnd, hearers):
             counts["hear"] += 1
             before = counts["record"]
             real_hear(feed, announced, bidder, amount, rnd, hearers)

@@ -6,14 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from bidforward.model import AuctionRequest, Bid, EventKind, GameEvent, Packet, PathLedger
 from bidforward.observation import ObserverStore
-from bidforward.predictor import (
-    BidFeed,
-    BidHistory,
-    BidHistoryPoint,
-    HeardWindow,
-    MaskedTape,
-    PredictorConfig,
-)
+from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import (
     AlwaysOne,
     BidderMetrics,
@@ -30,7 +23,7 @@ from bidforward.strategies import (
 )
 from bidforward.topology import generate
 
-from conftest import make_ctx
+from conftest import heard_history, make_ctx
 
 
 def request(ceiling=90, dest=3, holder=1, dist=3, pid=0, ttl=5, fine=200):
@@ -134,26 +127,25 @@ class TestMaxBid:
 class TestLastHopSniper:
     def test_abstains_when_far(self):
         g = generate("ring", 8)
-        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(0, g, history=heard_history(0))
         assert LastHopSniper().on_auction(request(80, dest=4), ctx) is None
 
     def test_forced_mode_bids_ceiling_when_far(self):
         g = generate("ring", 8)
-        ctx = make_ctx(0, g, forced=True, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(0, g, forced=True, history=heard_history(0))
         assert LastHopSniper().on_auction(request(80, dest=4), ctx) == 80
 
     def test_adjacent_with_empty_history_bids_small(self):
         g = generate("ring", 8)
-        ctx = make_ctx(0, g, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(0, g, history=heard_history(0))
         bid = LastHopSniper(small_cap=5).on_auction(request(80, dest=1), ctx)
         assert 1 <= bid <= 5
 
     def test_adjacent_with_history_undercuts_neighborhood(self):
         g = generate("ring", 8)
         cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
-        history = BidHistory(cfg)
-        history.record(BidHistoryPoint(80, 1, 40, 0))
-        history.record(BidHistoryPoint(80, 1, 35, 0))
+        history = heard_history(0, BidHistoryPoint(80, 1, 40, 0), BidHistoryPoint(80, 1, 35, 0),
+                                cfg=cfg)
         ctx = make_ctx(0, g, history=history)
         assert LastHopSniper().on_auction(request(80, dest=1), ctx) == 34
 
@@ -315,38 +307,36 @@ class TestWolfPack:
         observer = ObserverStore(2, retain_events=False)
         observer.apply(GameEvent(0, 0, EventKind.BID_WON, 0, 0, 100, -1))
         observer.apply(GameEvent(0, 1, EventKind.BID_WON, 0, 1, 90, 0))
-        ctx = make_ctx(2, g, observer=observer, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(2, g, observer=observer, history=heard_history(2))
         # Holder 1's only neighbors are 0 (on path) and us: a monopoly.
         bid = WolfPack().on_auction(request(90, dest=4, holder=1, dist=3), ctx)
         assert bid == 90
 
     def test_no_monopoly_without_path_knowledge(self):
         g = self.line()
-        ctx = make_ctx(2, g, observer=ObserverStore(2), history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(2, g, observer=ObserverStore(2), history=heard_history(2))
         bid = WolfPack().on_auction(request(90, dest=4, holder=1, dist=3), ctx)
         assert bid == 45  # predictor fallback: half the ceiling
 
     def test_adjacent_undercuts_like_a_sniper(self):
         g = self.line()
         cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
-        history = BidHistory(cfg)
-        history.record(BidHistoryPoint(90, 1, 36, 0))
-        history.record(BidHistoryPoint(90, 1, 35, 0))
+        history = heard_history(3, BidHistoryPoint(90, 1, 36, 0), BidHistoryPoint(90, 1, 35, 0),
+                                cfg=cfg)
         ctx = make_ctx(3, g, observer=ObserverStore(3), history=history)
         bid = WolfPack().on_auction(request(90, dest=4, holder=2, dist=2), ctx)
         assert bid == 34
 
     def test_blind_abstains_unforced(self):
         g = self.line()
-        ctx = make_ctx(2, g, k=1, observer=ObserverStore(2),
-                       history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(2, g, k=1, observer=ObserverStore(2), history=heard_history(2))
         # k=1 view cannot see holder 1's neighborhood nor the destination.
         bid = WolfPack().on_auction(request(90, dest=4, holder=1, dist=None), ctx)
         assert bid is None
 
     def test_announce_keeps_a_margin(self):
         g = self.line()
-        ctx = make_ctx(1, g, observer=ObserverStore(1), history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(1, g, observer=ObserverStore(1), history=heard_history(1))
         packet = Packet(0, 4, budget=100, fine=200, ttl=5)
         assert WolfPack(greed_margin=1).announce_ceiling(packet, 90, None, ctx) == 59
         assert WolfPack(greed_margin=0).announce_ceiling(packet, 90, None, ctx) == 60
@@ -357,7 +347,7 @@ class TestWolfPack:
         observer.profile(rich_subject).estimated_profit = rich_profit
         observer.profile(1).estimated_profit = 5
         observer.profile(2).estimated_profit = 0
-        return make_ctx(node, g, observer=observer, history=BidHistory(PredictorConfig()))
+        return make_ctx(node, g, observer=observer, history=heard_history(node))
 
     def test_sabotage_drops_on_rich_upstream(self):
         g = self.line()
@@ -397,7 +387,7 @@ class TestWolfPack:
         observer = ObserverStore(3)
         for s in (0, 1, 2):
             observer.profile(s).estimated_profit = 0
-        ctx = make_ctx(3, g, observer=observer, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(3, g, observer=observer, history=heard_history(3))
         ledger = PathLedger(0).extended(0, 100).extended(1, 80).extended(2, 60).extended(3, 40)
         packet = Packet(0, 4, budget=100, fine=200, ttl=8)
         strat = WolfPack(sabotage_enabled=True, sabotage_budget=60)
@@ -408,7 +398,7 @@ class TestWolfPack:
         observer = ObserverStore(1)
         observer.profile(0).estimated_profit = 100
         observer.profile(2).estimated_profit = 0
-        ctx = make_ctx(1, g, observer=observer, history=BidHistory(PredictorConfig()))
+        ctx = make_ctx(1, g, observer=observer, history=heard_history(1))
         # Both bidders are 3 hops from dest 4 via themselves? No: via 2 it is
         # 2 hops, via 0 it is 2 hops on the ring; distances tie, profit decides.
         bids = [Bid(0, 10), Bid(2, 10)]
@@ -429,27 +419,22 @@ class TestZeroValuedEventFields:
         # fair share of 0 is 0; the deviation is 5 over max(0, 1)
         assert store.profile(3).fairness_deviation == Fraction(5)
 
-    def heard(self, shared, ceiling, dist, bidder, amount):
-        """Node 0's history after the run's feed hears one bid against one
-        announcement: a window onto the feed's tape (global scope), or onto its
-        masked tape, told node 0 heard both."""
+    def heard(self, ceiling, dist, bidder, amount):
+        """Node 0's window onto the run's tape after the feed hears one bid
+        against one announcement, told node 0 heard both."""
         cfg = PredictorConfig()
-        feed = BidFeed(cfg, None if shared else MaskedTape(cfg))
-        window = BidHistory if shared else HeardWindow
-        ctx = make_ctx(0, generate("ring", 8), history=window(cfg, 0, feed.tape))
-        hearers = None if shared else 1
-        feed.hear([(ceiling, dist, hearers)], bidder, amount, 0, hearers)
+        feed = BidFeed(cfg)
+        ctx = make_ctx(0, generate("ring", 8), history=BidHistory(cfg, 0, feed.tape))
+        feed.hear([(ceiling, dist, 1)], bidder, amount, 0, 1)
         return ctx.history
 
     def test_zero_distance_bid_is_recorded(self):
-        for shared in (True, False):
-            history = self.heard(shared, 40, 0, 1, 30)
-            assert history.points() == [BidHistoryPoint(40, 0, 30, 0)], shared
+        history = self.heard(40, 0, 1, 30)
+        assert history.points() == [BidHistoryPoint(40, 0, 30, 0)]
 
     def test_missing_distance_records_nothing(self):
-        for shared in (True, False):
-            history = self.heard(shared, 40, None, 1, 30)
-            assert history.points() == [], shared
+        history = self.heard(40, None, 1, 30)
+        assert history.points() == []
 
 
 class TestBidValidityFuzz:
@@ -467,7 +452,7 @@ class TestBidValidityFuzz:
         ctx = make_ctx(
             0, g, seed=seed, forced=forced,
             observer=ObserverStore(0) if strat.uses_observation else None,
-            history=BidHistory(PredictorConfig()) if strat.uses_bid_history else None,
+            history=heard_history(0) if strat.uses_bid_history else None,
         )
         req = request(ceiling, dest=dest, holder=1, dist=g.hop_distance(1, dest))
         bid = strat.on_auction(req, ctx)

@@ -13,7 +13,9 @@ whose graph and view distances stop going through ``hop_distance``,
 distance counts. The auction and bid counts must equal the announcements
 and bids in the log, and both strategy methods must be seen, so a loop that
 routes around ``run_auction``, ``validate_bid``, ``on_auction`` or
-``choose_winner`` fails here instead of reading zero.
+``choose_winner`` fails here instead of reading zero. A second run under
+``global`` must count ``BidHistory.record`` calls too, so the bid feed
+writes the tape through that name under both scopes.
 """
 
 import os
@@ -56,6 +58,11 @@ assert tracer.counts["topology.view_distance_calls"] > 0
 spans = {span[0] for span in tracer.spans}
 assert {"topology.churn", "topology.view_of"} <= spans, spans
 assert {"strategies.on_auction", "strategies.choose_winner"} <= spans, spans
+
+tracer.counts.clear()
+config = GameConfig(packets_total=10, injection_rate=2, observation="global", master_seed=1)
+Simulation(config, graph, assignment).run()
+assert tracer.counts["predictor.record_calls"] > 0
 """
 
 
