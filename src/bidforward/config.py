@@ -219,6 +219,8 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
                 selected = parse_node_set(nodes)
             except ConfigError as exc:
                 raise ConfigError(f"{where}.nodes: {exc}") from None
+            if not selected:
+                raise ConfigError(f"{where}.nodes: {nodes!r} selects no node")
             mix.append(make_mix_entry(name, params, nodes=selected))
         elif count is not None:
             count = check_value(f"{where}.count", count, int)

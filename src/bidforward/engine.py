@@ -15,10 +15,13 @@ changes. A packet carries the set of the nodes on its path, grown by each
 winner, and its auctions skip those nodes. Each bid is still checked against
 the graph's own neighbour set.
 
-Every event goes to the observer stores that hear it and act on its kind;
-a run without stores skips that step. An event is built only for the log or
-for a store that acts on it, and its seq advances either way, so a run that
-keeps no log (``log=False``) numbers its events as a logged run does.
+Every event but a bid or a delivery, which change no profile, goes to the
+observer stores that hear it. Under ``khop:<k>`` an event that some members
+of a wolf pack hear and others do not is noted with the mask of those that
+did not, and ``merge_pack`` folds it into them at the end of the round. An
+event is built only for the log or for a store, and its seq advances either
+way, so a run that keeps no log (``log=False``) numbers its events as a
+logged run does.
 
 Bids do not reach the bid histories as events: the auction hands each bid
 to the run's one ``BidFeed``, which writes the run's one bid tape, and every
@@ -58,7 +61,7 @@ from .model import (
     PathLedger,
     validate_bid,
 )
-from .observation import OBSERVED_KINDS, ObserverStore, merge_pack, parse_scope_spec
+from .observation import ObserverStore, merge_pack, parse_scope_spec
 from .predictor import Announcements, BidFeed, BidHistory, PredictorConfig
 from .seeding import derive_seed
 from .strategies import Strategy, StrategyContext
@@ -81,7 +84,8 @@ _new_tuple = tuple.__new__
 
 FINE_MODES = ("path-split", "dropper-only")
 
-#: What an event's audience calls: a bound ``ObserverStore.apply``.
+#: What an event's audience calls: a bound ``ObserverStore.apply``, or a
+#: pack's note that appends the event and the mask of the members that missed it.
 Sink = Callable[[GameEvent], object]
 
 
@@ -280,14 +284,13 @@ class Simulation:
         self.contexts: dict[NodeId, StrategyContext] = {}
         # Each store, with its owner: the first node using it, which hears for it.
         stores: dict[ObserverStore, NodeId] = {}
+        packs: dict[str, dict[NodeId, ObserverStore]] = {}
         self._history_owners = 0
         for node in range(graph.n):
             strat = self.strategies[node]
             observer = history = None
             if strat.uses_observation:
-                observer = shared_store or ObserverStore(
-                    node, retain_events=strat.pack is not None
-                )
+                observer = shared_store or ObserverStore()
             if strat.uses_bid_history:
                 history = BidHistory(self.predictor_cfg, node, self._feed.tape)
                 self._history_owners |= 1 << node
@@ -306,18 +309,17 @@ class Simulation:
             )
             if observer is not None:
                 stores.setdefault(observer, node)
-        # The store of each owner, as the kinds it acts on and what the audience calls.
-        self._owned: dict[NodeId, tuple[frozenset[EventKind], Sink]] = {
-            owner: (frozenset(EventKind) if store.retain_events else OBSERVED_KINDS, store.apply)
-            for store, owner in stores.items()
-        }
+                if strat.pack is not None and not shared:
+                    packs.setdefault(strat.pack, {})[node] = observer
+        # What the audience calls for each store owner.
+        self._owned: dict[NodeId, Sink] = {owner: store.apply for store, owner in stores.items()}
         self._store_owners = sum(1 << owner for owner in self._owned)
-        # Only pack members' stores retain events, and only under khop
-        # scopes: under global scope every member shares the one store.
-        self._packs: dict[str, list[ObserverStore]] = {}
-        for ctx in self.contexts.values():
-            if ctx.observer is not None and ctx.observer.retain_events:
-                self._packs.setdefault(ctx.pack, []).append(ctx.observer)  # type: ignore[arg-type]
+        # Per pack under khop scopes, where each member keeps its own store:
+        # the members' mask, their stores, and the events some of them missed.
+        self._packs = [
+            (sum(1 << node for node in packs[pack]), packs[pack], [])
+            for pack in sorted(packs)
+        ]
         self._reset_tables()
 
         self._log = log
@@ -339,16 +341,15 @@ class Simulation:
         a churn step re-points each at the new graph before this runs.
         ``_hearers`` maps a location to the mask of the nodes that hear it,
         as ``ObservationScope.hearers`` sets it; both the stores' audiences
-        and the bid feed read it. ``_heard`` maps a location to the stores
-        that hear it, with the kinds each acts on; ``_audience`` maps
-        (location, kind) to those that act on the kind. ``_bidders`` maps a
-        holder to the nodes its auctions invite, in ascending order: its
-        neighbours, or the gateways for ``BACKBONE``. All four fill as
-        auctions and events arrive.
+        and the bid feed read it. ``_audience`` maps a location to what its
+        events go to: the stores of the store owners that hear it, and a
+        note for each pack that it splits, some members hearing it and some
+        not. ``_bidders`` maps a holder to the nodes its auctions invite, in
+        ascending order: its neighbours, or the gateways for ``BACKBONE``.
+        All three fill as auctions and events arrive.
         """
         self._hearers: dict[NodeId, int] = {}
-        self._heard: dict[NodeId, list[tuple[frozenset[EventKind], Sink]]] = {}
-        self._audience: dict[tuple[NodeId, EventKind], list[Sink]] = {}
+        self._audience: dict[NodeId, list[Sink]] = {}
         self._bidders: dict[NodeId, tuple[NodeId, ...]] = {}
 
     def _hearing(self, location: NodeId) -> int:
@@ -382,30 +383,28 @@ class Simulation:
         prev: Money | None = None,
         reason: str | None = None,
     ) -> None:
-        """Take the next seq, and log the event and apply it to every store
-        that hears it and acts on its kind.
+        """Take the next seq, and log the event and hand it to its audience.
 
-        The event is built only when the run keeps its log or its audience
-        is not empty; the seq advances either way. A location's audience is
-        built once per graph from its hearers mask: the stores of the store
-        owners in it, walked bit by bit in ascending order. A run without
-        stores builds none. Bid histories hear bids from the auction, not
-        from here (see ``_collect_bids``).
+        Bids and deliveries have none. The event is built only when the run
+        keeps its log or its audience is not empty; the seq advances either
+        way. A location's audience is built once per graph from its hearers
+        mask: the stores of the store owners in it, in ascending order, then
+        a note per pack that the mask splits. A run without stores builds
+        none. Bid histories hear bids from the auction, not from here (see
+        ``_collect_bids``).
         """
         seq = self._seq
         self._seq = seq + 1
-        if self._store_owners:
-            audience = self._audience.get((location, kind))
+        if self._store_owners and kind is not _BID_PLACED and kind is not _DELIVERED:
+            audience = self._audience.get(location)
             if audience is None:
-                heard = self._heard.get(location)
-                if heard is None:
-                    stores = self._hearing(location) & self._store_owners
-                    heard = self._heard[location] = [
-                        self._owned[owner] for owner in members(stores)
-                    ]
-                audience = self._audience[(location, kind)] = [
-                    sink for kinds, sink in heard if kind in kinds
-                ]
+                hearing = self._hearing(location)
+                audience = [self._owned[o] for o in members(hearing & self._store_owners)]
+                for pack, _, missed in self._packs:
+                    if hearing & pack and ~hearing & pack:
+                        note, mask = missed.append, pack & ~hearing
+                        audience.append(lambda event, note=note, mask=mask: note((event, mask)))
+                self._audience[location] = audience
             if not audience and not self._log:
                 return
         elif self._log:
@@ -438,8 +437,8 @@ class Simulation:
             )
             self._injected += 1
             self._process_packet(packet)
-        for pack in sorted(self._packs):
-            merge_pack(self._packs[pack])
+        for _, stores, missed in self._packs:
+            merge_pack(stores, missed)
         if self.config.churn_rate > 0:
             self.graph = churn(
                 self.graph,

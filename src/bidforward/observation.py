@@ -12,15 +12,16 @@ run's one bid feed with the mask of the bid-history owners in it (see
 
 Each observer keeps, per subject node, an estimated profit (the sum of
 payment and fine deltas it could hear), a running fairness deviation, and
-custody/drop counters. ``ObserverStore.apply`` never reads its owner, so
-under ``global`` scope, where every observer hears every event in the same
-order, all observers share one store. Under ``khop`` scopes each observer
+custody/drop counters. A store does not know its owner, so under
+``global`` scope, where every observer hears every event in the same order,
+all observers share one store. Under ``khop`` scopes each observer
 has its own store. Either way the engine applies each event a store hears to
-it directly, once (see ``Simulation._emit``). Pack members merge their
-observations so every member ends up with the union, deduplicated by event
-identity; only their stores keep the ``applied`` set and an outbox. A merge
-exchanges only the events some member applied for the first time since the
-previous merge, so a run's merge work is linear in its events.
+it directly, once (see ``Simulation._emit``). A wolf pack pools what its
+members hear by the same masks: the engine notes each event that some
+members of a pack heard and others did not, with the mask of those that
+did not, and ``merge_pack`` folds it into those members at the end of the
+round. Every member then holds the pack's union, each event once, and a
+run's merge work is linear in its events.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
 from operator import or_
+from typing import Iterable
 
 from .model import (
     BACKBONE,
@@ -38,20 +40,15 @@ from .model import (
     NodeId,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
-from .topology import NodeView
+from .topology import NodeView, members
 
 # Reading a member off an Enum class goes through EnumType.__getattr__; the
 # per-event paths compare against these module-level names instead.
 _ANNOUNCED = EventKind.AUCTION_ANNOUNCED
-_BID_PLACED = EventKind.BID_PLACED
 _BID_WON = EventKind.BID_WON
-_DELIVERED = EventKind.DELIVERED
 _DROPPED = EventKind.DROPPED
 _FINE = EventKind.FINE_ASSESSED
 _PAYMENT = EventKind.PAYMENT
-
-#: The kinds a store in no pack acts on: bids and deliveries change no profile.
-OBSERVED_KINDS = frozenset(EventKind) - {_BID_PLACED, _DELIVERED}
 
 
 @dataclass(frozen=True)
@@ -116,23 +113,18 @@ class NodeProfile:
 
 
 class ObserverStore:
-    """Event-sourced profile store.
+    """Event-sourced profile store: a plain fold of the events it is given.
 
-    Under ``global`` scope one store serves every observer and has no
-    ``owner``. A pack member's store (``retain_events``) deduplicates by
-    ``event_id`` in ``applied``, keeps every applied event in ``events``, for
-    ``rebuild()``, and the events it applied for the first time since the
-    last ``merge_pack`` in its outbox ``unshared``. Any other store hears
-    each event once and keeps none of these (``applied`` is None).
+    It keeps the profile of each subject and the custody path of each packet
+    it saw taken, and nothing else: no events, no event ids, no owner. Every
+    profile field is a sum over the events folded in, and a path is read as
+    a set, so a pack member that folds the events it missed at the end of
+    the round ends where one that heard them at once would. Under ``global``
+    scope one store serves every observer.
     """
 
-    def __init__(self, owner: NodeId | None = None, retain_events: bool = False):
-        self.owner = owner
-        self.retain_events = retain_events
+    def __init__(self) -> None:
         self.profiles: dict[NodeId, NodeProfile] = {}
-        self.applied: set[tuple[int, int]] | None = set() if retain_events else None
-        self.events: dict[tuple[int, int], GameEvent] = {}
-        self.unshared: list[GameEvent] = []
         self.packet_paths: dict[int, list[NodeId]] = {}
 
     def profile(self, subject: NodeId) -> NodeProfile:
@@ -145,28 +137,15 @@ class ObserverStore:
     def known_path(self, packet_id: int) -> list[NodeId]:
         return self.packet_paths.get(packet_id, [])
 
-    def apply(self, event: GameEvent) -> bool:
-        """Fold one visible event in; a pack member's store returns False on a duplicate.
-
-        Bids and deliveries change no profile: a pack member only records
-        them as applied and retains them.
+    def apply(self, event: GameEvent) -> None:
+        """Fold one visible event in; bids and deliveries change nothing.
 
         An announcement adds the holder's fairness deviation: the fair
         ceiling splits the incoming promise equally over the ``dist`` nodes
         still needed (holder included), and the increment is the announced
         ceiling's distance from it, relative to the incoming promise.
         """
-        applied = self.applied
-        if applied is not None:
-            event_id = (event.round, event.seq)
-            if event_id in applied:
-                return False
-            applied.add(event_id)
-            self.events[event_id] = event
-            self.unshared.append(event)
         kind = event.kind
-        if kind is _BID_PLACED or kind is _DELIVERED:
-            return True
         if kind is _ANNOUNCED:
             # A missing distance or promise is None; a 0 is folded in.
             dist, incoming = event.dist, event.prev
@@ -187,47 +166,33 @@ class ObserverStore:
         elif kind is _DROPPED:
             if event.node != BACKBONE:
                 self.profile(event.node).observed_drops += 1
-        return True
 
-    def rebuild(self) -> None:
-        """Recompute all aggregates from retained events, in ``event_id`` order.
+    def rebuild(self, events: Iterable[GameEvent]) -> None:
+        """Recompute every aggregate from ``events`` alone, folded in the order given.
 
-        The full-recompute reference that incremental merging is tested
-        against; the outbox is left as it was.
+        The full-recompute reference that pack merging is tested against.
         """
-        retained, outbox = self.events, self.unshared
         self.profiles = {}
-        self.applied = set() if self.retain_events else None
-        self.events = {}
-        self.unshared = []
         self.packet_paths = {}
-        for event_id in sorted(retained):
-            self.apply(retained[event_id])
-        self.unshared = outbox
+        for event in events:
+            self.apply(event)
 
 
-def merge_pack(stores: list[ObserverStore]) -> None:
-    """Give every pack member the union of the pack's observations.
+def merge_pack(
+    stores: dict[NodeId, ObserverStore], missed: list[tuple[GameEvent, int]]
+) -> None:
+    """Fold into each pack member the events it missed that another member heard.
 
-    Each member applies, in ``event_id`` order, the union of the members'
-    outboxes, and then every outbox is emptied. When every merge runs over
-    the same members, they all hold the same applied set afterwards, as if
-    each had rebuilt from the union. A merge costs (new events × members).
-    Events observed by several members count once; merging is idempotent
-    and order-independent.
+    ``stores`` maps each member to its store. ``missed`` holds, in seq
+    order, each event that some member heard and some did not, with the
+    mask of the members that did not; each of those folds it in, in that
+    order, and the list is emptied. A merge costs one fold per member that
+    missed an event, and no event reaches a store twice.
     """
-    union: dict[tuple[int, int], GameEvent] = {}
-    for store in stores:
-        if not store.retain_events:
-            raise ValueError(f"store of node {store.owner} does not retain events")
-        for event in store.unshared:
-            union[event.event_id] = event
-    fresh = [union[event_id] for event_id in sorted(union)]
-    for store in stores:
-        for event in fresh:
-            store.apply(event)
-    for store in stores:
-        store.unshared.clear()
+    for event, mask in missed:
+        for member in members(mask):
+            stores[member].apply(event)
+    missed.clear()
 
 
 def profiles_csv(

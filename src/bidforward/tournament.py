@@ -24,7 +24,7 @@ from .engine import GameConfig, run_simulation
 from .model import Money, NodeId
 from .predictor import PredictorConfig
 from .seeding import derive_seed
-from .strategies import build_strategy
+from .strategies import build_strategy, competition_ranks
 from .topology import TopologyGraph, generate
 
 
@@ -264,11 +264,6 @@ class RankTable:
         return "\n".join(lines)
 
 
-def _competition_rank(ordered_values: list[float], value: float) -> int:
-    """1-based competition rank: ties share the better rank."""
-    return 1 + sum(1 for v in ordered_values if v > value)
-
-
 def run_cell_seed(cell: CellSpec, run_seed: int) -> dict[str, tuple[int, Money, int, Money]]:
     """One (cell, seed) simulation, reduced to per-strategy sums.
 
@@ -390,11 +385,11 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
             if isinstance(outcome, str):
                 failures.append(f"seed {si} (run seed {run_seed}): {outcome}")
                 continue
-            seed_means = {
-                name: bal / cnt for name, (cnt, bal, _, _) in outcome.items()
-            }
-            ordered = list(seed_means.values())
-            for name, (cnt, bal, deliv, fines) in outcome.items():
+            # Competition ranks by mean balance: ties share the better rank.
+            ranks = competition_ranks(
+                [bal / cnt for cnt, bal, _, _ in outcome.values()], descending=True
+            )
+            for rank, (name, (cnt, bal, deliv, fines)) in zip(ranks, outcome.items()):
                 agg = per_cell.get(name)
                 if agg is None:
                     agg = StrategyAggregate(name, rank_counts=[0] * n_strategies)
@@ -403,8 +398,7 @@ def run_tournament(spec: TournamentSpec, workers: int = 1) -> RankTable:
                 agg.total_balance += bal
                 agg.total_delivered += deliv
                 agg.total_fines += fines
-                rank = _competition_rank(ordered, seed_means[name])
-                agg.rank_counts[rank - 1] += 1
+                agg.rank_counts[rank] += 1
         if failures:
             table.errors[cell.name] = "; ".join(failures)
         if per_cell:

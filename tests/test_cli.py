@@ -655,6 +655,19 @@ class TestChecksBeforeAnyRun:
             assert field in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o")
 
+    @pytest.mark.parametrize("nodes", [[], "", ","], ids=["empty-list", "empty", "comma"])
+    def test_node_set_that_selects_no_node_rejected(self, tmp_path, capsys, nodes):
+        mix = [
+            {"nodes": "0-3", "strategy": "fair"},
+            {"nodes": nodes, "strategy": "wolfpack", "params": {"pack": "a"}},
+            {"rest": True, "strategy": "random"},
+        ]
+        conf = write_config(tmp_path, with_override("strategies", mix))
+        for command in ("run", "tournament"):
+            assert main([command, "--config", conf, "--out", str(tmp_path / "o")]) == 2
+            assert f"strategies[1].nodes: {nodes!r} selects no node" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "o")
+
     def test_mix_checked_against_each_cells_graph(self, tmp_path, capsys):
         tree = with_override("tournament.cells", [
             {"name": "big"}, {"name": "small", "overrides": {"topology.n": 3}},

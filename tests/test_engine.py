@@ -365,40 +365,70 @@ class TestLongPackRuns:
                 assert all(a >= b for a, b in zip(chain, chain[1:]))
             for pack in packs:
                 first = sim.contexts[pack[0]].observer
+                paths = {pid: set(path) for pid, path in first.packet_paths.items()}
                 for node in pack[1:]:
                     store = sim.contexts[node].observer
-                    assert store.applied == first.applied
                     assert store.profiles == first.profiles
+                    assert {pid: set(path) for pid, path in store.packet_paths.items()} == paths
         assert sim.round == 100
 
 
 class TestMergeWork:
-    def test_pack_merges_apply_each_event_a_bounded_number_of_times(self, monkeypatch):
-        calls = 0
+    """Under ``khop:2`` on a churning graph with two packs, each pack member's
+    store applies each observed event that some member of its pack heard
+    exactly once, as it is heard or in the round's merge, and no other event."""
+
+    def test_pack_stores_apply_each_event_their_pack_heard_exactly_once(self, monkeypatch):
+        applied: dict[tuple[int, tuple[int, int]], int] = {}
+        owner_of: dict[ObserverStore, int] = {}
         real_apply = ObserverStore.apply
 
         def counting_apply(store, event):
-            nonlocal calls
-            calls += 1
+            key = (owner_of[store], event.event_id)
+            applied[key] = applied.get(key, 0) + 1
             return real_apply(store, event)
 
         monkeypatch.setattr(ObserverStore, "apply", counting_apply)
-        g = generate("geometric", 20, radius=0.35, seed=11)
-        assignment = {
-            n: build_strategy("wolfpack", {"pack": "a", "sabotage_enabled": True})
-            if 1 <= n <= 10 else build_strategy("fair")
-            for n in range(20)
-        }
+        g = generate("geometric", 16, radius=0.4, seed=3, gateways=(0, 5))
+        packs = {"a": [1, 2, 3, 4, 6], "b": [7, 9, 10, 12]}
+        assignment = {n: build_strategy("sniper" if n % 4 == 3 else "fair") for n in range(16)}
+        for pack, nodes in packs.items():
+            for node in nodes:
+                assignment[node] = build_strategy(
+                    "wolfpack", {"pack": pack, "sabotage_enabled": pack == "a"}
+                )
         config = GameConfig(
-            packets_total=200, injection_rate=1, observation="global", master_seed=1401
+            packets_total=80, injection_rate=2, observation="khop:2",
+            churn_rate=0.02, master_seed=7,
         )
         sim = Simulation(config, g, assignment)
-        result = sim.run()
-        subscribers = sum(ctx.observer is not None for ctx in sim.contexts.values())
-        # Each subscriber applies each event once as it is heard and at most
-        # once more in the merge that shares it.
-        assert subscribers == 10
-        assert calls <= 2 * subscribers * len(result.events)
+        owner_of.update((ctx.observer, node) for node, ctx in sim.contexts.items())
+        ignored = {EventKind.BID_PLACED, EventKind.DELIVERED}
+        expected: dict[tuple[int, tuple[int, int]], int] = {}
+        split = 0
+        while True:
+            graph = sim.graph
+            first = len(sim.events)
+            if not sim.step_round():
+                break
+            hops = dict(nx.all_pairs_shortest_path_length(nx.Graph(graph.edges())))
+
+            def hears(node, location):
+                reach = hops.get(node, {node: 0})
+                if location == BACKBONE:
+                    return 1 + min(reach.get(gw, 99) for gw in graph.gateways) <= 2
+                return reach.get(location, 99) <= 2
+
+            for event in sim.events[first:]:
+                if event.kind in ignored:
+                    continue
+                for nodes in packs.values():
+                    heard = [node for node in nodes if hears(node, event.location)]
+                    if heard:
+                        split += len(heard) < len(nodes)
+                        expected.update(((node, event.event_id), 1) for node in nodes)
+        assert split > 100
+        assert applied == expected
 
 
 class TestNoStringFieldsOnHotPaths:
@@ -455,10 +485,11 @@ class TestAudienceUnderChurn:
         # A sniper keeps a bid history only; a wolfpack in no pack keeps a
         # store, which ignores bids and deliveries, and a history.
         fed: dict[tuple[int, int], list[tuple[str, int | None]]] = {}
+        owner_of: dict[ObserverStore, int] = {}
 
         def apply(real):
             def wrapper(store, event):
-                fed.setdefault(event.event_id, []).append(("apply", store.owner))
+                fed.setdefault(event.event_id, []).append(("apply", owner_of.get(store)))
                 return real(store, event)
             return wrapper
 
@@ -481,6 +512,8 @@ class TestAudienceUnderChurn:
             churn_rate=0.05, master_seed=7,
         )
         sim = Simulation(config, g, assignment)
+        if not shared:
+            owner_of.update((sim.contexts[node].observer, node) for node in owners)
         # Stores are deduplicated before any visibility test: under global
         # scope an audience build scans the one shared store only.
         assert len(sim._owned) == (1 if shared else len(owners))
@@ -653,7 +686,7 @@ class TestViewsFollowTheGraph:
         result = sim.run()
         assert any(event.kind is EventKind.BID_PLACED for event in result.events)
         assert sim._feed.tape.dropped + len(sim._feed.tape.points) > 0
-        assert sim._audience == {} and sim._heard == {}
+        assert sim._audience == {}
 
 
 class TestUnloggedRun:
@@ -682,10 +715,18 @@ class TestUnloggedRun:
         ("khop:2", 0.05, False),
         ("khop:2", 0.05, True),
     ], ids=["global", "khop-churn", "khop-churn-forced"])
-    def test_same_run_without_events(self, observation, churn_rate, forced):
+    def test_same_run_without_events(self, observation, churn_rate, forced, monkeypatch):
+        applied = []  # (store, event) per apply, over both runs
+        real_apply = ObserverStore.apply
+
+        def recording_apply(store, event):
+            applied.append((store, event))
+            return real_apply(store, event)
+
+        monkeypatch.setattr(ObserverStore, "apply", recording_apply)
         logged = self.build(observation, churn_rate, forced, log=True)
         unlogged = self.build(observation, churn_rate, forced, log=False)
-        pack_stores, retained = 0, set()
+        pack_stores = 0
         while True:
             more = logged.step_round()
             assert unlogged.step_round() == more
@@ -696,18 +737,17 @@ class TestUnloggedRun:
                     continue
                 assert other.profiles == store.profiles
                 assert other.packet_paths == store.packet_paths
-                if store.retain_events:
-                    pack_stores += 1
-                    assert set(other.events) == set(store.events)
-                    assert other.applied == store.applied
-                    retained |= store.applied
+                pack_stores += ctx.pack is not None
             if not more:
                 break
-        assert (pack_stores > 0) == (observation != "global")
+        assert pack_stores > 0
+        # Both runs' stores were handed the same events, ids included, in order.
+        mine = {ctx.observer for ctx in logged.contexts.values()}
+        seen = [event for store, event in applied if store in mine]
+        assert seen and [event for store, event in applied if store not in mine] == seen
         result, bare = logged.run(), unlogged.run()
-        if pack_stores:
-            # Pack stores see gaps in the seqs, where events went unbuilt.
-            assert retained and {e.event_id for e in result.events} > retained
+        # Stores see gaps in the seqs, where events went unbuilt.
+        assert {e.event_id for e in result.events} > {e.event_id for e in seen}
         assert bare.events == []
         assert {EventKind.FINE_ASSESSED, EventKind.BID_PLACED} <= {e.kind for e in result.events}
         assert bare.stats == result.stats and bare.settlements == result.settlements
@@ -719,10 +759,11 @@ class TestUnloggedRun:
 class TestScopedObservation:
     def test_khop_store_never_sees_far_events(self, monkeypatch):
         applied: dict[int, set[tuple[int, int]]] = {}
+        owner_of: dict[ObserverStore, int] = {}
         real_apply = ObserverStore.apply
 
         def recording_apply(store, event):
-            applied.setdefault(store.owner, set()).add(event.event_id)
+            applied.setdefault(owner_of[store], set()).add(event.event_id)
             return real_apply(store, event)
 
         monkeypatch.setattr(ObserverStore, "apply", recording_apply)
@@ -732,6 +773,7 @@ class TestScopedObservation:
             packets_total=12, injection_rate=2, observation="khop:1", master_seed=13
         )
         sim = Simulation(config, g, assignment)
+        owner_of.update((ctx.observer, node) for node, ctx in sim.contexts.items())
         result = sim.run()
         by_id = {e.event_id: e for e in result.events}
         for node, ctx in sim.contexts.items():

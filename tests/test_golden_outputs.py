@@ -6,7 +6,12 @@ of a tournament. ``tests/golden_khop.json`` holds the same digest for
 ``khop-churn`` under overrides that move its bid histories (other scopes,
 tapes small enough to trim, forced bids), and for ``wolfpack-pack`` under
 ``khop`` scopes, where every pack member keeps a store of its own and the
-stores hear events by distance on a churning graph. Its ``global`` cases
+stores hear events by distance on a churning graph. A case may instead name
+a config file (``config``, relative to the repository root), extra CLI
+arguments (``args``) and the files it digests (``files``): the pack cases
+with ``--dump-profiles`` also pin ``profiles.csv``, every pack member's
+profiles at the end of every round, after the pack's merge, for one and
+two packs. Its ``global`` cases
 (``khop-churn`` with ``game.observation=global``, and ``wolfpack-pack``,
 which is ``global``) pin the bid windows where every history owner hears
 every bid but its own: short and tiny windows, a long run that trims, and
@@ -30,7 +35,8 @@ import yaml
 
 from bidforward.cli import main
 
-BENCH_DIR = Path(__file__).resolve().parents[1] / "benches"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH_DIR = ROOT / "benches"
 GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text())
 GOLDEN_KHOP = json.loads(Path(__file__).with_name("golden_khop.json").read_text())
 GOLDEN_SWEEP = json.loads(Path(__file__).with_name("golden_sweep.json").read_text())
@@ -54,12 +60,16 @@ def test_workload_outputs_match_the_golden_digest(workload, tmp_path, capsys):
 @pytest.mark.parametrize("case", sorted(GOLDEN_KHOP["sha256"]))
 def test_khop_histories_match_the_golden_digest(case, tmp_path):
     expected = GOLDEN_KHOP["sha256"][case]
-    config = BENCH_DIR / "workloads" / f"{expected['workload']}.yaml"
+    if "config" in expected:
+        config = ROOT / expected["config"]
+    else:
+        config = BENCH_DIR / "workloads" / f"{expected['workload']}.yaml"
     seed = expected.get("seed", GOLDEN_KHOP["seed"])
-    args = ["run", "--config", str(config), "--seed", str(seed)]
+    args = ["run", "--config", str(config), "--seed", str(seed), *expected.get("args", ())]
     for override in expected["overrides"]:
         args += ["--override", override]
-    assert run_digest(args, tmp_path) == expected["digest"]
+    names = expected.get("files", ("events.csv", "balances.csv"))
+    assert run_digest(args, tmp_path, names) == expected["digest"]
 
 
 @pytest.mark.parametrize("workers", [1, 3])

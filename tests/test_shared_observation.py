@@ -8,10 +8,11 @@ packet's announcements and the mask of the history owners that hear it
 hearers with the same latest announcement, with the group's mask minus the
 bidder, on the run's one tape that each owner's window reads through its
 bit. The reference here is the per-subscriber model kept in the
-tests: every subscriber folds every event it can hear into a private store
-(a pack member's retains events and merges at the end of each round) and a
-private deque-based history that tracks the announcements it heard and skips
-its own bids. The work tests count feed calls, points and records per bid;
+tests: every subscriber folds every event it can hear into a private store,
+and at the end of each round each pack member also folds every event of the
+round that some member heard and it did not (the pack's union, built here
+without ``merge_pack``), and keeps a private deque-based history that tracks
+the announcements it heard and skips its own bids. The work tests count feed calls, points and records per bid;
 the long run bounds the tape and the windows.
 """
 
@@ -24,7 +25,7 @@ from hypothesis import strategies as st
 
 from bidforward.engine import GameConfig, Simulation
 from bidforward.model import BACKBONE, EventKind
-from bidforward.observation import ObserverStore, merge_pack
+from bidforward.observation import ObserverStore
 from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
@@ -118,7 +119,7 @@ class TestSharedStateMatchesPerSubscriberReference:
         stores, histories, packs = {}, {}, {}
         for node, strategy in sorted(assignment.items()):
             if strategy.uses_observation:
-                stores[node] = ObserverStore(node, retain_events=strategy.pack is not None)
+                stores[node] = ObserverStore()
                 if strategy.pack is not None:
                     packs.setdefault(strategy.pack, []).append(node)
             if strategy.uses_bid_history:
@@ -131,16 +132,21 @@ class TestSharedStateMatchesPerSubscriberReference:
             if not sim.step_round():
                 break
             hops = dict(nx.all_pairs_shortest_path_length(nx.Graph(graph.edges())))
-            for event in sim.events[seen:]:
+            events = sim.events[seen:]
+            seen = len(sim.events)
+            for event in events:
                 for node in subscribers:
                     if in_scope(graph, hops, node, event.location, k):
                         if node in stores:
                             stores[node].apply(event)
                         if node in histories:
                             histories[node].hear(event)
-            seen = len(sim.events)
-            for pack in sorted(packs):
-                merge_pack([stores[n] for n in packs[pack]])
+            for members in packs.values():
+                for event in events:
+                    deaf = [n for n in members if not in_scope(graph, hops, n, event.location, k)]
+                    if len(deaf) < len(members):
+                        for node in deaf:
+                            stores[node].apply(event)
             for node, ctx in sim.contexts.items():
                 if node in stores:
                     reference = stores[node]

@@ -90,22 +90,22 @@ class TestFairSplit:
 class TestAlwaysOne:
     def test_bids_one(self):
         g = generate("ring", 6)
-        ctx = make_ctx(0, g, observer=ObserverStore(0))
+        ctx = make_ctx(0, g, observer=ObserverStore())
         assert AlwaysOne().on_auction(request(100), ctx) == 1
 
     def test_zero_ceiling_abstains_unforced(self):
         g = generate("ring", 6)
-        ctx = make_ctx(0, g, observer=ObserverStore(0))
+        ctx = make_ctx(0, g, observer=ObserverStore())
         assert AlwaysOne().on_auction(request(0), ctx) is None
 
     def test_zero_ceiling_bids_zero_forced(self):
         g = generate("ring", 6)
-        ctx = make_ctx(0, g, forced=True, observer=ObserverStore(0))
+        ctx = make_ctx(0, g, forced=True, observer=ObserverStore())
         assert AlwaysOne().on_auction(request(0), ctx) == 0
 
     def test_constant_over_many_auctions(self):
         g = generate("ring", 6)
-        ctx = make_ctx(0, g, observer=ObserverStore(0))
+        ctx = make_ctx(0, g, observer=ObserverStore())
         strat = AlwaysOne()
         bids = {strat.on_auction(request(c), ctx) for c in range(1, 101)}
         assert bids == {1}
@@ -304,7 +304,7 @@ class TestWolfPack:
 
     def test_monopoly_position_bids_ceiling(self):
         g = self.line()
-        observer = ObserverStore(2, retain_events=False)
+        observer = ObserverStore()
         observer.apply(GameEvent(0, 0, EventKind.BID_WON, 0, 0, 100, -1))
         observer.apply(GameEvent(0, 1, EventKind.BID_WON, 0, 1, 90, 0))
         ctx = make_ctx(2, g, observer=observer, history=heard_history(2))
@@ -314,7 +314,7 @@ class TestWolfPack:
 
     def test_no_monopoly_without_path_knowledge(self):
         g = self.line()
-        ctx = make_ctx(2, g, observer=ObserverStore(2), history=heard_history(2))
+        ctx = make_ctx(2, g, observer=ObserverStore(), history=heard_history(2))
         bid = WolfPack().on_auction(request(90, dest=4, holder=1, dist=3), ctx)
         assert bid == 45  # predictor fallback: half the ceiling
 
@@ -323,27 +323,27 @@ class TestWolfPack:
         cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
         history = heard_history(3, BidHistoryPoint(90, 1, 36, 0), BidHistoryPoint(90, 1, 35, 0),
                                 cfg=cfg)
-        ctx = make_ctx(3, g, observer=ObserverStore(3), history=history)
+        ctx = make_ctx(3, g, observer=ObserverStore(), history=history)
         bid = WolfPack().on_auction(request(90, dest=4, holder=2, dist=2), ctx)
         assert bid == 34
 
     def test_blind_abstains_unforced(self):
         g = self.line()
-        ctx = make_ctx(2, g, k=1, observer=ObserverStore(2), history=heard_history(2))
+        ctx = make_ctx(2, g, k=1, observer=ObserverStore(), history=heard_history(2))
         # k=1 view cannot see holder 1's neighborhood nor the destination.
         bid = WolfPack().on_auction(request(90, dest=4, holder=1, dist=None), ctx)
         assert bid is None
 
     def test_announce_keeps_a_margin(self):
         g = self.line()
-        ctx = make_ctx(1, g, observer=ObserverStore(1), history=heard_history(1))
+        ctx = make_ctx(1, g, observer=ObserverStore(), history=heard_history(1))
         packet = Packet(0, 4, budget=100, fine=200, ttl=5)
         assert WolfPack(greed_margin=1).announce_ceiling(packet, 90, None, ctx) == 59
         assert WolfPack(greed_margin=0).announce_ceiling(packet, 90, None, ctx) == 60
         assert WolfPack(greed_margin=1).announce_ceiling(packet, 0, None, ctx) == 0
 
     def sabotage_ctx(self, g, node, rich_subject, rich_profit=500):
-        observer = ObserverStore(node)
+        observer = ObserverStore()
         observer.profile(rich_subject).estimated_profit = rich_profit
         observer.profile(1).estimated_profit = 5
         observer.profile(2).estimated_profit = 0
@@ -384,7 +384,7 @@ class TestWolfPack:
 
     def test_no_sabotage_when_nobody_is_rich_yet(self):
         g = self.line()
-        observer = ObserverStore(3)
+        observer = ObserverStore()
         for s in (0, 1, 2):
             observer.profile(s).estimated_profit = 0
         ctx = make_ctx(3, g, observer=observer, history=heard_history(3))
@@ -395,7 +395,7 @@ class TestWolfPack:
 
     def test_chooser_uses_observed_profiles(self):
         g = generate("ring", 6)
-        observer = ObserverStore(1)
+        observer = ObserverStore()
         observer.profile(0).estimated_profit = 100
         observer.profile(2).estimated_profit = 0
         ctx = make_ctx(1, g, observer=observer, history=heard_history(1))
@@ -414,7 +414,7 @@ class TestZeroValuedEventFields:
                          dest=5, dist=dist, prev=prev)
 
     def test_zero_incoming_promise_adds_deviation(self):
-        store = ObserverStore(owner=0)
+        store = ObserverStore()
         store.apply(self.announcement(5, dist=3, prev=0))
         # fair share of 0 is 0; the deviation is 5 over max(0, 1)
         assert store.profile(3).fairness_deviation == Fraction(5)
@@ -451,7 +451,7 @@ class TestBidValidityFuzz:
         strat = build_strategy(name)
         ctx = make_ctx(
             0, g, seed=seed, forced=forced,
-            observer=ObserverStore(0) if strat.uses_observation else None,
+            observer=ObserverStore() if strat.uses_observation else None,
             history=heard_history(0) if strat.uses_bid_history else None,
         )
         req = request(ceiling, dest=dest, holder=1, dist=g.hop_distance(1, dest))
