@@ -14,7 +14,7 @@ import sys
 from . import config as cfg
 from .engine import Simulation, balances_csv
 from .model import events_to_log
-from .observation import profiles_csv
+from .observation import PROFILES_CSV_HEADER, profiles_csv
 from .strategies import build_strategy
 from .tournament import assign_mix, run_tournament
 
@@ -45,7 +45,7 @@ def cmd_run(args) -> int:
     predictor = cfg.build_predictor_config(tree, game)
 
     sim = Simulation(game, graph, assignment, predictor)
-    profile_rows = ["round,observer,subject,profit_est,fairness_dev,drop_rate"]
+    profile_rows = [PROFILES_CSV_HEADER]
     while True:
         round_no = sim.round
         if not sim.step_round():

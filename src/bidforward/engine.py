@@ -207,7 +207,6 @@ class NodeStats:
 
 @dataclass
 class SimulationResult:
-    config: GameConfig
     strategy_names: dict[NodeId, str]
     events: list[GameEvent]
     balances: dict[NodeId, Money]
@@ -294,16 +293,13 @@ class Simulation:
             if strat.uses_bid_history:
                 history = BidHistory(self.predictor_cfg, node, self._feed.tape)
                 self._history_owners |= 1 << node
-            ctx = self.contexts[node] = StrategyContext(
+            self.contexts[node] = StrategyContext(
                 node=node,
                 view=self._views[node],
                 rng=random.Random(derive_seed(seed, "node", node)),
-                budget=config.budget,
-                ttl=config.ttl,
                 gateways=graph.gateways,
                 forced_bid=config.forced_bid_mode,
                 fine_mode=config.fine_mode,
-                pack=strat.pack,
                 observer=observer,
                 history=history,
             )
@@ -455,7 +451,6 @@ class Simulation:
         while self.step_round():
             pass
         return SimulationResult(
-            config=self.config,
             strategy_names={n: s.name for n, s in self.strategies.items()},
             events=self.events,
             balances=self.balances,
@@ -472,8 +467,7 @@ class Simulation:
         promise_in = packet.budget
         ttl_remaining = packet.ttl
         prev_advertised: int | None = None
-        # For the bid feed; None when no node keeps a bid history.
-        announced: Announcements | None = [] if self._history_owners else None
+        announced: Announcements = []  # for the bid feed
 
         while True:
             if holder != BACKBONE and packet.destination in self.graph.neighbors(holder):
@@ -491,9 +485,8 @@ class Simulation:
                     return
                 chooser = lambda req, bs: holder_strategy.choose_winner(req, bs, holder_ctx)
             request = self._announce(packet, holder, promise_in, ttl_remaining, prev_advertised)
-            if announced is not None:
-                heard = self._hearing(holder) & self._history_owners
-                announced.append((request.ceiling, request.hop_distance, heard))
+            heard = self._hearing(holder) & self._history_owners
+            announced.append((request.ceiling, request.hop_distance, heard))
             bids = self._collect_bids(request, on_path, announced)
             winner = run_auction(request, bids, chooser)
             if winner is None:
@@ -550,7 +543,7 @@ class Simulation:
         self,
         request: AuctionRequest,
         on_path: set[NodeId],
-        announced: Announcements | None,
+        announced: Announcements,
     ) -> list[Bid]:
         """Ask the holder's bidders not in ``on_path`` to bid, in ascending order.
 
@@ -558,10 +551,11 @@ class Simulation:
         holder's first auction; ``on_path`` is the set of the path's nodes
         that ``_process_packet`` grows with each winner. Every bid is still
         checked against the graph's own neighbour set, so a table gone stale
-        raises ``EngineError`` instead of inviting the wrong nodes. Each bid
-        goes to the bid feed, with the packet's ``announced`` list and the
-        mask of the history owners that hear its bidder, when that mask is
-        not empty, before the next bidder is asked.
+        raises ``EngineError`` instead of inviting the wrong nodes. Before
+        the next bidder is asked, each bid goes to the bid feed with the
+        packet's ``announced`` list and the mask of the history owners that
+        hear its bidder; an empty mask, as in every run without a history
+        owner, records nothing.
         """
         holder = request.holder
         graph = self.graph
@@ -571,7 +565,7 @@ class Simulation:
             bidders = self._bidders[holder] = tuple(sorted(neighbors))
         strategies, contexts = self.strategies, self.contexts
         emit, packet_id, rnd = self._emit, request.packet_id, self.round
-        hear = None if announced is None else self._feed.hear
+        hear = self._feed.hear
         owners = self._history_owners
         bids: list[Bid] = []
         for node in bidders:
@@ -594,10 +588,9 @@ class Simulation:
                 )
             bids.append(bid)
             emit(_BID_PLACED, packet_id, node, amount, node)
-            if hear is not None:
-                hearers = self._hearing(node) & owners
-                if hearers:
-                    hear(announced, node, amount, rnd, hearers)
+            hearers = self._hearing(node) & owners
+            if hearers:
+                hear(announced, node, amount, rnd, hearers)
         return bids
 
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:

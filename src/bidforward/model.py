@@ -5,7 +5,7 @@ non-negative; only running node balances may go negative.
 
 Events carry typed fields: an announcement's destination, advertised
 distance and incoming promise, a delivery's destination, a drop's reason.
-Observers read those fields directly. ``GameEvent.extra`` renders them as
+Observers read those fields directly. ``GameEvent.to_line`` renders them as
 the event log's ``key=value`` column, for CSV output only.
 
 A run builds these records per event, per bid and per hop, so none of them
@@ -38,6 +38,12 @@ NodeId = int
 #: Virtual wired-infrastructure node. Injects packets, pays delivery
 #: promises, collects fines. Never bids, never forwards.
 BACKBONE: NodeId = -1
+
+
+def fair_ceiling(incoming: Money, hop_distance: int) -> Money:
+    """Equal split of ``incoming`` over the ``hop_distance`` nodes still needed:
+    the ceiling a fair holder announces, and what observers measure it against."""
+    return incoming * (hop_distance - 1) // hop_distance
 
 
 class ModelError(ValueError):
@@ -270,11 +276,6 @@ class GameEvent(NamedTuple):
     @property
     def event_id(self) -> tuple[int, int]:
         return (self.round, self.seq)
-
-    @property
-    def extra(self) -> str:
-        """The typed fields as the log's ``extra`` column."""
-        return format_extra(dest=self.dest, dist=self.dist, prev=self.prev, reason=self.reason)
 
     def to_line(self) -> str:
         round_, _, kind, packet_id, node, amount, _, dest, dist, prev, reason = self

@@ -38,6 +38,7 @@ from .model import (
     GameEvent,
     Money,
     NodeId,
+    fair_ceiling,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .topology import NodeView, members
@@ -99,9 +100,8 @@ def parse_scope_spec(spec: str) -> ObservationScope:
 
 @dataclass
 class NodeProfile:
-    """One observer's running estimate of another node."""
+    """One observer's running estimate of another node, stored under its id."""
 
-    subject: NodeId
     estimated_profit: Money = 0
     fairness_deviation: Fraction = field(default_factory=lambda: Fraction(0))
     observed_drops: int = 0
@@ -130,8 +130,7 @@ class ObserverStore:
     def profile(self, subject: NodeId) -> NodeProfile:
         prof = self.profiles.get(subject)
         if prof is None:
-            prof = NodeProfile(subject)
-            self.profiles[subject] = prof
+            prof = self.profiles[subject] = NodeProfile()
         return prof
 
     def known_path(self, packet_id: int) -> list[NodeId]:
@@ -150,7 +149,7 @@ class ObserverStore:
             # A missing distance or promise is None; a 0 is folded in.
             dist, incoming = event.dist, event.prev
             if event.node != BACKBONE and dist is not None and incoming is not None and dist >= 2:
-                fair = incoming * (dist - 1) // dist
+                fair = fair_ceiling(incoming, dist)
                 profile = self.profile(event.node)
                 if event.amount != fair:
                     profile.fairness_deviation += Fraction(
@@ -195,10 +194,14 @@ def merge_pack(
     missed.clear()
 
 
+#: Header for the per-round profile diagnostics that ``profiles_csv`` renders.
+PROFILES_CSV_HEADER = "round,observer,subject,profit_est,fairness_dev,drop_rate"
+
+
 def profiles_csv(
     stores: list[tuple[NodeId, ObserverStore]], round_no: int
 ) -> list[str]:
-    """Diagnostics rows ``round,observer,subject,profit_est,fairness_dev,drop_rate``.
+    """Diagnostics rows under ``PROFILES_CSV_HEADER``, one per observer and subject.
 
     ``stores`` pairs each observer with its store; under ``global`` scope
     every observer's store is the shared one.

@@ -27,6 +27,7 @@ from .model import (
     PathLedger,
     check_fields,
     check_value,
+    fair_ceiling,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
 from .observation import ObserverStore
@@ -41,12 +42,9 @@ class StrategyContext:
     node: NodeId
     view: NodeView
     rng: random.Random
-    budget: Money
-    ttl: int
     gateways: frozenset[int]
     forced_bid: bool = False
     fine_mode: str = "path-split"
-    pack: str | None = None
     observer: ObserverStore | None = None
     history: BidHistory | None = None
     round: int = 0
@@ -55,11 +53,6 @@ class StrategyContext:
         """Own hop distance to ``dest``; falls back to the advertised one."""
         d = self.view.distance(self.node, dest)
         return d if d is not None else advertised
-
-
-def fair_ceiling(incoming: Money, hop_distance: int) -> Money:
-    """Equal split of ``incoming`` over the ``hop_distance`` nodes still needed."""
-    return incoming * (hop_distance - 1) // hop_distance
 
 
 def announce_distance(ctx: StrategyContext, dest: NodeId, prev_advertised: int | None) -> int:

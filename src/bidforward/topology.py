@@ -8,8 +8,8 @@ set for each neighbour v.
 A k-hop view's first query grows its owner's balls, the masks of the nodes
 within 0, 1, ..., k hops, by ORing the masks of each frontier's nodes: one
 mask read per node closer than k, and nothing past the k-ball. After that,
-``knows`` and ``covers_neighborhood`` test one bit, and the owner's
-distances are read off the balls. Every other hop distance, the graph's
+``covers_neighborhood`` tests one bit, and the owner's distances are read
+off the balls. Every other hop distance, the graph's
 (``distances_from``) or a view's between two other nodes, comes from one
 level search over the masks per source, cached as a distance list: each
 level is the OR of its nodes' masks, and a view keeps only the bits of the
@@ -20,8 +20,10 @@ A churn step costs one random draw per non-gateway pair, over a pair list
 built once per node count and gateway set; per removal, a common-neighbour
 test and, failing that, a mask search from one end that stops at the level
 where it meets the other; and new neighbour sets for the nodes it toggled.
-Graphs from ``generate`` and ``churn`` know whether they are connected, so
-churning a graph known to be connected never searches the whole graph.
+A graph knows whether it is connected from the moment it is built: the
+constructor runs one search over the masks, and ``churn`` carries the answer
+forward from its input, so churning a connected graph never searches the
+whole graph.
 """
 
 from __future__ import annotations
@@ -50,8 +52,8 @@ class TopologyGraph:
     """Immutable simple graph plus its gateway set.
 
     Shortest-hop distances are mask level searches cached per source node.
-    ``connected`` is whether the graph is connected, None until known:
-    ``generate`` and ``churn`` know it, and ``is_connected`` finds it out.
+    ``connected`` is whether the graph is connected: the constructor finds
+    it with one search from node 0, and ``churn`` hands it on.
     """
 
     __slots__ = ("n", "_adj", "_mask", "gateways", "_dist", "connected")
@@ -76,7 +78,7 @@ class TopologyGraph:
         if any(not (0 <= g < n) for g in self.gateways):
             raise TopologyError("gateway id out of range")
         self._dist: dict[int, list[int | None]] = {}
-        self.connected: bool | None = None
+        self.connected: bool = _reach(self._mask, 0) == (1 << n) - 1
 
     @classmethod
     def _from_adjacency(
@@ -84,7 +86,7 @@ class TopologyGraph:
         adj: tuple[frozenset[int], ...],
         mask: tuple[int, ...],
         gateways: frozenset[int],
-        connected: bool | None,
+        connected: bool,
     ) -> "TopologyGraph":
         """A graph over ``adj`` and its masks as given: symmetric, loop-free and
         in agreement, not checked or copied."""
@@ -115,11 +117,6 @@ class TopologyGraph:
     def hop_distance(self, a: NodeId, b: NodeId) -> int | None:
         """Shortest-path length in hops; 0 iff a == b; None if unreachable."""
         return self.distances_from(a)[b]
-
-    def is_connected(self) -> bool:
-        if self.connected is None:
-            self.connected = _reach(self._mask, 0) == (1 << self.n) - 1
-        return self.connected
 
     def to_edge_list(self) -> str:
         lines = [f"n {self.n}"]
@@ -276,7 +273,7 @@ def generate(
     check_generate(kind, n, radius=radius, cols=cols, gateways=gateways)
     if kind == "ring":
         edges = [(i, (i + 1) % n) for i in range(n)] if n > 2 else [(0, 1)]
-        return _connected_graph(n, edges, gateways)
+        return TopologyGraph(n, edges, gateways)
     if kind == "grid":
         c = cols if cols is not None else _default_cols(n)
         rows = n // c
@@ -288,7 +285,7 @@ def generate(
                     edges.append((node, node + 1))
                 if r + 1 < rows:
                     edges.append((node, node + c))
-        return _connected_graph(n, edges, gateways)
+        return TopologyGraph(n, edges, gateways)
     rng = random.Random(seed)
     for _ in range(GEOMETRIC_MAX_ATTEMPTS):
         points = [(rng.random(), rng.random()) for _ in range(n)]
@@ -298,26 +295,13 @@ def generate(
             for v in range(u + 1, n)
             if math.dist(points[u], points[v]) <= radius
         ]
-        # Test the edge list before building a graph for an attempt that fails.
-        mask = [0] * n
-        for u, v in edges:
-            mask[u] |= 1 << v
-            mask[v] |= 1 << u
-        if _reach(mask, 0) == (1 << n) - 1:
-            return _connected_graph(n, edges, gateways)
+        graph = TopologyGraph(n, edges, gateways)
+        if graph.connected:
+            return graph
     raise TopologyError(
         f"geometric: no connected graph with n={n}, radius={radius} "
         f"after {GEOMETRIC_MAX_ATTEMPTS} attempts"
     )
-
-
-def _connected_graph(
-    n: int, edges: list[tuple[int, int]], gateways: Iterable[int]
-) -> TopologyGraph:
-    """A graph over ``edges``, known to be connected."""
-    graph = TopologyGraph(n, edges, gateways)
-    graph.connected = True
-    return graph
 
 
 def _default_cols(n: int) -> int:
@@ -391,9 +375,6 @@ class NodeView:
         """The mask of the nodes whose every edge the view holds: those within k-1 hops."""
         return self._inner(self._balls or self._grow())
 
-    def knows(self, node: NodeId) -> bool:
-        return node >= 0 and self.known() >> node & 1 == 1
-
     def neighbors(self, node: NodeId) -> frozenset[int]:
         """Known neighbors of ``node``; empty when the node is unknown."""
         balls = self._balls or self._grow()
@@ -436,7 +417,8 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     Pairs touching a gateway are left alone, and any toggle that would
     disconnect the graph is reverted; on a disconnected graph every removal
     is, until additions connect it. The result is connected when ``g`` is,
-    and knows so; otherwise it knows what the toggles tested. Pairs are
+    and, like every graph, knows whether it is: from ``g.connected``, and
+    after an addition to a disconnected graph, from one search. Pairs are
     drawn in ``(u, v)`` order, one random number each, so the result is
     deterministic for a given seed. ``g`` is not changed; the result shares
     the neighbor sets of the nodes no toggle touched, and is ``g`` itself
@@ -452,12 +434,10 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
     mask = list(g._mask)
     full = (1 << g.n) - 1
     flipped: dict[int, list[int]] = {}  # node -> the neighbours toggled at it
-    connected = g.connected  # whether mask is connected, tested when first needed
+    connected = g.connected  # whether mask is connected
     for u, v in toggles:
         bu, bv = 1 << u, 1 << v
         if mask[u] & bv:
-            if connected is None:
-                connected = _reach(mask, 0) == full
             if not connected:
                 continue
             mask[u] ^= bv
@@ -472,7 +452,7 @@ def churn(g: TopologyGraph, p: float, seed: int) -> TopologyGraph:
         else:
             mask[u] |= bv
             mask[v] |= bu
-            if connected is False:
+            if not connected:
                 connected = _reach(mask, 0) == full
         flipped.setdefault(u, []).append(v)
         flipped.setdefault(v, []).append(u)

@@ -23,7 +23,6 @@ from bidforward.model import (
     LedgerStatus,
     PathLedger,
     events_to_log,
-    parse_extra,
 )
 from bidforward.observation import ObserverStore
 from bidforward.predictor import BidFeed
@@ -166,7 +165,7 @@ class TestTtlExhaustion:
         dest_of = {}
         for e in result.events:
             if e.kind is EventKind.AUCTION_ANNOUNCED and e.packet_id not in dest_of:
-                dest_of[e.packet_id] = int(parse_extra(e.extra)["dest"])
+                dest_of[e.packet_id] = e.dest
         outcomes = {
             e.packet_id: e.kind for e in result.events
             if e.kind in (EventKind.DELIVERED, EventKind.DROPPED)
@@ -218,7 +217,7 @@ class TestAbstention:
         assert result.backbone_balance == 0  # cancelled packets carry no fine
         assert all(not s.deltas for s in result.settlements)
         reasons = {
-            parse_extra(e.extra).get("reason")
+            e.reason
             for e in result.events if e.kind is EventKind.DROPPED
         }
         assert reasons == {"cancelled"}
@@ -252,7 +251,7 @@ class TestDeliberateDrop:
         )
         deliberate = [
             e for e in result.events
-            if e.kind is EventKind.DROPPED and parse_extra(e.extra).get("reason") == "deliberate"
+            if e.kind is EventKind.DROPPED and e.reason == "deliberate"
         ]
         assert deliberate, "saboteur never got to hold a far packet"
         assert all(e.node == 1 for e in deliberate)
@@ -737,7 +736,7 @@ class TestUnloggedRun:
                     continue
                 assert other.profiles == store.profiles
                 assert other.packet_paths == store.packet_paths
-                pack_stores += ctx.pack is not None
+                pack_stores += logged.strategies[node].pack is not None
             if not more:
                 break
         assert pack_stores > 0

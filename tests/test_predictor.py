@@ -10,7 +10,7 @@ from bidforward.model import BACKBONE, EventKind, GameEvent
 from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig, predict_bid
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate, members
-from conftest import window_size
+from helpers import window_size
 
 
 class DequeWindow:

@@ -29,7 +29,7 @@ from bidforward.observation import ObserverStore
 from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
-from conftest import window_size
+from helpers import window_size
 
 
 class DequeHistory:

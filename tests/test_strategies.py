@@ -23,7 +23,7 @@ from bidforward.strategies import (
 )
 from bidforward.topology import generate
 
-from conftest import heard_history, make_ctx
+from helpers import heard_history, make_ctx
 
 
 def request(ceiling=90, dest=3, holder=1, dist=3, pid=0, ttl=5, fine=200):

@@ -65,7 +65,7 @@ class TestGenerate:
         g1 = generate("geometric", 20, radius=0.4, seed=7)
         g2 = generate("geometric", 20, radius=0.4, seed=7)
         assert g1.edges() == g2.edges()
-        assert g1.is_connected()
+        assert g1.connected
 
     def test_geometric_impossible_radius_fails(self):
         with pytest.raises(TopologyError):
@@ -126,28 +126,28 @@ class TestKnownConnected:
         graphs = [generate("ring", 5), generate("grid", 6), generate("geometric", 15, radius=0.5)]
         assert all(g.connected is True for g in graphs)
 
-    def test_other_graphs_find_out_when_asked(self):
+    def test_graphs_from_edges_know_at_once(self):
         joined = TopologyGraph(3, [(0, 1), (1, 2)], gateways=(0,))
-        split = TopologyGraph.from_edge_list("n 3\n0 1\ngateways 0\n")
-        assert joined.connected is None and split.connected is None
-        assert joined.is_connected() and joined.connected is True
-        assert not split.is_connected() and split.connected is False
+        split = TopologyGraph(3, [(0, 1)], gateways=(0,))
+        assert joined.connected is True and split.connected is False
+        read = TopologyGraph.from_edge_list("n 3\n0 1\ngateways 0\n")
+        assert read.connected is False
+        assert TopologyGraph.from_edge_list(joined.to_edge_list()).connected is True
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.integers(4, 12), seed=st.integers(0, 10_000), p=st.floats(0.01, 1.0),
            data=st.data())
     def test_churn_carries_what_it_knows(self, n, seed, p, data):
         g = random_edge_list_graph(data, n)
+        assert g.connected == nx.is_connected(nx_graph(g))
         for step in range(3):
             known = g.connected
             out = churn(g, p, seed=seed + step)
             truth = nx.is_connected(nx_graph(out))
+            assert out.connected == truth
             if known:
-                assert out.connected is True
-            elif out is not g:
-                assert out.connected in (None, truth)
+                assert truth
             g = out
-        assert g.is_connected() == truth
 
 
 class TestHopDistance:
@@ -210,7 +210,6 @@ class TestNodeView:
         g = generate("ring", 8)
         view = view_of(g, 0, 1)
         assert view.distance(0, 4) is None
-        assert not view.knows(4)
 
     def test_covers_neighborhood(self):
         g = generate("ring", 6)
@@ -267,9 +266,10 @@ class TestNodeViewAgainstNetworkx:
                 sub, inner = oracle_view(g, owner, k)
                 lengths = dict(nx.all_pairs_shortest_path_length(sub))
                 assert edge_set(view) == {(min(e), max(e)) for e in sub.edges()}
-                assert not view.knows(BACKBONE) and not view.knows(n)
+                assert view.distance(owner, BACKBONE) is None
+                assert view.distance(owner, n) is None
                 for v in range(n):
-                    assert view.knows(v) == (v in sub)
+                    assert (view.distance(owner, v) is not None) == (v in sub)
                     expected = frozenset(sub[v]) if v in sub else frozenset()
                     assert view.neighbors(v) == expected
                     assert view.covers_neighborhood(v) == (v in inner)
@@ -302,7 +302,7 @@ class TestBoundedViewWork:
 
         monkeypatch.setattr(topology, "_balls", counting_balls)
         for owner in range(g.n):
-            assert view_of(g, owner, 3).knows(owner)
+            assert view_of(g, owner, 3).distance(owner, owner) == 0
         full = nx_graph(g)
         # The k-ball's nodes at depth k are reached but never expanded.
         expected = sum(
@@ -333,7 +333,9 @@ class TestSymmetricViewDistances:
         full = nx_graph(g)
         for owner in (0, 7, 31):
             for k in (1, 2, 3, g.n):
-                known = [v for v in range(g.n) if view_of(g, owner, k).knows(v)]
+                known = [
+                    v for v in range(g.n) if view_of(g, owner, k).distance(owner, v) is not None
+                ]
                 for dest in known:
                     view = view_of(g, owner, k)
                     sources.clear()
@@ -399,7 +401,7 @@ class TestMasksAgainstNetworkx:
                     for x in range(-1, n + 1):
                         d = lengths.get(x)
                         assert view._hops(x) == d
-                        assert view.knows(x) == (d is not None)
+                        assert view.distance(owner, x) == d
                         assert view.covers_neighborhood(x) == (d is not None and d < k)
                     sub, _ = oracle_view(g, owner, k)
                     within = dict(nx.all_pairs_shortest_path_length(sub))
@@ -496,7 +498,7 @@ class TestChurn:
     @given(seed=st.integers(0, 5_000), p=st.floats(0.0, 1.0))
     def test_connectivity_preserved(self, seed, p):
         g = generate("ring", 10)
-        assert churn(g, p, seed=seed).is_connected()
+        assert churn(g, p, seed=seed).connected
 
 
 class TestEdgeListFormat:
