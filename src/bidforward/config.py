@@ -110,6 +110,9 @@ def build_topology_spec(tree: dict) -> TopologySpec:
         )
     except TopologyError as exc:
         raise ConfigError(f"topology.{exc.field}: {exc}") from None
+    for key, kind in (("radius", "geometric"), ("cols", "grid"), ("seed", "geometric")):
+        if topo.get(key) is not None and spec.kind != kind:
+            raise ConfigError(f"topology.{key}: only a {kind} graph uses it, not a {spec.kind}")
     if len(spec.gateways) == spec.n:
         raise ConfigError("topology.gateways: every node is a gateway; no valid destinations exist")
     return spec
@@ -147,10 +150,9 @@ def build_graph(tree: dict, run_seed: int) -> TopologyGraph:
 
 
 def build_predictor_config(tree: dict, game: GameConfig) -> PredictorConfig:
+    """The ``predictor`` section. ``game`` is not read: each run scales the
+    predictor's queries by its own budget and TTL."""
     fields = check_fields(PredictorConfig, _section(tree, "predictor"), "predictor.")
-    # The query axes are normalised by the run's own budget and TTL.
-    fields.setdefault("budget_norm", game.budget)
-    fields.setdefault("ttl_norm", game.ttl)
     try:
         return PredictorConfig(**fields)
     except ValueError as exc:
@@ -302,6 +304,7 @@ def build_tournament(
     if record.workers < 1:
         raise ConfigError("tournament.workers: must be >= 1")
     master = build_game_config(tree, seed_override).master_seed
+    seed = _section(tree, "game").get("seed")
 
     cells = []
     names: dict[str, int] = {}
@@ -317,10 +320,12 @@ def build_tournament(
         try:
             for dotted, value in (entry.overrides or {}).items():
                 keys = [key for key in str(dotted).strip().split(".") if key]
-                if keys[:1] == ["tournament"] or keys[:2] == ["game", "seed"]:
+                if keys[:1] == ["tournament"]:
                     raise ConfigError(f"{dotted}: every cell shares it; set it in the base config")
                 apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
             check_sections(subtree)
+            if _section(subtree, "game").get("seed", seed) != seed:  # as a key or in a mapping
+                raise ConfigError("game.seed: every cell shares it; set it in the base config")
             cells.append(build_cell(subtree, entry.name))
         except ConfigError as exc:
             if not entry.overrides:

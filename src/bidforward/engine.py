@@ -59,6 +59,7 @@ from .model import (
     NodeId,
     Packet,
     PathLedger,
+    dropper_share,
     validate_bid,
 )
 from .observation import ObserverStore, merge_pack, parse_scope_spec
@@ -181,14 +182,11 @@ def settle_drop(
         raise EngineError("settle_drop needs a dropped, non-empty ledger")
     dropper = ledger.last_node
     k = len(ledger)
-    shares: dict[NodeId, Money] = {}
     if fine_mode == "path-split":
-        base = fine // k
-        for node in ledger.nodes:
-            shares[node] = base
-        shares[dropper] += fine - base * k
+        shares = dict.fromkeys(ledger.nodes, fine // k)
+        shares[dropper] = dropper_share(fine, k)
     elif fine_mode == "dropper-only":
-        shares[dropper] = fine
+        shares = {dropper: fine}
     else:
         raise EngineError(f"unknown fine_mode {fine_mode!r}")
     shares = {node: s for node, s in shares.items() if s != 0}
@@ -257,9 +255,7 @@ class Simulation:
         self.config = config
         self.graph = graph
         self.strategies = dict(assignment)
-        self.predictor_cfg = predictor or PredictorConfig(
-            budget_norm=config.budget, ttl_norm=config.ttl
-        )
+        self.predictor_cfg = predictor or PredictorConfig()
         self._scope = parse_scope_spec(config.observation)
         shared = self._scope.mode == "global"
         k = graph.n if shared else self._scope.k
@@ -276,7 +272,7 @@ class Simulation:
         # order, so all observers share one store. Every node's history is a
         # window onto the feed's tape, reading the records with its bit.
         shared_store = ObserverStore() if shared else None
-        self._feed = BidFeed(self.predictor_cfg)
+        self._feed = BidFeed(self.predictor_cfg, config.budget, config.ttl)
 
         seed = config.master_seed
         self._inject_rng = random.Random(derive_seed(seed, "inject"))

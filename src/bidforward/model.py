@@ -46,6 +46,11 @@ def fair_ceiling(incoming: Money, hop_distance: int) -> Money:
     return incoming * (hop_distance - 1) // hop_distance
 
 
+def dropper_share(fine: Money, path_len: int) -> Money:
+    """What the dropper pays of ``fine`` split over ``path_len`` path nodes, remainder included."""
+    return fine // path_len + fine % path_len
+
+
 class ModelError(ValueError):
     """Raised when a domain value violates its invariants."""
 

@@ -2,10 +2,10 @@
 
 The predictor keeps a bounded history of observed bids arranged by the two
 attributes an auction exposes (the hop count and the maximum allowed bid),
-finds past bids within a normalized Euclidean distance epsilon of the
-current query, and undercuts the smallest of them by one point, never going
-below a configured floor, which keeps the output useful even when observed
-bids have collapsed to zero.
+finds past bids within Euclidean distance epsilon of the current query on
+axes scaled by the run's budget and TTL, and undercuts the smallest by one
+point, never going below a configured floor, which keeps the output useful
+even when observed bids have collapsed to zero.
 
 A history is its owner's window onto the run's one tape, an append-only log
 of points, each with the mask of the history owners that heard it: the last
@@ -61,16 +61,14 @@ Announcements = list[tuple[Money, int | None, int]]
 class PredictorConfig:
     """Tuning knobs for the bid history and its queries.
 
-    ``budget_norm`` and ``ttl_norm`` are the run's budget and TTL; both query
-    axes are divided by them so epsilon is scale-free across configurations.
+    ``epsilon`` is scale-free: the tape divides both query axes by the run's
+    own budget and TTL.
     """
 
     epsilon: float = 0.15
     min_bid_floor: Money = 1
     max_history: int = 128
     max_age_rounds: int = 512
-    budget_norm: Money = 100
-    ttl_norm: int = 8
     fallback_fraction: float = 0.5
 
     def __post_init__(self) -> None:
@@ -82,10 +80,6 @@ class PredictorConfig:
             raise ValueError("max_history must be >= 1")
         if self.max_age_rounds < 0:
             raise ValueError("max_age_rounds must be >= 0")
-        if self.budget_norm < 1:
-            raise ValueError("budget_norm must be >= 1")
-        if self.ttl_norm < 1:
-            raise ValueError("ttl_norm must be >= 1")
         if not 0.0 <= self.fallback_fraction <= 1.0:
             raise ValueError("fallback_fraction must be in [0, 1]")
 
@@ -123,8 +117,8 @@ class BidTape:
     records kept, and folds up to the cut otherwise.
     """
 
-    def __init__(self, cfg: PredictorConfig):
-        self.cfg = cfg
+    def __init__(self, cfg: PredictorConfig, budget: Money, ttl: int):
+        self.cfg, self.budget, self.ttl = cfg, budget, ttl
         self.points: list[BidHistoryPoint] = []
         self.masks: list[int] = []
         self.dropped = 0
@@ -164,8 +158,8 @@ class BidHistory:
     """One owner's window onto a ``BidTape``: the records whose mask has its
     bit, folded lazily from ``cursor``, a record number, into ``heard`` and
     ``chains`` of its own. ``chains`` maps each key ``(max_allowed,
-    hop_count)`` to its normalised ``(max_allowed / budget_norm, hop_count /
-    ttl_norm)`` and its entries, which number the points heard (``heard[0]``
+    hop_count)`` to its scaled ``(max_allowed / tape.budget, hop_count /
+    tape.ttl)`` and its entries, which number the points heard (``heard[0]``
     is number ``passed``); after a fold neither holds over two windows' worth.
     """
 
@@ -214,8 +208,7 @@ class BidHistory:
             key = point.key
             chain = chains.get(key)
             if chain is None:
-                cfg = self.cfg
-                chains[key] = [key[0] / cfg.budget_norm, key[1] / cfg.ttl_norm, [(seq, bid)]]
+                chains[key] = [key[0] / tape.budget, key[1] / tape.ttl, [(seq, bid)]]
             else:
                 entries = chain[2]
                 while entries and entries[-1][1] >= bid:
@@ -250,14 +243,14 @@ class BidHistory:
 
 
 class BidFeed(BidHistory):
-    """A run's one writer of its bid tape, which it makes: a history that no
-    owner reads, so it registers no window. The engine hands it each bid,
-    with the packet's announcements so far and the mask of the owners that
-    heard it.
+    """A run's one writer of its bid tape, which it makes with the run's
+    budget and TTL: a history that no owner reads, so it registers no window.
+    The engine hands it each bid, with the packet's announcements so far and
+    the mask of the owners that heard it.
     """
 
-    def __init__(self, cfg: PredictorConfig):
-        self.cfg, self.tape = cfg, BidTape(cfg)
+    def __init__(self, cfg: PredictorConfig, budget: Money, ttl: int):
+        self.cfg, self.tape = cfg, BidTape(cfg, budget, ttl)
 
     def hear(
         self, announced: Announcements, bidder: NodeId, amount: Money, rnd: int, hearers: int
@@ -305,8 +298,8 @@ def predict_bid(
     if live is not None:
         chains, first = live
         epsilon = cfg.epsilon
-        qa = max_allowed / cfg.budget_norm
-        qh = hop_count / cfg.ttl_norm
+        qa = max_allowed / history.tape.budget
+        qh = hop_count / history.tape.ttl
         for na, nh, entries in chains.values():
             if math.hypot(na - qa, nh - qh) <= epsilon:
                 # Bids rise along a chain: its first live entry is its least.

@@ -27,6 +27,7 @@ from .model import (
     PathLedger,
     check_fields,
     check_value,
+    dropper_share,
     fair_ceiling,
     parse_extra,  # noqa: F401 - unused; benches/spans.py counts calls through this name
 )
@@ -421,14 +422,8 @@ class WolfPack(Strategy):
             return False
         if ctx.fine_mode != "path-split":
             return False  # upstream shares nothing, dropping only hurts us
-        k = len(ledger)
-        if k == 0:
-            return False
-        own_share = packet.fine // k + (packet.fine - k * (packet.fine // k))
-        if own_share > p.sabotage_budget:
-            return False
         upstream = [n for n in ledger.nodes if n != ctx.node]
-        if not upstream:
+        if not upstream or dropper_share(packet.fine, len(ledger)) > p.sabotage_budget:
             return False
         rich = self._rich_nodes(ctx)
         return any(n in rich for n in upstream)

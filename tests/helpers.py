@@ -40,10 +40,11 @@ def make_ctx(
 def heard_history(
     node: int, *points: BidHistoryPoint, cfg: PredictorConfig | None = None
 ) -> BidHistory:
-    """``node``'s window onto a tape of its own, which recorded each of
-    ``points`` as heard by ``node``."""
+    """``node``'s window onto a tape of its own, scaled by the default
+    game's budget and TTL, which recorded each of ``points`` as heard by
+    ``node``."""
     cfg = cfg or PredictorConfig()
-    history = BidHistory(cfg, node, BidFeed(cfg).tape)
+    history = BidHistory(cfg, node, BidFeed(cfg, budget=100, ttl=8).tape)
     for point in points:
         history.record(point, history.bit)
     return history

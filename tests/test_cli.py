@@ -441,6 +441,8 @@ class TestConfigValueChecks:
         ("strategies", {"strategy": "fair"}, "strategies must be a list"),
         ("strategies", ["fair"], "strategies[0] must be a mapping, got 'fair'"),
         ("strategies.0.params", [], "strategies[0].params must be a mapping, got []"),
+        ("predictor.budget_norm", 100, "predictor.budget_norm: unknown field"),
+        ("predictor.ttl_norm", 8, "predictor.ttl_norm: unknown field"),
     ])
     def test_run_rejects(self, tmp_path, capsys, path, value, field):
         conf = write_config(tmp_path, with_override(path, value))
@@ -487,6 +489,10 @@ class TestConfigValueChecks:
         tree["topology"]["seed"] = None
         conf = write_config(tmp_path, tree)
         assert main(["run", "--config", conf, "--out", str(tmp_path / "o")]) == 0
+        # A ring reads none of radius, cols and seed; null is no value.
+        tree["topology"].update(kind="ring", radius=None)
+        conf = write_config(tmp_path, tree)
+        assert main(["run", "--config", conf, "--out", str(tmp_path / "ring")]) == 0
 
     @pytest.mark.parametrize("value", [0, -1, None])
     def test_tournament_seeds_below_one_rejected(self, tmp_path, capsys, value):
@@ -527,6 +533,7 @@ class TestChecksBeforeAnyRun:
 
     @pytest.mark.parametrize("overrides, path", [
         ({"game.seed": 99}, "game.seed"),
+        ({"game": {"seed": 99}}, "game.seed"),
         ({"game.fine": 0, "tournament.seeds": 99}, "tournament.seeds"),
         ({"tournament.workers": 2}, "tournament.workers"),
         ({"tournament": {"seeds": 2}}, "tournament"),
@@ -539,6 +546,12 @@ class TestChecksBeforeAnyRun:
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 2
         assert f"tournament.cells[0]: {path}: every cell shares it" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "t")
+
+    @pytest.mark.parametrize("game", [{"fine": 0}, {"fine": 0, "seed": 42}])
+    def test_cell_game_mapping_that_keeps_the_seed_accepted(self, tmp_path, game):
+        tree = with_override("tournament.cells", [{"name": "a", "overrides": {"game": game}}])
+        conf = write_config(tmp_path, tree)
+        assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 0
 
     @pytest.mark.parametrize("axis, values, field", [
         ("ttl", [2.5], "values[0]"),
@@ -577,8 +590,16 @@ class TestChecksBeforeAnyRun:
         ({"topology.gateways": [99]}, "topology.gateways: gateway 99 is not a node"),
         ({"topology.gateways": [0, 3, 0]}, "topology.gateways: gateway 0 is listed twice"),
         ({"topology.gateways": list(range(10))}, "topology.gateways: every node is a gateway"),
+        ({"topology.kind": "ring"}, "topology.radius: only a geometric graph uses it, not a ring"),
+        ({"topology.kind": "grid"}, "topology.radius: only a geometric graph uses it, not a grid"),
+        ({"topology.cols": 5}, "topology.cols: only a grid graph uses it, not a geometric"),
+        ({"topology.kind": "ring", "topology.radius": None},
+         "topology.seed: only a geometric graph uses it, not a ring"),
+        ({"topology.kind": "grid", "topology.radius": None, "topology.cols": 5},
+         "topology.seed: only a geometric graph uses it, not a grid"),
     ], ids=["negative-radius", "nan-radius", "unknown-kind", "one-node", "grid-cols-0",
-            "unknown-gateway", "repeated-gateway", "all-gateways"])
+            "unknown-gateway", "repeated-gateway", "all-gateways", "ring-radius", "grid-radius",
+            "geometric-cols", "ring-seed", "grid-seed"])
     def test_topology_no_seed_can_build_rejected(self, tmp_path, capsys, overrides, field):
         # In the base config, the run and the tournament both fail on it.
         tree = with_override("tournament.seeds", 2)

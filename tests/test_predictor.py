@@ -12,6 +12,9 @@ from bidforward.strategies import build_strategy
 from bidforward.topology import generate, members
 from helpers import window_size
 
+#: The scale of every tape here: the default game's budget and TTL.
+BUDGET, TTL = 100, 8
+
 
 class DequeWindow:
     """The reference window: the points its owner heard, in a bounded deque
@@ -34,7 +37,7 @@ class DequeWindow:
 
 def masked(cfg, owners):
     """A feed writing a tape, and a window onto it per owner."""
-    feed = BidFeed(cfg)
+    feed = BidFeed(cfg, BUDGET, TTL)
     return feed, [BidHistory(cfg, owner, feed.tape) for owner in owners]
 
 
@@ -69,12 +72,12 @@ def neighborhood(reference, max_allowed, hop_count, now_round=None):
     space, by a scan of the whole window: the reference for ``predict_bid``'s
     chains."""
     cfg = reference.cfg
-    qa = max_allowed / cfg.budget_norm
-    qh = hop_count / cfg.ttl_norm
+    qa = max_allowed / BUDGET
+    qh = hop_count / TTL
     out = []
     for p in reference.points(now_round):
-        da = p.max_allowed / cfg.budget_norm - qa
-        dh = p.hop_count / cfg.ttl_norm - qh
+        da = p.max_allowed / BUDGET - qa
+        dh = p.hop_count / TTL - qh
         if math.hypot(da, dh) <= cfg.epsilon:
             out.append(p)
     return out
@@ -96,8 +99,8 @@ def oracle_predict(points, cfg, max_allowed, hop_count):
     nearby = []
     for ma, hc, bid, _ in points:
         d = math.sqrt(
-            (ma / cfg.budget_norm - max_allowed / cfg.budget_norm) ** 2
-            + (hc / cfg.ttl_norm - hop_count / cfg.ttl_norm) ** 2
+            (ma / BUDGET - max_allowed / BUDGET) ** 2
+            + (hc / TTL - hop_count / TTL) ** 2
         )
         if d <= cfg.epsilon:
             nearby.append(bid)
@@ -136,7 +139,7 @@ class TestPredict:
     def test_neighborhood_min_undercut(self):
         # Points at normalized distance 0 from the query plus one far point;
         # expected value computed with the brute-force oracle: min(40, 35)-1.
-        cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
+        cfg = PredictorConfig(epsilon=0.3)
         points = [(100, 3, 40, 0), (100, 3, 35, 0), (50, 1, 10, 0)]
         h = history_from(points, cfg)
         assert oracle_predict(points, cfg, 100, 3) == 34
@@ -258,7 +261,7 @@ class TestChainsMatchTheScan:
     owns no window. Tapes trim (small ``max_history``), points age out (small
     ``max_age_rounds``), windows catch up after many records or after none,
     and a query without ``now_round`` follows one with it. With epsilon
-    0.125 and ``ttl_norm`` 8, a point one hop from the query at the same
+    0.125 and TTL 8, a point one hop from the query at the same
     ceiling lies exactly on the epsilon circle.
     """
 
@@ -287,10 +290,7 @@ class TestChainsMatchTheScan:
         epsilon=st.sampled_from([0.0, 0.125, 0.15, 0.3, math.inf]),
     )
     def test_every_answer_equals_the_scan(self, steps, max_history, max_age, epsilon):
-        cfg = PredictorConfig(
-            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
-            budget_norm=100, ttl_norm=8,
-        )
+        cfg = PredictorConfig(epsilon=epsilon, max_history=max_history, max_age_rounds=max_age)
         feed, windows = masked(cfg, range(4))
         private = [DequeWindow(cfg) for _ in windows]
         rnd = now = 0
@@ -323,7 +323,7 @@ class TestChainsMatchTheScan:
         assert predict_bid(h, 50, 2) == 29
 
     def test_points_on_the_epsilon_circle_count(self):
-        cfg = PredictorConfig(epsilon=0.125, ttl_norm=8)
+        cfg = PredictorConfig(epsilon=0.125)
         h = history_from([(50, 3, 20, 0), (50, 5, 10, 0)], cfg)
         assert predict_bid(h, 50, 4) == 9
         assert predict_bid(h, 50, 2) == 19
@@ -354,10 +354,7 @@ class TestQueriesBetweenBids:
         epsilon=st.sampled_from([0.0, 0.15, math.inf]),
     )
     def test_every_answer_equals_the_scan(self, steps, max_history, max_age, epsilon):
-        cfg = PredictorConfig(
-            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
-            budget_norm=100, ttl_norm=8,
-        )
+        cfg = PredictorConfig(epsilon=epsilon, max_history=max_history, max_age_rounds=max_age)
         feed, windows = masked(cfg, range(4))
         private = [DequeWindow(cfg) for _ in windows]
         rnd = 0
@@ -470,10 +467,7 @@ class TestMaskedWindowsMatchTheScan:
         epsilon=st.sampled_from([0.0, 0.125, 0.15, 0.3, math.inf]),
     )
     def test_every_answer_equals_the_scan(self, owners, steps, max_history, max_age, epsilon):
-        cfg = PredictorConfig(
-            epsilon=epsilon, max_history=max_history, max_age_rounds=max_age,
-            budget_norm=100, ttl_norm=8,
-        )
+        cfg = PredictorConfig(epsilon=epsilon, max_history=max_history, max_age_rounds=max_age)
         feed, windows = masked(cfg, range(owners))
         private = [DequeWindow(cfg) for _ in range(owners)]
         rnd = now = 0

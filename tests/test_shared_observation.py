@@ -103,8 +103,6 @@ def setups(draw):
     predictor = PredictorConfig(
         max_history=draw(st.integers(1, 6)),
         max_age_rounds=draw(st.integers(0, 6)),
-        budget_norm=config.budget,
-        ttl_norm=config.ttl,
     )
     return graph, assignment, config, predictor
 

@@ -4,7 +4,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bidforward.model import AuctionRequest, Bid, EventKind, GameEvent, Packet, PathLedger
+from bidforward.engine import settle_drop
+from bidforward.model import (
+    AuctionRequest,
+    Bid,
+    EventKind,
+    GameEvent,
+    LedgerStatus,
+    Packet,
+    PathLedger,
+)
 from bidforward.observation import ObserverStore
 from bidforward.predictor import BidFeed, BidHistory, BidHistoryPoint, PredictorConfig
 from bidforward.strategies import (
@@ -143,7 +152,7 @@ class TestLastHopSniper:
 
     def test_adjacent_with_history_undercuts_neighborhood(self):
         g = generate("ring", 8)
-        cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
+        cfg = PredictorConfig(epsilon=0.3)
         history = heard_history(0, BidHistoryPoint(80, 1, 40, 0), BidHistoryPoint(80, 1, 35, 0),
                                 cfg=cfg)
         ctx = make_ctx(0, g, history=history)
@@ -320,7 +329,7 @@ class TestWolfPack:
 
     def test_adjacent_undercuts_like_a_sniper(self):
         g = self.line()
-        cfg = PredictorConfig(epsilon=0.3, budget_norm=100, ttl_norm=8)
+        cfg = PredictorConfig(epsilon=0.3)
         history = heard_history(3, BidHistoryPoint(90, 1, 36, 0), BidHistoryPoint(90, 1, 35, 0),
                                 cfg=cfg)
         ctx = make_ctx(3, g, observer=ObserverStore(), history=history)
@@ -373,6 +382,26 @@ class TestWolfPack:
         strat = WolfPack(sabotage_enabled=True, sabotage_budget=60)
         assert not strat.on_hold(packet, ledger, ctx)
 
+    def test_sabotage_weighs_the_share_settle_drop_charges(self):
+        # The wolf drops exactly when the fine settle_drop would charge it fits its budget.
+        g = self.line()
+        ctx = self.sabotage_ctx(g, 3, rich_subject=0)
+        for path in [(0, 3), (0, 2, 3), (0, 1, 2, 3)]:
+            ledger = PathLedger(0)
+            for i, node in enumerate(path):
+                ledger = ledger.extended(node, 100 - 10 * i)
+            for fine in (0, 1, 7, 199, 200, 201):
+                dropped = settle_drop(ledger.closed(LedgerStatus.DROPPED), fine)
+                share = dropped.fine_shares.get(3, 0)
+                packet = Packet(0, 4, budget=100, fine=fine, ttl=8)
+                assert WolfPack(sabotage_enabled=True, sabotage_budget=share).on_hold(
+                    packet, ledger, ctx
+                )
+                if share:
+                    assert not WolfPack(sabotage_enabled=True, sabotage_budget=share - 1).on_hold(
+                        packet, ledger, ctx
+                    )
+
     def test_no_sabotage_when_dropper_pays_alone(self):
         g = self.line()
         ctx = self.sabotage_ctx(g, 3, rich_subject=0)
@@ -423,7 +452,7 @@ class TestZeroValuedEventFields:
         """Node 0's window onto the run's tape after the feed hears one bid
         against one announcement, told node 0 heard both."""
         cfg = PredictorConfig()
-        feed = BidFeed(cfg)
+        feed = BidFeed(cfg, budget=100, ttl=8)
         ctx = make_ctx(0, generate("ring", 8), history=BidHistory(cfg, 0, feed.tape))
         feed.hear([(ceiling, dist, 1)], bidder, amount, 0, 1)
         return ctx.history

@@ -38,11 +38,11 @@ def small_cell(name="base", **config_kwargs):
     return CellSpec(name=name, config=config, topology=topo, mix=MIX)
 
 
-def swept_spec(axis, values, seeds, master_seed, topology=None, strategies=None):
-    """The spec ``config.build_tournament`` makes of a sweep over a small ring,
-    or over ``topology`` with ``strategies``."""
-    tree = {
-        "game": {"packets_total": 8, "injection_rate": 2, "seed": master_seed},
+def sweep_tree(axis, values, seeds, master_seed, topology=None, strategies=None, packets=8):
+    """The config tree of a sweep over a small ring, or over ``topology`` with
+    ``strategies``."""
+    return {
+        "game": {"packets_total": packets, "injection_rate": 2, "seed": master_seed},
         "topology": topology or {"kind": "ring", "n": 8, "radius": None},
         "strategies": strategies or [
             {"strategy": "fair", "count": 4},
@@ -51,7 +51,11 @@ def swept_spec(axis, values, seeds, master_seed, topology=None, strategies=None)
         ],
         "tournament": {"seeds": seeds, "sweep": {"axis": axis, "values": values}},
     }
-    spec, _ = cfg.build_tournament(tree)
+
+
+def swept_spec(*args, **kwargs):
+    """The spec ``config.build_tournament`` makes of ``sweep_tree(*args, **kwargs)``."""
+    spec, _ = cfg.build_tournament(sweep_tree(*args, **kwargs))
     return spec
 
 
@@ -337,6 +341,26 @@ class TestSweep:
         assert [cell.config.ttl for cell in spec.cells] == [1, 4]
         names = list(run_tournament(spec).cells)
         assert names == ["base[ttl=1]", "base[ttl=4]"]
+
+    def test_a_ttl_cell_runs_as_its_config_alone(self):
+        # The snipers' predictors scale by the cell's own TTL, not the base's.
+        tree = sweep_tree(
+            "ttl", [4], seeds=6, master_seed=3,
+            topology={"kind": "geometric", "n": 16, "radius": 0.4},
+            strategies=[
+                {"strategy": "fair", "nodes": [0]},
+                {"strategy": "sniper", "count": 6},
+                {"strategy": "fair", "rest": True},
+            ],
+            packets=60,
+        )
+        spec, _ = cfg.build_tournament(tree)
+        del tree["tournament"]
+        cfg.apply_override(tree, "game.ttl=4")
+        alone = cfg.build_cell(tree, "alone")
+        for si in range(spec.seeds_per_cell):
+            run_seed = spec.run_seed(0, si)
+            assert run_cell_seed(spec.cells[0], run_seed) == run_cell_seed(alone, run_seed)
 
     def test_more_ttl_never_hurts_fair_delivery(self):
         spec = swept_spec(
