@@ -129,7 +129,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument(
             "--override", action="append", metavar="PATH=VALUE",
-            help="config override on a dotted path, repeatable",
+            help="config override on a dotted path, repeatable; a mapping merges into one there",
         )
 
     run_p = sub.add_parser("run", help="run one simulation")

@@ -3,19 +3,21 @@
 One YAML tree describes a whole experiment: the game parameters, the
 topology, the predictor tuning, the strategy assignment, and optionally a
 tournament section. CLI overrides address dotted paths in the same tree, so
-a recorded config plus its overrides fully reproduces a run.
+a recorded config plus its overrides fully reproduces a run; a mapping
+merges into the mapping at its path. A tournament cell is the tree with its
+overrides set, and a sweep value is one more override, ``game.<field>``.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import yaml
 
 from .engine import EngineError, GameConfig
-from .model import ConfigError, check_fields, check_value, field_kinds
+from .model import ConfigError, check_fields, check_value
 from .predictor import PredictorConfig
 from .strategies import STRATEGY_REGISTRY, build_strategy
 from .topology import TopologyError, TopologyGraph, check_generate
@@ -59,13 +61,23 @@ def check_sections(tree: dict) -> None:
 
 
 def apply_override(tree: dict, assignment: str) -> None:
-    """Set one ``dotted.path=value`` override in place; value parses as YAML."""
+    """Set one ``dotted.path=value`` override in place: a YAML value, set by ``set_override``."""
     if "=" not in assignment:
         raise ConfigError(f"override {assignment!r} must look like key.path=value")
     path, raw = assignment.split("=", 1)
-    keys = [k for k in path.strip().split(".") if k]
+    try:
+        value = yaml.safe_load(raw)
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"override value {raw!r} is invalid: {exc}") from exc
+    set_override(tree, path, value)
+
+
+def set_override(tree: dict, path: str, value: Any) -> None:
+    """Set ``value`` at the dotted ``path``: a mapping merges key by key into a
+    mapping already there; a list, scalar or null replaces what is there."""
+    keys = [k for k in str(path).strip().split(".") if k]
     if not keys:
-        raise ConfigError(f"override {assignment!r} has an empty path")
+        raise ConfigError(f"override path {path!r} is empty")
     node = tree
     for key in keys[:-1]:
         nxt = node.get(key)
@@ -74,10 +86,15 @@ def apply_override(tree: dict, assignment: str) -> None:
         if not isinstance(nxt, dict):
             raise ConfigError(f"override path {path!r} crosses non-mapping {key!r}")
         node = nxt
-    try:
-        node[keys[-1]] = yaml.safe_load(raw)
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"override value {raw!r} is invalid: {exc}") from exc
+    _merge(node, keys[-1], value)
+
+
+def _merge(node: dict, key: Any, value: Any) -> None:
+    if isinstance(value, dict) and isinstance(node.get(key), dict):
+        for sub, item in value.items():
+            _merge(node[key], sub, item)
+    else:
+        node[key] = value
 
 
 def _section(tree: dict, name: str) -> dict:
@@ -238,16 +255,32 @@ def build_mix(tree: dict, n: int | None = None) -> tuple[MixEntry, ...]:
     return tuple(mix)
 
 
-def build_cell(tree: dict, name: str, seed_override: int | None = None) -> CellSpec:
-    game = build_game_config(tree, seed_override)
-    topology = build_topology_spec(tree)
-    return CellSpec(
-        name=name,
-        config=game,
-        topology=topology,
-        mix=build_mix(tree, topology.n),
-        predictor=build_predictor_config(tree, game),
-    )
+def build_cell(tree: dict, name: str, overrides: Sequence = (), where: str = "") -> CellSpec:
+    """The cell ``name``: ``tree`` with each ``(dotted path, value)`` of ``overrides`` set in
+    turn, its errors named by ``where``; no override may set ``tournament`` or ``game.seed``."""
+    seed = _section(tree, "game").get("seed")
+    subtree = copy.deepcopy({key: tree[key] for key in tree if key != "tournament"})
+    try:
+        for dotted, value in overrides:
+            set_override(subtree, dotted, copy.deepcopy(value))
+            if "tournament" in subtree:
+                raise ConfigError(f"{dotted}: every cell shares it; set it in the base config")
+        check_sections(subtree)
+        if _section(subtree, "game").get("seed", seed) != seed:  # as a key or in a mapping
+            raise ConfigError("game.seed: every cell shares it; set it in the base config")
+        game = build_game_config(subtree)
+        topology = build_topology_spec(subtree)
+        return CellSpec(
+            name=name,
+            config=game,
+            topology=topology,
+            mix=build_mix(subtree, topology.n),
+            predictor=build_predictor_config(subtree, game),
+        )
+    except ConfigError as exc:
+        if not overrides:
+            raise
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -264,7 +297,7 @@ class TournamentRecord:
 @dataclass(frozen=True)
 class CellRecord:
     """One of ``tournament.cells``: its name (``cell<i>`` when not given) and
-    the overrides of the base tree, as dotted paths."""
+    the overrides of the base tree, set as ``set_override`` sets them."""
 
     name: str
     overrides: dict | None = None
@@ -272,8 +305,8 @@ class CellRecord:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """``tournament.sweep``: one cell per value of the game parameter ``axis``.
-    Each value is checked by the kind of the field its axis sets."""
+    """``tournament.sweep``: one cell per value of the game parameter ``axis``,
+    the base cell with the value as one more override of the field it sets."""
 
     axis: str = ""
     values: tuple[object, ...] = ()
@@ -281,14 +314,6 @@ class SweepRecord:
 
 #: Sweep axis -> the ``GameConfig`` field it sets; the field's annotation types its values.
 SWEEP_FIELDS = {"fine": "fine", "ttl": "ttl", "churn": "churn_rate"}
-SWEEP_AXES = tuple(SWEEP_FIELDS)
-
-
-def swept_config(config: GameConfig, axis: str, value) -> GameConfig:
-    """``config`` with the field of sweep ``axis`` set to ``value``, checked by its kind."""
-    name = SWEEP_FIELDS[axis]
-    value = check_value(name, value, *field_kinds(GameConfig)[name])
-    return replace(config, **{name: value})
 
 
 def build_tournament(
@@ -304,7 +329,6 @@ def build_tournament(
     if record.workers < 1:
         raise ConfigError("tournament.workers: must be >= 1")
     master = build_game_config(tree, seed_override).master_seed
-    seed = _section(tree, "game").get("seed")
 
     cells = []
     names: dict[str, int] = {}
@@ -316,46 +340,32 @@ def build_tournament(
                 f"{where}.name: {entry.name!r} already names tournament.cells[{names[entry.name]}]"
             )
         names[entry.name] = i
-        subtree = copy.deepcopy(tree)
-        try:
-            for dotted, value in (entry.overrides or {}).items():
-                keys = [key for key in str(dotted).strip().split(".") if key]
-                if keys[:1] == ["tournament"]:
-                    raise ConfigError(f"{dotted}: every cell shares it; set it in the base config")
-                apply_override(subtree, f"{dotted}={yaml.safe_dump(value).strip()}")
-            check_sections(subtree)
-            if _section(subtree, "game").get("seed", seed) != seed:  # as a key or in a mapping
-                raise ConfigError("game.seed: every cell shares it; set it in the base config")
-            cells.append(build_cell(subtree, entry.name))
-        except ConfigError as exc:
-            if not entry.overrides:
-                raise
-            raise ConfigError(f"{where}: {exc}") from None
+        overrides = list((entry.overrides or {}).items())
+        cells.append(build_cell(tree, entry.name, overrides, where))
 
     sweep = None
     if record.sweep is not None:
         sweep = SweepRecord(**check_fields(SweepRecord, record.sweep, "tournament.sweep."))
-        if sweep.axis not in SWEEP_AXES:
-            raise ConfigError(f"tournament.sweep.axis: must be one of {', '.join(SWEEP_AXES)}")
+        if sweep.axis not in SWEEP_FIELDS:
+            raise ConfigError(f"tournament.sweep.axis: must be one of {', '.join(SWEEP_FIELDS)}")
         if not sweep.values:
             raise ConfigError("tournament.sweep.values: need a non-empty list")
         if len(cells) != 1:
             raise ConfigError("tournament.sweep: works with exactly one base cell")
         base = cells.pop()
+        field = SWEEP_FIELDS[sweep.axis]
         first: dict[Any, int] = {}  # typed value -> index of its first appearance
         for i, value in enumerate(sweep.values):
             where = f"tournament.sweep.values[{i}]"
-            try:
-                config = swept_config(base.config, sweep.axis, value)
-            except (ConfigError, EngineError) as exc:
-                raise ConfigError(f"{where}: {exc}") from None
-            typed = getattr(config, SWEEP_FIELDS[sweep.axis])
+            swept = [*overrides, (f"game.{field}", value)]  # the one cell's, then the value
+            cell = build_cell(tree, f"{base.name}[{sweep.axis}={value}]", swept, where)
+            typed = getattr(cell.config, field)
             if typed in first:
                 raise ConfigError(
                     f"{where}: {value!r} repeats tournament.sweep.values[{first[typed]}]"
                 )
             first[typed] = i
-            cells.append(replace(base, name=f"{base.name}[{sweep.axis}={value}]", config=config))
+            cells.append(cell)
     axis_values = None if sweep is None else (sweep.axis, sweep.values)
     spec = TournamentSpec(tuple(cells), record.seeds, master, axis_values)
     return spec, {"workers": record.workers}

@@ -130,11 +130,12 @@ class GameConfig:
 
 @dataclass(frozen=True)
 class SettlementResult:
+    """A closed packet's signed balance change per path node, in path order (a drop
+    lists its non-zero fine shares); the backbone's is ``-sum(deltas.values())``."""
+
     packet_id: int
     status: LedgerStatus
     deltas: dict[NodeId, Money]
-    backbone_delta: Money
-    fine_shares: dict[NodeId, Money]
 
 
 def run_auction(request: AuctionRequest, bids: list[Bid], chooser=None) -> Bid | None:
@@ -159,14 +160,10 @@ def settle_delivery(ledger: PathLedger) -> SettlementResult:
     if ledger.status is not LedgerStatus.DELIVERED or not ledger.entries:
         raise EngineError("settle_delivery needs a delivered, non-empty ledger")
     promises = ledger.promises
-    deltas: dict[NodeId, Money] = {}
-    for i, (node, promise) in enumerate(ledger.entries):
-        nxt = promises[i + 1] if i + 1 < len(promises) else 0
-        deltas[node] = promise - nxt
-    total = promises[0]
-    if sum(deltas.values()) != total:
+    deltas = {node: p - q for (node, p), q in zip(ledger.entries, (*promises[1:], 0))}
+    if sum(deltas.values()) != promises[0]:
         raise EngineError(f"delivery settlement broke conservation on packet {ledger.packet_id}")
-    return SettlementResult(ledger.packet_id, ledger.status, deltas, -total, {})
+    return SettlementResult(ledger.packet_id, ledger.status, deltas)
 
 
 def settle_drop(
@@ -189,11 +186,10 @@ def settle_drop(
         shares = {dropper: fine}
     else:
         raise EngineError(f"unknown fine_mode {fine_mode!r}")
-    shares = {node: s for node, s in shares.items() if s != 0}
-    if sum(shares.values()) != fine:
+    deltas = {node: -s for node, s in shares.items() if s != 0}
+    if sum(deltas.values()) != -fine:
         raise EngineError(f"fine shares broke conservation on packet {ledger.packet_id}")
-    deltas = {node: -s for node, s in shares.items()}
-    return SettlementResult(ledger.packet_id, ledger.status, deltas, fine, shares)
+    return SettlementResult(ledger.packet_id, ledger.status, deltas)
 
 
 @dataclass
@@ -592,7 +588,6 @@ class Simulation:
     def _deliver(self, packet: Packet, ledger: PathLedger, holder: NodeId) -> None:
         ledger = ledger.closed(LedgerStatus.DELIVERED)
         result = settle_delivery(ledger)
-        self.settlements.append(result)
         self._emit(
             _DELIVERED,
             packet.packet_id,
@@ -602,38 +597,32 @@ class Simulation:
             dest=packet.destination,
         )
         for node, _ in ledger.entries:
-            delta = result.deltas[node]
-            if delta != 0:
-                self._emit(_PAYMENT, packet.packet_id, node, delta, node)
-            self.balances[node] += delta
             self.stats[node].delivered += 1
-        self.backbone_balance += result.backbone_delta
+        self._settle(result, _PAYMENT)
 
     def _drop(self, packet: Packet, ledger: PathLedger, reason: str) -> None:
         ledger = ledger.closed(LedgerStatus.DROPPED)
-        if not ledger.entries:
-            # Nobody ever took custody: cancelled, no fine.
-            self.settlements.append(
-                SettlementResult(packet.packet_id, LedgerStatus.DROPPED, {}, 0, {})
-            )
-            self._emit(
-                _DROPPED, packet.packet_id, BACKBONE, 0, BACKBONE, reason="cancelled"
-            )
-            return
-        result = settle_drop(ledger, packet.fine, self.config.fine_mode)
+        if ledger.entries:
+            result = settle_drop(ledger, packet.fine, self.config.fine_mode)
+            dropper, fine = ledger.last_node, packet.fine
+            self.stats[dropper].dropped += 1
+        else:  # nobody ever took custody: cancelled, no fine
+            result = SettlementResult(packet.packet_id, ledger.status, {})
+            dropper, fine, reason = BACKBONE, 0, "cancelled"
+        self._emit(_DROPPED, packet.packet_id, dropper, fine, dropper, reason=reason)
+        self._settle(result, _FINE)
+
+    def _settle(self, result: SettlementResult, kind: EventKind) -> None:
+        """Record ``result`` and pay it: one ``kind`` event per non-zero delta, in path order."""
         self.settlements.append(result)
-        dropper = ledger.last_node
-        self._emit(
-            _DROPPED, packet.packet_id, dropper, packet.fine, dropper, reason=reason
-        )
-        self.stats[dropper].dropped += 1
-        for node in ledger.nodes:
-            share = result.fine_shares.get(node, 0)
-            if share:
-                self._emit(_FINE, packet.packet_id, node, share, node)
-                self.balances[node] -= share
-                self.stats[node].fines_paid += share
-        self.backbone_balance += result.backbone_delta
+        fine = kind is _FINE
+        for node, delta in result.deltas.items():
+            if delta:
+                self._emit(kind, result.packet_id, node, -delta if fine else delta, node)
+                self.balances[node] += delta
+                if fine:
+                    self.stats[node].fines_paid -= delta
+        self.backbone_balance -= sum(result.deltas.values())
 
 
 def run_simulation(

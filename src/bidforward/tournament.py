@@ -3,8 +3,9 @@
 A cell fixes a game config, a topology spec and a strategy mix; it is run
 over a number of seeds, each derived from the master seed and the cell and
 seed indices, so any single run of a batch can be reproduced on its own. A
-sweep of one game parameter is a batch with a cell per value, and its cells
-share their seeds. Runs are independent and may execute in parallel: forked
+sweep of one game parameter is a batch with a cell per value, each built as
+the base cell with that value as one more override, and its cells share
+their seeds. Runs are independent and may execute in parallel: forked
 worker processes inherit the task list, each reports its outcomes as plain data
 through its own pipe, and the parent places them in task order, so
 aggregation always reduces in canonical cell order. A worker that dies fails

@@ -85,6 +85,16 @@ class TestRunCommand:
         packet_ids = {line.split(",")[2] for line in events}
         assert packet_ids == {"0"}
 
+    def test_mapping_override_merges_into_its_section(self, tmp_path):
+        # 'game={fine: 0}' keeps the rest of the base's game section.
+        conf = write_config(tmp_path, DEMO)
+        outs = []
+        for override in ("game={fine: 0}", "game.fine=0"):
+            outs.append(str(tmp_path / str(len(outs))))
+            assert main(["run", "--config", conf, "--out", outs[-1], "--override", override]) == 0
+        for name in ("events.csv", "balances.csv"):
+            assert read(os.path.join(outs[0], name)) == read(os.path.join(outs[1], name))
+
     def test_zero_fine_override_means_no_fine_events(self, tmp_path):
         conf = write_config(tmp_path, DEMO)
         out = str(tmp_path / "o")
@@ -326,6 +336,21 @@ class TestConfigHelpers:
         cfg.apply_override(tree, "game.fine=0")
         cfg.apply_override(tree, "topology.kind=ring")
         assert tree == {"game": {"fine": 0}, "topology": {"kind": "ring"}}
+        # A mapping merges key by key into the mapping at its path, at any depth.
+        tree["topology"].update(n=10, radius=0.45, seed=5)
+        tree["tournament"] = {"seeds": 2, "sweep": {"axis": "fine", "values": [0]}}
+        cfg.apply_override(tree, "topology={n: 12, kind: geometric}")
+        cfg.apply_override(tree, "tournament={sweep: {values: [1, 2]}}")
+        assert tree["topology"] == {"kind": "geometric", "n": 12, "radius": 0.45, "seed": 5}
+        assert tree["tournament"] == {"seeds": 2, "sweep": {"axis": "fine", "values": [1, 2]}}
+        # A list, a scalar or null replaces what is there, mapping or not.
+        tree["strategies"] = [{"strategy": "fair", "rest": True}]
+        cfg.apply_override(tree, "strategies=[{strategy: random, rest: true}]")
+        cfg.apply_override(tree, "tournament.sweep=null")
+        cfg.apply_override(tree, "game=3")
+        assert tree["strategies"] == [{"strategy": "random", "rest": True}]
+        assert tree["tournament"] == {"seeds": 2, "sweep": None}
+        assert tree["game"] == 3
 
     def test_apply_override_bad_forms(self):
         with pytest.raises(cfg.ConfigError):
@@ -552,6 +577,22 @@ class TestChecksBeforeAnyRun:
         tree = with_override("tournament.cells", [{"name": "a", "overrides": {"game": game}}])
         conf = write_config(tmp_path, tree)
         assert main(["tournament", "--config", conf, "--out", str(tmp_path / "t")]) == 0
+        spec, _ = cfg.build_tournament(tree)
+        assert spec.cells[0].config.packets_total == DEMO["game"]["packets_total"]
+
+    @pytest.mark.parametrize("mapping, dotted", [
+        ({"game": {"fine": 0}}, {"game.fine": 0}),
+        ({"topology": {"n": 12}}, {"topology.n": 12}),
+        ({"game": {"fine_mode": "dropper-only", "ttl": 4}, "predictor": {"epsilon": 0.3}},
+         {"game.fine_mode": "dropper-only", "game.ttl": 4, "predictor.epsilon": 0.3}),
+    ], ids=["game", "topology", "two-sections"])
+    def test_cell_mapping_override_builds_the_dotted_cell(self, mapping, dotted):
+        tree = with_override("tournament.cells", [
+            {"name": "mapping", "overrides": mapping}, {"name": "dotted", "overrides": dotted},
+        ])
+        spec, _ = cfg.build_tournament(tree)
+        by_mapping, by_dotted = spec.cells
+        assert dataclasses.replace(by_mapping, name="dotted") == by_dotted
 
     @pytest.mark.parametrize("axis, values, field", [
         ("ttl", [2.5], "values[0]"),

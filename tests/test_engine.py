@@ -73,12 +73,12 @@ class TestSettleDelivery:
     def test_two_hop_chain(self):
         result = settle_delivery(ledger_of((4, 90), (5, 60), status=LedgerStatus.DELIVERED))
         assert result.deltas == {4: 30, 5: 60}
-        assert result.backbone_delta == -90
+        assert -sum(result.deltas.values()) == -90  # the backbone's change
 
     def test_single_hop(self):
         result = settle_delivery(ledger_of((4, 100), status=LedgerStatus.DELIVERED))
         assert result.deltas == {4: 100}
-        assert result.backbone_delta == -100
+        assert -sum(result.deltas.values()) == -100
 
     def test_equal_split_pattern(self):
         result = settle_delivery(
@@ -97,23 +97,23 @@ class TestSettleDrop:
         result = settle_drop(
             ledger_of((1, 90), (2, 60), (3, 30), status=LedgerStatus.DROPPED), 200
         )
-        assert result.fine_shares == {1: 66, 2: 66, 3: 68}
         assert result.deltas == {1: -66, 2: -66, 3: -68}
-        assert result.backbone_delta == 200
+        assert list(result.deltas) == [1, 2, 3]  # path order
+        assert -sum(result.deltas.values()) == 200
 
     def test_single_node_pays_all(self):
         result = settle_drop(ledger_of((1, 100), status=LedgerStatus.DROPPED), 200)
-        assert result.fine_shares == {1: 200}
+        assert result.deltas == {1: -200}
 
     def test_zero_fine_no_deltas(self):
         result = settle_drop(ledger_of((1, 90), (2, 60), status=LedgerStatus.DROPPED), 0)
-        assert result.fine_shares == {} and result.deltas == {}
+        assert result.deltas == {}
 
     def test_dropper_only_mode(self):
         result = settle_drop(
             ledger_of((1, 90), (2, 60), status=LedgerStatus.DROPPED), 200, "dropper-only"
         )
-        assert result.fine_shares == {2: 200}
+        assert result.deltas == {2: -200}
 
 
 class TestRunAuction:
@@ -286,11 +286,19 @@ class TestConservation:
                 master_seed=trial,
             )
             result = run_simulation(config, g, assignment)
+            paid = {
+                e.packet_id: e.amount for e in result.events
+                if e.kind in (EventKind.DELIVERED, EventKind.DROPPED)
+            }
             for s in result.settlements:
                 if s.status is LedgerStatus.DELIVERED:
-                    assert sum(s.deltas.values()) == -s.backbone_delta
+                    # The backbone pays the first promise out as non-negative margins.
+                    assert all(d >= 0 for d in s.deltas.values())
+                    assert -sum(s.deltas.values()) == -paid[s.packet_id]
                 else:
-                    assert sum(s.fine_shares.values()) == s.backbone_delta
+                    # Every fine share is a charge, and the backbone collects the fine.
+                    assert all(d < 0 for d in s.deltas.values())
+                    assert -sum(s.deltas.values()) == paid[s.packet_id]
             assert sum(result.balances.values()) + result.backbone_balance == 0
 
     def test_replay_equivalence(self):

@@ -392,7 +392,7 @@ class TestWolfPack:
                 ledger = ledger.extended(node, 100 - 10 * i)
             for fine in (0, 1, 7, 199, 200, 201):
                 dropped = settle_drop(ledger.closed(LedgerStatus.DROPPED), fine)
-                share = dropped.fine_shares.get(3, 0)
+                share = -dropped.deltas.get(3, 0)
                 packet = Packet(0, 4, budget=100, fine=fine, ttl=8)
                 assert WolfPack(sabotage_enabled=True, sabotage_budget=share).on_hold(
                     packet, ledger, ctx

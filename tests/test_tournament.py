@@ -342,10 +342,12 @@ class TestSweep:
         names = list(run_tournament(spec).cells)
         assert names == ["base[ttl=1]", "base[ttl=4]"]
 
-    def test_a_ttl_cell_runs_as_its_config_alone(self):
-        # The snipers' predictors scale by the cell's own TTL, not the base's.
+    @pytest.mark.parametrize("axis, value", [("fine", 0), ("ttl", 4), ("churn", 0.1)])
+    def test_a_sweep_cell_runs_as_its_config_alone(self, axis, value):
+        # A sweep cell is the base tree with one more override: under ttl, the
+        # snipers' predictors scale by the cell's own TTL, not the base's.
         tree = sweep_tree(
-            "ttl", [4], seeds=6, master_seed=3,
+            axis, [value], seeds=6, master_seed=3,
             topology={"kind": "geometric", "n": 16, "radius": 0.4},
             strategies=[
                 {"strategy": "fair", "nodes": [0]},
@@ -356,11 +358,18 @@ class TestSweep:
         )
         spec, _ = cfg.build_tournament(tree)
         del tree["tournament"]
-        cfg.apply_override(tree, "game.ttl=4")
+        cfg.apply_override(tree, f"game.{cfg.SWEEP_FIELDS[axis]}={value}")
         alone = cfg.build_cell(tree, "alone")
         for si in range(spec.seeds_per_cell):
             run_seed = spec.run_seed(0, si)
             assert run_cell_seed(spec.cells[0], run_seed) == run_cell_seed(alone, run_seed)
+
+    def test_an_error_in_the_base_tree_keeps_its_plain_name(self):
+        tree = sweep_tree("fine", [0, 100], seeds=1, master_seed=3,
+                          topology={"kind": "geometric", "n": 8, "radius": -0.3})
+        with pytest.raises(cfg.ConfigError) as exc:
+            cfg.build_tournament(tree)
+        assert str(exc.value).startswith("topology.radius: ")
 
     def test_more_ttl_never_hurts_fair_delivery(self):
         spec = swept_spec(

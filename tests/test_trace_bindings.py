@@ -15,7 +15,11 @@ and bids in the log, and both strategy methods must be seen, so a loop that
 routes around ``run_auction``, ``validate_bid``, ``on_auction`` or
 ``choose_winner`` fails here instead of reading zero. A second run under
 ``global`` must count ``BidHistory.record`` calls too, so the bid feed
-writes the tape through that name under both scopes.
+writes the tape through that name under both scopes. Its short TTL makes
+custodians drop packets, and in both runs the settlement count must equal
+the packets closed with a custodian (every delivery, and every drop not
+made by the backbone), so a settle path that routes around
+``settle_delivery`` or ``settle_drop`` fails here too.
 """
 
 import os
@@ -31,9 +35,18 @@ from collections import Counter
 from spans import Tracer
 
 from bidforward.engine import GameConfig, Simulation
-from bidforward.model import EventKind
+from bidforward.model import BACKBONE, EventKind
 from bidforward.strategies import build_strategy
 from bidforward.topology import generate
+
+
+def custody_drops(result):
+    return sum(1 for e in result.events if e.kind is EventKind.DROPPED and e.node != BACKBONE)
+
+
+def settled(result):  # the packets settle_delivery or settle_drop pays
+    return sum(1 for e in result.events if e.kind is EventKind.DELIVERED) + custody_drops(result)
+
 
 tracer = Tracer()
 tracer.install()
@@ -49,6 +62,7 @@ kinds = Counter(event.kind for event in result.events)
 assert tracer.counts["engine.events"] == len(result.events) > 0
 assert tracer.counts["engine.auctions"] == kinds[EventKind.AUCTION_ANNOUNCED] > 0
 assert tracer.counts["engine.bids"] == kinds[EventKind.BID_PLACED] > 0
+assert tracer.counts["engine.settle_calls"] == settled(result)
 assert tracer.counts["predictor.record_calls"] > 0
 assert tracer.counts["observation.apply_calls"] > 0
 assert tracer.counts["engine.bids"] > 0
@@ -60,9 +74,13 @@ assert {"topology.churn", "topology.view_of"} <= spans, spans
 assert {"strategies.on_auction", "strategies.choose_winner"} <= spans, spans
 
 tracer.counts.clear()
-config = GameConfig(packets_total=10, injection_rate=2, observation="global", master_seed=1)
-Simulation(config, graph, assignment).run()
+config = GameConfig(
+    packets_total=10, injection_rate=2, observation="global", ttl=2, master_seed=1
+)
+result = Simulation(config, graph, assignment).run()
 assert tracer.counts["predictor.record_calls"] > 0
+assert settled(result) > custody_drops(result) > 0
+assert tracer.counts["engine.settle_calls"] == settled(result)
 """
 
 
